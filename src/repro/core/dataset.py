@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -83,24 +83,99 @@ def record_to_dict(rec: TestRecord) -> dict:
     """JSON-safe dict for one test record (samples included).
 
     Shared by :meth:`DriveDataset.save_json` and the campaign's
-    checkpoint writer, so both persist records identically.
+    checkpoint writer, so both persist records identically.  Keys come
+    in field order with ``samples`` last; values are the field objects
+    themselves (a ``numpy.float64`` stays one) except ``area``, which is
+    written as its ``.value``.
     """
     return {
-        **{k: v for k, v in asdict(rec).items() if k != "samples"},
+        "test_id": rec.test_id,
+        "drive_id": rec.drive_id,
+        "network": rec.network,
+        "protocol": rec.protocol,
+        "direction": rec.direction,
+        "parallel": rec.parallel,
+        "retransmission_rate": rec.retransmission_rate,
         "samples": [
-            {**asdict(s), "area": s.area.value} for s in rec.samples
+            {
+                "time_s": s.time_s,
+                "throughput_mbps": s.throughput_mbps,
+                "rtt_ms": s.rtt_ms,
+                "loss_rate": s.loss_rate,
+                "speed_kmh": s.speed_kmh,
+                "area": s.area.value,
+                "lat_deg": s.lat_deg,
+                "lon_deg": s.lon_deg,
+            }
+            for s in rec.samples
         ],
     }
 
 
+_RECORD_KEYS = frozenset(f.name for f in fields(TestRecord))
+_SAMPLE_KEYS = frozenset(f.name for f in fields(SecondSample))
+_AREAS = {area.value: area for area in AreaType}
+
+
+def _check_keys(raw: object, expected: frozenset[str], what: str) -> None:
+    """Reject anything but a dict with exactly the ``expected`` keys."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be an object, got {type(raw).__name__}")
+    missing = sorted(expected - raw.keys())
+    if missing:
+        raise ValueError(f"{what} is missing field {missing[0]!r}")
+    unknown = sorted(map(str, raw.keys() - expected))
+    if unknown:
+        raise ValueError(f"{what} has unknown field {unknown[0]!r}")
+
+
+def _sample_from_dict(raw: dict, index: int) -> SecondSample:
+    if not isinstance(raw, dict) or raw.keys() != _SAMPLE_KEYS:
+        _check_keys(raw, _SAMPLE_KEYS, f"sample {index}")
+    try:
+        area = _AREAS[raw["area"]]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"sample {index} field 'area' is not an area type: {raw['area']!r}"
+        ) from None
+    # Positional, in field order: the per-sample hot path of every
+    # cache read, where keyword passing costs a fifth of the decode.
+    return SecondSample(
+        raw["time_s"],
+        raw["throughput_mbps"],
+        raw["rtt_ms"],
+        raw["loss_rate"],
+        raw["speed_kmh"],
+        area,
+        raw["lat_deg"],
+        raw["lon_deg"],
+    )
+
+
 def record_from_dict(raw: dict) -> TestRecord:
-    """Rebuild a record serialized by :func:`record_to_dict`."""
-    raw = dict(raw)
-    samples = [
-        SecondSample(**{**s, "area": AreaType(s["area"])})
-        for s in raw.pop("samples")
-    ]
-    return TestRecord(**raw, samples=samples)
+    """Rebuild a record serialized by :func:`record_to_dict`.
+
+    A missing or unknown key, a ``samples`` value that is not a list,
+    or an ``area`` that names no :class:`AreaType` raises ``ValueError``
+    naming the field.
+    """
+    if not isinstance(raw, dict) or raw.keys() != _RECORD_KEYS:
+        _check_keys(raw, _RECORD_KEYS, "record")
+    samples = raw["samples"]
+    if not isinstance(samples, list):
+        raise ValueError(
+            f"record field 'samples' must be a list, got {type(samples).__name__}"
+        )
+    return TestRecord(
+        test_id=raw["test_id"],
+        drive_id=raw["drive_id"],
+        network=raw["network"],
+        protocol=raw["protocol"],
+        direction=raw["direction"],
+        parallel=raw["parallel"],
+        samples=[_sample_from_dict(s, i) for i, s in enumerate(samples)],
+        retransmission_rate=raw["retransmission_rate"],
+    )
 
 
 class DriveDataset:

@@ -38,7 +38,7 @@ from typing import Any, Iterator
 
 from repro.serve.jobs import JobRecord, fold_event
 from repro.store.commit import checkpoint_boundary, fsync_dir
-from repro.store.shard import GENESIS, canonical_json, chain_digest
+from repro.store.shard import GENESIS, render_line
 
 JOURNAL_VERSION = 1
 JOURNAL_NAME = "journal.jsonl"
@@ -64,12 +64,6 @@ class JournalReplay:
     valid_bytes: int = 0
     #: Why the tail was dropped, or None if the file was fully valid.
     torn_reason: str | None = None
-
-
-def _render_line(prev_chain: str, kind: str, seq: int, body: Any) -> tuple[str, str]:
-    envelope = {"kind": kind, "seq": seq, "body": body}
-    chain = chain_digest(prev_chain, canonical_json(envelope))
-    return canonical_json({"chain": chain, **envelope}), chain
 
 
 def _header_body() -> dict[str, Any]:
@@ -113,8 +107,7 @@ def replay_journal(path: str | os.PathLike) -> JournalReplay:
         except (ValueError, KeyError, TypeError):
             replay.torn_reason = f"unparseable line at byte {replay.valid_bytes}"
             break
-        envelope = {"kind": kind, "seq": seq, "body": body}
-        expected = chain_digest(replay.chain, canonical_json(envelope))
+        _line, expected = render_line(replay.chain, kind, seq, body)
         if claimed != expected or seq != replay.seq:
             replay.torn_reason = f"chain break at seq {replay.seq}"
             break
@@ -178,7 +171,7 @@ class JobJournal:
         self._append_line("event", body, label=str(body.get("event", "event")))
 
     def _append_line(self, kind: str, body: dict, *, label: str) -> None:
-        line, chain = _render_line(self._chain, kind, self._seq, body)
+        line, chain = render_line(self._chain, kind, self._seq, body)
         self._handle.write(line.encode("utf-8") + b"\n")
         checkpoint_boundary(f"journal.{label}.append")
         self._handle.flush()

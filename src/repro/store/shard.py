@@ -56,9 +56,15 @@ class ShardCorruptError(ArtifactCorruptError):
     """A shard failed strict verification (torn write, bit rot, edit)."""
 
 
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` builds
+#: this same encoder on every call; one shared instance renders the
+#: same bytes.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: Any) -> str:
     """Canonical form: sorted keys, minimal separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def chain_digest(prev_chain: str, envelope_canonical: str) -> str:
@@ -66,11 +72,21 @@ def chain_digest(prev_chain: str, envelope_canonical: str) -> str:
     return hashlib.sha256((prev_chain + envelope_canonical).encode()).hexdigest()
 
 
-def _render_line(prev_chain: str, kind: str, seq: int, body: Any) -> tuple[str, str]:
-    """``(line, chain)`` for one envelope."""
-    envelope = {"kind": kind, "seq": seq, "body": body}
-    chain = chain_digest(prev_chain, canonical_json(envelope))
-    return canonical_json({"chain": chain, **envelope}), chain
+def render_line(prev_chain: str, kind: str, seq: int, body: Any) -> tuple[str, str]:
+    """``(line, chain)`` for one envelope.
+
+    The body is rendered once and spliced into both the chain input
+    ``{"body","kind","seq"}`` and the line ``{"body","chain","kind",
+    "seq"}``.  Keys appear in sorted order and every piece is
+    :func:`canonical_json`, so both strings equal the canonical JSON of
+    the corresponding dict byte for byte.
+    """
+    b = canonical_json(body)
+    k = canonical_json(kind)
+    s = canonical_json(seq)
+    chain = chain_digest(prev_chain, f'{{"body":{b},"kind":{k},"seq":{s}}}')
+    c = canonical_json(chain)
+    return f'{{"body":{b},"chain":{c},"kind":{k},"seq":{s}}}', chain
 
 
 def header_body(fingerprint: str, drive_id: int) -> dict[str, Any]:
@@ -129,7 +145,7 @@ class ShardWriter:
         self._emit("header", header_body(fingerprint, drive_id))
 
     def _emit(self, kind: str, body: Any) -> None:
-        line, chain = _render_line(self._chain, kind, self._seq, body)
+        line, chain = render_line(self._chain, kind, self._seq, body)
         self._handle.write(line + "\n")
         self._handle.flush()
         self._chain = chain
@@ -177,20 +193,27 @@ def build_shard_bytes(
     lines: list[str] = []
     chain = GENESIS
     seq = 0
-    line, chain = _render_line(chain, "header", seq, header_body(fingerprint, drive_id))
+    line, chain = render_line(chain, "header", seq, header_body(fingerprint, drive_id))
     lines.append(line)
     for body in records:
         seq += 1
-        line, chain = _render_line(chain, "record", seq, body)
+        line, chain = render_line(chain, "record", seq, body)
         lines.append(line)
     seq += 1
-    line, chain = _render_line(chain, "end", seq, meta)
+    line, chain = render_line(chain, "end", seq, meta)
     lines.append(line)
     return ("\n".join(lines) + "\n").encode("utf-8"), chain
 
 
 def _parse_line(raw: str, prev_chain: str, seq: int, name: str) -> tuple[str, Any, str]:
-    """Strictly validate one line; returns ``(kind, body, chain)``."""
+    """Strictly validate one line; returns ``(kind, body, chain)``.
+
+    The line must be exactly what :func:`render_line` produces for its
+    parsed ``kind`` and ``body`` at the expected ``seq`` after
+    ``prev_chain``: one comparison covers canonical bytes, the integer
+    seq and the chain at once.  The checks after it run only to name
+    what is wrong.
+    """
     try:
         parsed = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -201,23 +224,22 @@ def _parse_line(raw: str, prev_chain: str, seq: int, name: str) -> tuple[str, An
         raise ShardCorruptError(
             f"shard {name!r}: line {seq + 1} is not a shard envelope"
         )
+    line, chain = render_line(prev_chain, parsed["kind"], seq, parsed["body"])
+    if line == raw:
+        return parsed["kind"], parsed["body"], chain
     if canonical_json(parsed) != raw:
         raise ShardCorruptError(
             f"shard {name!r}: line {seq + 1} is not in canonical form "
             "(bytes differ from the canonical serialization)"
         )
-    if parsed["seq"] != seq:
+    if type(parsed["seq"]) is not int or parsed["seq"] != seq:
         raise ShardCorruptError(
             f"shard {name!r}: line {seq + 1} has seq {parsed['seq']!r}, "
             f"expected {seq}"
         )
-    envelope = {"kind": parsed["kind"], "seq": parsed["seq"], "body": parsed["body"]}
-    expected = chain_digest(prev_chain, canonical_json(envelope))
-    if parsed["chain"] != expected:
-        raise ShardCorruptError(
-            f"shard {name!r}: line {seq + 1} breaks the digest chain"
-        )
-    return parsed["kind"], parsed["body"], parsed["chain"]
+    raise ShardCorruptError(
+        f"shard {name!r}: line {seq + 1} breaks the digest chain"
+    )
 
 
 def _check_header(body: Any, name: str, fingerprint: str | None, drive_id: int | None) -> None:

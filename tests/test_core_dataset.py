@@ -6,6 +6,8 @@ from repro.core.dataset import (
     DriveDataset,
     SecondSample,
     TestRecord,
+    record_from_dict,
+    record_to_dict,
 )
 from repro.geo.classify import AreaType
 
@@ -182,3 +184,46 @@ def test_save_json_byte_identical_across_dict_insertion_order(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
     # And the digest still verifies after the ordering change.
     assert DriveDataset.load_json(path_a).area_proportions == forward.area_proportions
+
+
+def _without(raw: dict, key: str) -> dict:
+    return {k: v for k, v in raw.items() if k != key}
+
+
+def _sample_edit(edit) -> dict:
+    raw = record_to_dict(record())
+    raw["samples"][1] = edit(raw["samples"][1])
+    return raw
+
+
+@pytest.mark.parametrize(
+    ("make", "message"),
+    [
+        (lambda raw: _without(raw, "parallel"), "record is missing field 'parallel'"),
+        (lambda raw: _without(raw, "samples"), "record is missing field 'samples'"),
+        (lambda raw: {**raw, "speed": 3}, "record has unknown field 'speed'"),
+        (lambda raw: {**raw, "samples": {}}, "record field 'samples' must be a list"),
+        (lambda raw: [raw], "record must be an object"),
+        (
+            lambda raw: _sample_edit(lambda s: _without(s, "rtt_ms")),
+            "sample 1 is missing field 'rtt_ms'",
+        ),
+        (
+            lambda raw: _sample_edit(lambda s: {**s, "jitter_ms": 1.0}),
+            "sample 1 has unknown field 'jitter_ms'",
+        ),
+        (
+            lambda raw: _sample_edit(lambda s: {**s, "area": "exurban"}),
+            "sample 1 field 'area' is not an area type",
+        ),
+        (
+            lambda raw: _sample_edit(lambda s: {**s, "area": ["urban"]}),
+            "sample 1 field 'area' is not an area type",
+        ),
+        (lambda raw: _sample_edit(lambda s: None), "sample 1 must be an object"),
+    ],
+)
+def test_record_from_dict_rejects_malformed_input_with_value_error(make, message):
+    raw = make(record_to_dict(record()))
+    with pytest.raises(ValueError, match=message):
+        record_from_dict(raw)
