@@ -69,6 +69,7 @@ from repro.resilience import (
 from repro.rng import RngStreams
 from repro.store import DriveCache, ShardStore
 from repro.store.commit import atomic_write_json
+from repro.store.shard import canonical_json
 from repro.tools.tracker import Tracker
 
 #: Devices the vehicle carries (5 networks measured at once).
@@ -459,6 +460,13 @@ class Campaign:
         self._checkpoint_path: str | None = None
         #: Config fingerprint, cached for the artifact writers.
         self._fingerprint = self.config.fingerprint()
+        #: Canonical JSON of each record of a drive payload, keyed by the
+        #: payload's records list: ``id(records) -> (records, lines)``.
+        #: The entry holds the list, so no other object can take its id.
+        #: Only strings this process rendered (a shard writer's stream,
+        #: :meth:`_record_lines`) or verified (a cache read) go in; a
+        #: worker's strings never reach the parent.
+        self._record_json: dict[int, tuple[list[TestRecord], list[str]]] = {}
 
     # -- public API -----------------------------------------------------
 
@@ -495,6 +503,7 @@ class Campaign:
         self._drive_rows = []
         self._resilience = ResilienceReport()
         self._fingerprint = fingerprint
+        self._record_json = {}
         self._open_store(checkpoint_path, fingerprint)
         self._cache = DriveCache(cfg.cache_dir) if cfg.cache_dir else None
 
@@ -698,9 +707,7 @@ class Campaign:
                 )
             except ShardCorruptError:
                 continue  # recomputed; commit() will overwrite it
-            payload = dict(data.meta)
-            payload["records"] = data.records
-            raw[drive_id] = payload
+            raw[drive_id] = data.payload()
             adopted[drive_id] = {
                 "shard": shard_name(drive_id),
                 "records": len(data.records),
@@ -730,17 +737,21 @@ class Campaign:
             for drive_id, route in enumerate(routes):
                 if drive_id in drive_payloads:
                     continue
-                raw, quarantined = cache.get(fingerprint, drive_id)
+                data, quarantined = cache.get(fingerprint, drive_id)
                 if quarantined is not None:
                     self._resilience.integrity_failures += 1
                     obs.counter(
                         "resilience.integrity_failures", artifact="cache"
                     ).inc()
                     obs.counter("store.cache_quarantined").inc()
-                if raw is None or (obs.enabled and not raw.get("metrics")):
+                if data is None or (obs.enabled and not data.meta.get("metrics")):
                     obs.counter("store.cache_misses").inc()
                     continue
-                payload = _payload_from_raw(raw)
+                payload = _payload_from_raw(data.payload())
+                self._record_json[id(payload["records"])] = (
+                    payload["records"],
+                    data.record_json,
+                )
                 drive_payloads[drive_id] = payload
                 hits += 1
                 obs.counter("store.cache_hits").inc()
@@ -752,7 +763,7 @@ class Campaign:
         obs = self.obs
         if self._shard_store is not None:
             with obs.span("campaign.checkpoint"):
-                self._shard_store.commit(drive_payloads, _records_to_jsonable)
+                self._shard_store.commit(drive_payloads, self._record_lines)
         elif self._checkpoint_path is not None:
             with obs.span("campaign.checkpoint"):
                 _write_checkpoint(
@@ -763,10 +774,25 @@ class Campaign:
         """Store one freshly computed drive in the cache (if configured)."""
         if self._cache is None:
             return
-        records = [record_to_dict(r) for r in payload["records"]]
+        lines = self._record_lines(payload["records"])
         meta = {k: v for k, v in payload.items() if k != "records"}
-        self._cache.put(self._fingerprint, drive_id, records, meta)
+        self._cache.put(self._fingerprint, drive_id, lines, meta)
         self.obs.counter("store.cache_writes").inc()
+
+    def _record_lines(self, records: list[TestRecord]) -> list[str]:
+        """Canonical JSON of each record of one drive payload.
+
+        Reuses the strings kept for this list and renders (and keeps)
+        them otherwise, so a drive's records are rendered at most once
+        per process for its shard, its cache entry and the dataset
+        digest.
+        """
+        kept = self._record_json.get(id(records))
+        if kept is not None:
+            return kept[1]
+        lines = [canonical_json(record_to_dict(r)) for r in records]
+        self._record_json[id(records)] = (records, lines)
+        return lines
 
     def _salvage_checkpoint(
         self,
@@ -1004,6 +1030,9 @@ class Campaign:
         checkpoint_path: str | os.PathLike | None,
     ) -> DriveDataset:
         records: list[TestRecord] = []
+        # The kept canonical lines of every record, or None as soon as
+        # one drive has none (the dataset digest then renders them).
+        record_json: list[str] | None = []
         trace_minutes = 0.0
         distance_km = 0.0
         area_counts = {area: 0 for area in AreaType}
@@ -1013,6 +1042,11 @@ class Campaign:
         for drive_id in sorted(drive_payloads):
             payload = drive_payloads[drive_id]
             records.extend(payload["records"])
+            kept = self._record_json.get(id(payload["records"]))
+            if record_json is not None and kept is not None:
+                record_json.extend(kept[1])
+            else:
+                record_json = None
             trace_minutes += payload["trace_minutes"]
             distance_km += payload["distance_km"]
             for area_value, count in payload["area_counts"].items():
@@ -1048,6 +1082,7 @@ class Campaign:
             trace_minutes=trace_minutes,
             distance_km=distance_km,
             area_proportions=proportions,
+            record_json=record_json,
         )
 
     def _simulate_drive(self, drive_id: int, route: Route) -> dict:
@@ -1064,7 +1099,10 @@ class Campaign:
         a crash mid-drive loses at most the record being written.  The
         stream is a durability optimization only: the committing parent
         re-derives the expected shard bytes from the payload and trusts
-        the streamed file only when identical.
+        the streamed file only when identical.  The writer's record
+        strings are kept for this process (a worker's stay in the
+        worker), so the commit, the cache entry and the dataset digest
+        splice them instead of rendering each record again.
         """
         cfg = self.config
         drive_rng = self.rng.fork(drive_id)
@@ -1133,6 +1171,7 @@ class Campaign:
         }
         if writer is not None:
             writer.finish({k: v for k, v in payload.items() if k != "records"})
+            self._record_json[id(drive_records)] = (drive_records, writer.record_json)
         return payload
 
     def _routes(self) -> list[Route]:
@@ -1414,11 +1453,6 @@ def _payload_from_raw(raw: dict) -> dict:
         **{k: v for k, v in raw.items() if k != "records"},
         "records": [record_from_dict(r) for r in raw["records"]],
     }
-
-
-def _records_to_jsonable(records: list[TestRecord]) -> list[dict]:
-    """Record objects -> JSON dicts (the shard store's converter)."""
-    return [record_to_dict(r) for r in records]
 
 
 def _load_checkpoint(path: str | os.PathLike, fingerprint: str) -> dict[int, dict]:

@@ -8,6 +8,7 @@ Mirrors the shape of the paper's released dataset: a list of network tests
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field, fields
 
@@ -178,8 +179,35 @@ def record_from_dict(raw: dict) -> TestRecord:
     )
 
 
+def _widen(line: str, samples: int) -> str | None:
+    """``json.dumps(record, sort_keys=True)`` from its canonical line.
+
+    The two forms differ only in their separators (``,`` and ``:``
+    against ``, `` and ``: ``), so widening every separator converts one
+    into the other — exactly, unless a string in the record holds a
+    ``,`` or a ``:``.  That shows as more of them than the record's
+    structure accounts for, and then this returns ``None``.
+    """
+    # One ":" per object member.  One "," between the members of each of
+    # the 1 + samples objects, and between the samples in their list.
+    members = len(_RECORD_KEYS) + samples * len(_SAMPLE_KEYS)
+    commas = members - (2 if samples else 1)
+    if line.count(",") != commas or line.count(":") != members:
+        return None
+    return line.replace(",", ", ").replace(":", ": ")
+
+
 class DriveDataset:
-    """Everything one campaign produced."""
+    """Everything one campaign produced.
+
+    ``record_json``, when given, is the canonical JSON
+    (:func:`repro.store.shard.canonical_json`) of :func:`record_to_dict`
+    of each record, in order — strings the caller rendered or verified
+    itself.  :meth:`save_json` derives the embedded digest from them
+    instead of rendering every record a second time, for as long as
+    :attr:`records` holds those same record objects in that order.
+    Records are values: replace one rather than mutating it in place.
+    """
 
     def __init__(
         self,
@@ -187,11 +215,20 @@ class DriveDataset:
         trace_minutes: float = 0.0,
         distance_km: float = 0.0,
         area_proportions: dict[AreaType, float] | None = None,
+        record_json: list[str] | None = None,
     ):
         self.records = list(records)
         self.trace_minutes = trace_minutes
         self.distance_km = distance_km
         self.area_proportions = area_proportions or {}
+        self._record_json: tuple[tuple[TestRecord, ...], list[str]] | None = None
+        if record_json is not None:
+            if len(record_json) != len(self.records):
+                raise ValueError(
+                    f"record_json has {len(record_json)} lines for "
+                    f"{len(self.records)} records"
+                )
+            self._record_json = (tuple(self.records), list(record_json))
 
     # -- selection ---------------------------------------------------------
 
@@ -271,29 +308,55 @@ class DriveDataset:
         byte-identical.  The write goes through the atomic commit
         protocol (:mod:`repro.store.commit`): tmp file, fsync, rename,
         directory fsync — a crash never leaves a torn dataset under the
-        real name.
+        real name.  With kept ``record_json`` lines the digest splices
+        them in (widened, see :func:`_widen`), so each record is
+        rendered once here, for the file body.
         """
-        from repro.resilience.integrity import embed_digest
+        from repro.resilience.integrity import DIGEST_KEY, payload_digest
         from repro.store.commit import atomic_write_json
 
-        payload = embed_digest(
-            {
-                "trace_minutes": self.trace_minutes,
-                "distance_km": self.distance_km,
-                # Sorted: two datasets with equal proportions must
-                # serialize byte-identically no matter what order the
-                # caller's dict was built in.
-                "area_proportions": {
-                    area.value: share
-                    for area, share in sorted(
-                        self.area_proportions.items(),
-                        key=lambda item: item[0].value,
-                    )
-                },
-                "records": [record_to_dict(rec) for rec in self.records],
-            }
+        payload = {
+            "trace_minutes": self.trace_minutes,
+            "distance_km": self.distance_km,
+            # Sorted: two datasets with equal proportions must
+            # serialize byte-identically no matter what order the
+            # caller's dict was built in.
+            "area_proportions": {
+                area.value: share
+                for area, share in sorted(
+                    self.area_proportions.items(),
+                    key=lambda item: item[0].value,
+                )
+            },
+            "records": [record_to_dict(rec) for rec in self.records],
+        }
+        records_text = self._sorted_records_json()
+        payload[DIGEST_KEY] = payload_digest(
+            payload, None if records_text is None else {"records": records_text}
         )
         atomic_write_json(path, payload, boundary="dataset")
+
+    def _sorted_records_json(self) -> str | None:
+        """``json.dumps(records, sort_keys=True)`` from the kept lines.
+
+        ``None`` unless :attr:`records` still holds exactly the records
+        the lines were rendered from, in order, and every line widens
+        exactly (see :func:`_widen`).
+        """
+        if self._record_json is None:
+            return None
+        rendered, lines = self._record_json
+        if len(rendered) != len(self.records) or not all(
+            map(operator.is_, rendered, self.records)
+        ):
+            return None
+        widened: list[str] = []
+        for rec, line in zip(self.records, lines):
+            wide = _widen(line, len(rec.samples))
+            if wide is None:
+                return None
+            widened.append(wide)
+        return "[" + ", ".join(widened) + "]"
 
     def export_csv(self, path: str | os.PathLike) -> int:
         """Write per-second rows as CSV (one row per sample); returns count.

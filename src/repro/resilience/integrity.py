@@ -28,11 +28,25 @@ DIGEST_KEY = "digest"
 _WHITESPACE = " \t\r\n"
 
 
-def payload_digest(payload: dict) -> str:
-    """SHA-256 of the canonical JSON body (``digest`` key excluded)."""
+def payload_digest(payload: dict, rendered: dict[str, str] | None = None) -> str:
+    """SHA-256 of the canonical JSON body (``digest`` key excluded).
+
+    ``rendered`` maps top-level keys to the ``json.dumps(value,
+    sort_keys=True)`` text of their value when the caller already holds
+    it; that text is spliced in where the value would be rendered, so
+    the digest is the same.
+    """
     body = {k: v for k, v in payload.items() if k != DIGEST_KEY}
-    blob = json.dumps(body, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    if not rendered:
+        text = json.dumps(body, sort_keys=True)
+    else:
+        members = (
+            f"{json.dumps(key)}: "
+            + (rendered[key] if key in rendered else json.dumps(body[key], sort_keys=True))
+            for key in sorted(body)
+        )
+        text = "{" + ", ".join(members) + "}"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def embed_digest(payload: dict) -> dict:

@@ -180,8 +180,7 @@ class ShardStore:
         except ShardCorruptError:
             recovery.shards_quarantined.append(quarantine(path))
             return None
-        payload = dict(data.meta)
-        payload["records"] = data.records
+        payload = data.payload()
         metrics = entry.get("metrics")
         if metrics:
             payload["metrics"] = metrics
@@ -219,12 +218,14 @@ class ShardStore:
     ) -> None:
         """Commit every not-yet-committed drive, then the manifest.
 
-        ``to_jsonable`` converts one payload's record objects to JSON
-        dicts (the store is agnostic to the record type).  For each new
-        drive the expected shard bytes are recomputed from the payload;
-        an existing file (e.g. streamed by this or a worker process) is
-        kept only when byte-identical, otherwise rewritten atomically.
-        The manifest write is the commit point.
+        ``to_jsonable`` converts one payload's record objects to shard
+        bodies (the store is agnostic to the record type): JSON dicts,
+        or their canonical strings when the caller already holds them
+        (see :func:`~repro.store.shard.build_shard_bytes`).  For each
+        new drive the expected shard bytes are recomputed from those
+        bodies; an existing file (e.g. streamed by this or a worker
+        process) is kept only when byte-identical, otherwise rewritten
+        atomically.  The manifest write is the commit point.
         """
         self._ensure_root()
         for drive_id in sorted(drive_payloads):

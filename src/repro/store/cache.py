@@ -34,7 +34,7 @@ from typing import Any
 from repro.resilience.integrity import quarantine
 from repro.store.artifacts import shard_name
 from repro.store.commit import atomic_write_bytes, fsync_dir
-from repro.store.shard import ShardCorruptError, build_shard_bytes, read_shard
+from repro.store.shard import ShardCorruptError, ShardData, build_shard_bytes, read_shard
 
 
 @dataclass(frozen=True)
@@ -85,41 +85,49 @@ class DriveCache:
 
     def get(
         self, fingerprint: str, drive_id: int
-    ) -> tuple[dict[str, Any] | None, str | None]:
-        """``(raw_payload, quarantined_path)`` for one cache lookup.
+    ) -> tuple[ShardData | None, str | None]:
+        """``(shard, quarantined_path)`` for one cache lookup.
 
-        A miss is ``(None, None)``; a hit returns the JSON-level payload
-        (records as dicts, ``metrics`` restored from the entry's end
-        metadata); a corrupt entry is moved aside and reported as
-        ``(None, <quarantine path>)`` so the caller recomputes.
+        A miss is ``(None, None)``; a hit returns the verified entry,
+        whose :meth:`~repro.store.shard.ShardData.payload` is the
+        JSON-level payload (records as dicts, ``metrics`` restored from
+        the entry's end metadata) and whose ``record_json`` holds each
+        record's verified canonical string; a corrupt entry is moved
+        aside and reported as ``(None, <quarantine path>)`` so the
+        caller recomputes.  An entry that vanishes during the lookup
+        (a concurrent ``python -m repro.store gc`` evicted it) is a
+        plain miss.
         """
         path = self.entry_path(fingerprint, drive_id)
-        if not os.path.exists(path):
-            return None, None
         try:
             data = read_shard(path, fingerprint=fingerprint, drive_id=drive_id)
+        except FileNotFoundError:
+            return None, None
         except (ShardCorruptError, ValueError):
             # ValueError covers an entry whose header names a different
             # fingerprint than the directory it sits in — for a
             # content-addressed cache that is tampering, not operator
             # error, and must never be served.
-            return None, quarantine(path)
-        payload = dict(data.meta)
-        payload["records"] = data.records
-        return payload, None
+            try:
+                return None, quarantine(path)
+            except FileNotFoundError:
+                return None, None
+        return data, None
 
     def put(
         self,
         fingerprint: str,
         drive_id: int,
-        records: list[dict],
+        records: list[dict[str, Any]] | list[str],
         meta: dict[str, Any],
     ) -> None:
         """Atomically store one drive's payload.
 
-        ``meta`` is the payload minus records (the drive's metric
-        snapshot included, so a cache hit restores observability state
-        exactly as a checkpoint resume would).
+        ``records`` are record bodies or their canonical strings (see
+        :func:`~repro.store.shard.build_shard_bytes`).  ``meta`` is the
+        payload minus records (the drive's metric snapshot included, so
+        a cache hit restores observability state exactly as a
+        checkpoint resume would).
         """
         path = self.entry_path(fingerprint, drive_id)
         os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -30,6 +30,12 @@ shard fails verification (property-tested in ``tests/test_store.py``).
 drive end); :func:`build_shard_bytes` computes the exact bytes a writer
 would produce, which is how the store verifies or reconstructs shards
 from payloads without trusting worker processes.
+
+Rendering a record body is the expensive part of every line, so each
+body is rendered once per process: the writer keeps the strings it
+streamed, :func:`read_shard` keeps the strings it rendered to verify
+each line, and :func:`build_shard_bytes` splices such strings in as
+they are.
 """
 
 from __future__ import annotations
@@ -81,7 +87,15 @@ def render_line(prev_chain: str, kind: str, seq: int, body: Any) -> tuple[str, s
     :func:`canonical_json`, so both strings equal the canonical JSON of
     the corresponding dict byte for byte.
     """
-    b = canonical_json(body)
+    return _splice_line(prev_chain, kind, seq, canonical_json(body))
+
+
+def _splice_line(prev_chain: str, kind: str, seq: int, b: str) -> tuple[str, str]:
+    """:func:`render_line` for a body already rendered as ``b``.
+
+    ``b`` must be the body's :func:`canonical_json` string; callers pass
+    only strings this process rendered or verified itself.
+    """
     k = canonical_json(kind)
     s = canonical_json(seq)
     chain = chain_digest(prev_chain, f'{{"body":{b},"kind":{k},"seq":{s}}}')
@@ -103,6 +117,16 @@ class ShardData:
     meta: dict[str, Any] = field(default_factory=dict)
     #: The ``end`` line's chain value — commits the whole shard.
     head: str = ""
+    #: :func:`canonical_json` of each record body, in order: the strings
+    #: verification rendered, so a caller can reuse them instead of
+    #: rendering the records again.
+    record_json: list[str] = field(default_factory=list)
+
+    def payload(self) -> dict[str, Any]:
+        """The JSON-level drive payload: end metadata plus ``records``."""
+        payload = dict(self.meta)
+        payload["records"] = self.records
+        return payload
 
 
 @dataclass
@@ -138,14 +162,16 @@ class ShardWriter:
         self.fingerprint = fingerprint
         self.drive_id = drive_id
         self.records = 0
+        #: :func:`canonical_json` of each appended record body, in order.
+        self.record_json: list[str] = []
         self._chain = GENESIS
         self._seq = 0
         # "w" truncates a stale WAL from a previous crashed attempt.
         self._handle = open(self.wal_path, "w", encoding="utf-8")
-        self._emit("header", header_body(fingerprint, drive_id))
+        self._emit("header", canonical_json(header_body(fingerprint, drive_id)))
 
-    def _emit(self, kind: str, body: Any) -> None:
-        line, chain = render_line(self._chain, kind, self._seq, body)
+    def _emit(self, kind: str, b: str) -> None:
+        line, chain = _splice_line(self._chain, kind, self._seq, b)
         self._handle.write(line + "\n")
         self._handle.flush()
         self._chain = chain
@@ -153,13 +179,15 @@ class ShardWriter:
         checkpoint_boundary("shard.wal.append")
 
     def append(self, body: dict[str, Any]) -> None:
-        """Stream one completed test record."""
-        self._emit("record", body)
+        """Stream one completed test record, keeping its body string."""
+        b = canonical_json(body)
+        self._emit("record", b)
+        self.record_json.append(b)
         self.records += 1
 
     def finish(self, meta: dict[str, Any]) -> str:
         """Seal and durably commit the shard; returns the head digest."""
-        self._emit("end", meta)
+        self._emit("end", canonical_json(meta))
         os.fsync(self._handle.fileno())
         self._handle.close()
         checkpoint_boundary("shard.wal.fsync")
@@ -182,13 +210,19 @@ class ShardWriter:
 
 
 def build_shard_bytes(
-    fingerprint: str, drive_id: int, records: list[dict[str, Any]], meta: dict[str, Any]
+    fingerprint: str,
+    drive_id: int,
+    records: list[dict[str, Any]] | list[str],
+    meta: dict[str, Any],
 ) -> tuple[bytes, str]:
     """``(bytes, head_digest)`` a :class:`ShardWriter` would produce.
 
     A shard is a pure function of its content, which lets the store
     verify a worker-streamed shard (or rebuild a missing one) from the
-    payload alone.
+    payload alone.  Each record is a body dict, or that body's
+    :func:`canonical_json` string as :attr:`ShardWriter.record_json`
+    and :attr:`ShardData.record_json` keep it; a string is spliced in
+    as is, without rendering the record again.
     """
     lines: list[str] = []
     chain = GENESIS
@@ -197,7 +231,8 @@ def build_shard_bytes(
     lines.append(line)
     for body in records:
         seq += 1
-        line, chain = render_line(chain, "record", seq, body)
+        b = body if isinstance(body, str) else canonical_json(body)
+        line, chain = _splice_line(chain, "record", seq, b)
         lines.append(line)
     seq += 1
     line, chain = render_line(chain, "end", seq, meta)
@@ -205,14 +240,17 @@ def build_shard_bytes(
     return ("\n".join(lines) + "\n").encode("utf-8"), chain
 
 
-def _parse_line(raw: str, prev_chain: str, seq: int, name: str) -> tuple[str, Any, str]:
-    """Strictly validate one line; returns ``(kind, body, chain)``.
+def _parse_line(
+    raw: str, prev_chain: str, seq: int, name: str
+) -> tuple[str, Any, str, str]:
+    """Strictly validate one line; returns ``(kind, body, chain, b)``.
 
     The line must be exactly what :func:`render_line` produces for its
     parsed ``kind`` and ``body`` at the expected ``seq`` after
     ``prev_chain``: one comparison covers canonical bytes, the integer
     seq and the chain at once.  The checks after it run only to name
-    what is wrong.
+    what is wrong.  ``b`` is the body's :func:`canonical_json` string
+    the comparison rendered.
     """
     try:
         parsed = json.loads(raw)
@@ -224,9 +262,10 @@ def _parse_line(raw: str, prev_chain: str, seq: int, name: str) -> tuple[str, An
         raise ShardCorruptError(
             f"shard {name!r}: line {seq + 1} is not a shard envelope"
         )
-    line, chain = render_line(prev_chain, parsed["kind"], seq, parsed["body"])
+    b = canonical_json(parsed["body"])
+    line, chain = _splice_line(prev_chain, parsed["kind"], seq, b)
     if line == raw:
-        return parsed["kind"], parsed["body"], chain
+        return parsed["kind"], parsed["body"], chain, b
     if canonical_json(parsed) != raw:
         raise ShardCorruptError(
             f"shard {name!r}: line {seq + 1} is not in canonical form "
@@ -278,7 +317,9 @@ def read_shard(
     chain, a missing ``end`` line, trailing garbage, a missing final
     newline — raises :class:`ShardCorruptError`.  A shard whose header
     names a *different* config fingerprint raises plain ``ValueError``:
-    that is operator error, not damage.
+    that is operator error, not damage.  The result keeps the canonical
+    body string verification rendered for every record
+    (:attr:`ShardData.record_json`).
     """
     name = os.fspath(path)
     with open(path, "rb") as handle:
@@ -298,7 +339,7 @@ def read_shard(
         raise ShardCorruptError(f"shard {name!r} is empty")
 
     chain = GENESIS
-    kind, body, chain = _parse_line(lines[0], chain, 0, name)
+    kind, body, chain, _ = _parse_line(lines[0], chain, 0, name)
     if kind != "header":
         raise ShardCorruptError(f"shard {name!r}: first line is not a header")
     _check_header(body, name, fingerprint, drive_id)
@@ -310,13 +351,14 @@ def read_shard(
             raise ShardCorruptError(
                 f"shard {name!r}: content after the end line"
             )
-        kind, body, chain = _parse_line(raw, chain, seq, name)
+        kind, body, chain, b = _parse_line(raw, chain, seq, name)
         if kind == "record":
             if not isinstance(body, dict):
                 raise ShardCorruptError(
                     f"shard {name!r}: line {seq + 1} record body is not an object"
                 )
             data.records.append(body)
+            data.record_json.append(b)
         elif kind == "end":
             if not isinstance(body, dict):
                 raise ShardCorruptError(
@@ -383,7 +425,7 @@ def salvage_shard(path: str | os.PathLike[str]) -> ShardSalvage:
             out.reason = f"line {seq + 1} is not valid UTF-8"
             return out
         try:
-            kind, body, chain = _parse_line(raw, chain, seq, name)
+            kind, body, chain, _ = _parse_line(raw, chain, seq, name)
         except ShardCorruptError as exc:
             out.reason = str(exc)
             return out

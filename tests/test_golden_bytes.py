@@ -12,11 +12,17 @@ decode path too.
 
 If a change alters one of these on purpose, it changes the artifact
 format: say so in ``docs/ARTIFACTS.md`` and re-record the values.
+
+The service runs campaigns under an :class:`~repro.obs.ObsRecorder`,
+where a cache entry's ``end`` line carries the drive's metrics and the
+store shard's does not; the observed test holds a cold run and its
+cache-served twin to the same bytes there.
 """
 
 import hashlib
 
 from repro.core.campaign import Campaign, CampaignConfig
+from repro.obs import ObsRecorder
 
 DATASET_SHA256 = "8b8028301c0ea2f286c286fc8d9101e0303f01a3c09e44fb8cf46fe38fcf1e29"
 #: ``drive-00001.jsonl``: the suburban ring drive.  The committed shard
@@ -64,3 +70,37 @@ def test_tiny_campaign_artifacts_match_pinned_bytes(tmp_path, monkeypatch):
     assert twin.report.drives_completed == 2
     cached.save_json(tmp_path / "cached.json")
     assert _sha256(tmp_path / "cached.json") == DATASET_SHA256
+
+
+def test_observed_twin_writes_the_cold_runs_bytes(tmp_path, monkeypatch):
+    config = _config(tmp_path / "cache")
+    cold = Campaign(config, recorder=ObsRecorder())
+    cold.run(checkpoint_path=str(tmp_path / "cold")).save_json(
+        tmp_path / "cold.json"
+    )
+
+    def recompute(self, drive_id, route):
+        raise AssertionError(f"drive {drive_id} recomputed despite cache")
+
+    monkeypatch.setattr(Campaign, "_simulate_drive", recompute)
+    twin = Campaign(_config(tmp_path / "cache"), recorder=ObsRecorder())
+    twin.run(checkpoint_path=str(tmp_path / "twin")).save_json(
+        tmp_path / "twin.json"
+    )
+    assert twin.report.drives_resumed == 0 and twin.report.drives_completed == 2
+
+    assert (tmp_path / "twin.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+    for name in ("drive-00000.jsonl", "drive-00001.jsonl", "MANIFEST.json"):
+        assert (tmp_path / "twin" / name).read_bytes() == (
+            tmp_path / "cold" / name
+        ).read_bytes()
+
+    for name in ("drive-00000.jsonl", "drive-00001.jsonl"):
+        shard = (tmp_path / "twin" / name).read_text().splitlines()
+        entry = (tmp_path / "cache" / config.fingerprint() / name).read_text()
+        entry = entry.splitlines()
+        # Header and every record line are shared; only the end line
+        # differs, because the cache entry's end carries metrics.
+        assert len(shard) == len(entry) > 2
+        assert shard[:-1] == entry[:-1]
+        assert '"metrics"' in entry[-1] and '"metrics"' not in shard[-1]

@@ -5,6 +5,11 @@ renders each line's body once.  Both must produce exactly the bytes of
 the formulas they replaced, which live on here only as oracles:
 ``dataclasses.asdict`` for records, and two full canonical renders
 (chain input, then line) for shard and journal lines.
+
+Each record is also rendered once per job: shard builders splice the
+canonical strings a writer or a verified read kept, and
+``DriveDataset.save_json`` derives its digest from them.  The last
+section holds those against rendering the records from scratch.
 """
 
 import dataclasses
@@ -14,9 +19,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dataset import NETWORKS, SecondSample, TestRecord, record_to_dict
+from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.dataset import (
+    NETWORKS,
+    DriveDataset,
+    SecondSample,
+    TestRecord,
+    record_to_dict,
+)
 from repro.geo.classify import AreaType
-from repro.store import ShardCorruptError, build_shard_bytes, read_shard
+from repro.resilience.integrity import DIGEST_KEY, payload_digest
+from repro.store import (
+    DriveCache,
+    ShardCorruptError,
+    ShardWriter,
+    build_shard_bytes,
+    read_shard,
+)
 from repro.store.shard import GENESIS, canonical_json, chain_digest, render_line
 
 # -- record codec ----------------------------------------------------------
@@ -267,3 +286,184 @@ def test_read_shard_rejects_forged_line(tmp_path, forge, message):
 def test_forged_shard_helper_round_trips_unforged(tmp_path):
     path = _shard_with_line(tmp_path, 1, lambda prev, env: _two_render_oracle(prev, **env))
     assert read_shard(path).records == _RECORDS
+
+
+# -- render once -----------------------------------------------------------
+
+
+@given(
+    st.lists(st.dictionaries(st.text(max_size=6), json_st, max_size=4), max_size=4),
+    json_st,
+)
+@settings(max_examples=100, deadline=None)
+def test_shard_bytes_from_kept_strings_equal_bytes_from_dicts(records, meta):
+    meta = {"meta": meta}
+    strings = [canonical_json(body) for body in records]
+    assert build_shard_bytes("fp", 2, strings, meta) == build_shard_bytes(
+        "fp", 2, records, meta
+    )
+
+
+@given(
+    st.lists(st.dictionaries(st.text(max_size=6), json_st, max_size=4), max_size=4),
+)
+@settings(max_examples=50, deadline=None)
+def test_writer_and_reader_keep_the_canonical_strings(tmp_path_factory, records):
+    root = tmp_path_factory.mktemp("kept")
+    writer = ShardWriter(root / "drive-00002.jsonl", "fp", 2)
+    for body in records:
+        writer.append(body)
+    writer.finish({"m": 1})
+    assert writer.record_json == [canonical_json(body) for body in records]
+    written = (root / "drive-00002.jsonl").read_bytes()
+    assert build_shard_bytes("fp", 2, writer.record_json, {"m": 1})[0] == written
+
+    shard = read_shard(root / "drive-00002.jsonl", fingerprint="fp", drive_id=2)
+    assert shard.record_json == [canonical_json(body) for body in shard.records]
+    assert build_shard_bytes("fp", 2, shard.record_json, {"m": 1})[0] == written
+
+    cache = DriveCache(root / "cache")
+    cache.put("fp", 2, shard.record_json, {"m": 1})
+    entry = cache.entry_path("fp", 2)
+    with open(entry, "rb") as handle:
+        assert handle.read() == written
+
+
+@dataclasses.dataclass(frozen=True)
+class _Area:
+    """Stands in for an :class:`AreaType` with any string value."""
+
+    value: str
+
+
+# Separators, quotes, backslashes and non-ASCII in every str field: the
+# digest derivation must fall back wherever a string holds ``,`` or ``:``.
+_nasty_text = st.text(
+    alphabet=st.sampled_from([",", ":", '"', "\\", " ", "a", "é", "\u661f", "\n"]),
+    max_size=4,
+)
+_numbers = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 1e-05, 1e300, 5e-324]),
+    st.integers(-(10**30), 10**30),
+)
+_nasty_sample_st = st.builds(
+    SecondSample,
+    time_s=_numbers,
+    throughput_mbps=_numbers,
+    rtt_ms=_numbers,
+    loss_rate=_numbers,
+    speed_kmh=_numbers,
+    area=st.one_of(st.sampled_from(list(AreaType)), _nasty_text.map(_Area)),
+    lat_deg=_numbers,
+    lon_deg=_numbers,
+)
+
+
+@st.composite
+def _nasty_record(draw):
+    rec = TestRecord(
+        test_id=draw(st.integers(0, 10**30)),
+        drive_id=draw(st.integers(0, 10**4)),
+        network="RM",
+        protocol="tcp",
+        direction="dl",
+        parallel=draw(st.integers(1, 16)),
+        samples=draw(st.lists(_nasty_sample_st, max_size=4)),
+        retransmission_rate=draw(_numbers),
+    )
+    # Past the constructor's validation, as a forged cache entry could be.
+    for name in ("network", "protocol", "direction"):
+        setattr(rec, name, draw(st.sampled_from([getattr(rec, name)]) | _nasty_text))
+    return rec
+
+
+def _has_separator(rec: TestRecord) -> bool:
+    strings = [rec.network, rec.protocol, rec.direction]
+    strings += [s.area.value for s in rec.samples]
+    return any("," in text or ":" in text for text in strings)
+
+
+@given(st.lists(_nasty_record(), max_size=4), _numbers, _numbers)
+@settings(max_examples=200, deadline=None)
+def test_derived_dataset_digest_equals_payload_digest(
+    tmp_path_factory, records, trace_minutes, distance_km
+):
+    lines = [canonical_json(record_to_dict(rec)) for rec in records]
+    proportions = {AreaType.URBAN: 0.25, AreaType.RURAL: 0.75}
+    derived = DriveDataset(
+        records, trace_minutes, distance_km, proportions, record_json=lines
+    )
+    rendered = DriveDataset(records, trace_minutes, distance_km, proportions)
+    # The fast path runs exactly when no string holds a separator.
+    took_fast_path = derived._sorted_records_json() is not None
+    assert took_fast_path == (not any(map(_has_separator, records)))
+
+    root = tmp_path_factory.mktemp("digest")
+    derived.save_json(root / "derived.json")
+    rendered.save_json(root / "rendered.json")
+    data = (root / "derived.json").read_bytes()
+    assert data == (root / "rendered.json").read_bytes()
+    payload = json.loads(data)
+    assert payload[DIGEST_KEY] == payload_digest(payload)
+
+
+def test_record_json_must_match_the_records():
+    with pytest.raises(ValueError, match="record_json has 1 lines for 0 records"):
+        DriveDataset([], record_json=["{}"])
+
+
+def _tiny_campaign(tmp_path) -> DriveDataset:
+    config = CampaignConfig(
+        seed=3,
+        num_interstate_drives=1,
+        num_city_drives=0,
+        num_ring_drives=1,
+        max_drive_seconds=120.0,
+        test_duration_s=20.0,
+        window_period_s=25.0,
+        artifact_format="jsonl",
+    )
+    return Campaign(config).run(checkpoint_path=str(tmp_path / "ckpt"))
+
+
+def _formula_dataset_bytes(dataset: DriveDataset, path) -> bytes:
+    """``dataset`` saved with every record rendered for the digest."""
+    DriveDataset(
+        dataset.records,
+        dataset.trace_minutes,
+        dataset.distance_km,
+        dataset.area_proportions,
+    ).save_json(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda records: records.reverse(), id="reordered"),
+        pytest.param(
+            lambda records: records.__setitem__(
+                0, dataclasses.replace(records[0], retransmission_rate=0.5)
+            ),
+            id="replaced",
+        ),
+        pytest.param(lambda records: records.pop(), id="dropped"),
+    ],
+)
+def test_records_edited_after_run_get_the_formula_digest(tmp_path, edit):
+    dataset = _tiny_campaign(tmp_path)
+    # The run kept a line for every record, and the digest uses them.
+    assert dataset._sorted_records_json() is not None
+    dataset.save_json(tmp_path / "as-run.json")
+    assert (tmp_path / "as-run.json").read_bytes() == _formula_dataset_bytes(
+        dataset, tmp_path / "as-run-formula.json"
+    )
+
+    edit(dataset.records)
+    assert dataset._sorted_records_json() is None
+    dataset.save_json(tmp_path / "edited.json")
+    data = (tmp_path / "edited.json").read_bytes()
+    assert data == _formula_dataset_bytes(dataset, tmp_path / "formula.json")
+    payload = json.loads(data)
+    assert payload[DIGEST_KEY] == payload_digest(payload)

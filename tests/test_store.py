@@ -310,6 +310,50 @@ def test_jsonl_store_byte_identical_serial_vs_parallel(tmp_path):
     )
 
 
+def test_commit_rewrites_tampered_worker_shard(tmp_path, monkeypatch):
+    """A worker's streamed shard is never trusted, even a well-formed one.
+
+    Each worker re-forges its sealed shard with a different record and
+    a recomputed chain, so the file still verifies.  The parent renders
+    the returned payload itself, so ``commit`` finds the bytes differ
+    and rewrites the shard.
+    """
+    serial_dir = tmp_path / "serial"
+    ds_serial = Campaign(_config(artifact_format="jsonl")).run(
+        checkpoint_path=serial_dir
+    )
+
+    parent = os.getpid()
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    finish = ShardWriter.finish
+
+    def finish_then_forge(self, meta):
+        head = finish(self, meta)
+        if os.getpid() != parent:
+            data = read_shard(self.final_path)
+            records = [dict(r) for r in data.records]
+            records[0]["retransmission_rate"] = 0.123
+            forged, _ = build_shard_bytes(
+                data.fingerprint, data.drive_id, records, data.meta
+            )
+            with open(self.final_path, "wb") as handle:
+                handle.write(forged)
+            (marks / str(self.drive_id)).touch()
+        return head
+
+    monkeypatch.setattr(ShardWriter, "finish", finish_then_forge)
+    parallel_dir = tmp_path / "parallel"
+    ds_parallel = Campaign(_config(artifact_format="jsonl", workers=2)).run(
+        checkpoint_path=parallel_dir
+    )
+    assert sorted(os.listdir(marks)) == ["0", "1"]
+    assert _dir_bytes(serial_dir) == _dir_bytes(parallel_dir)
+    assert _dataset_bytes(ds_serial, tmp_path / "a.json") == _dataset_bytes(
+        ds_parallel, tmp_path / "b.json"
+    )
+
+
 def test_jsonl_resume_converges_byte_identically(tmp_path, monkeypatch):
     clean_dir = tmp_path / "clean"
     ds_clean = Campaign(_config(artifact_format="jsonl")).run(
@@ -426,11 +470,11 @@ def test_cache_tampered_entry_quarantined_and_recomputed(tmp_path):
 def test_cache_different_fingerprints_do_not_collide(tmp_path):
     cache = DriveCache(tmp_path / "cache")
     cache.put("fp-a", 0, [{"r": 1}], {"m": 1})
-    payload, quarantined = cache.get("fp-b", 0)
-    assert payload is None and quarantined is None  # plain miss
-    payload, quarantined = cache.get("fp-a", 0)
+    entry, quarantined = cache.get("fp-b", 0)
+    assert entry is None and quarantined is None  # plain miss
+    entry, quarantined = cache.get("fp-a", 0)
     assert quarantined is None
-    assert payload == {"m": 1, "records": [{"r": 1}]}
+    assert entry.payload() == {"m": 1, "records": [{"r": 1}]}
 
 
 def test_cache_entry_under_wrong_fingerprint_dir_quarantined(tmp_path):
@@ -439,6 +483,6 @@ def test_cache_entry_under_wrong_fingerprint_dir_quarantined(tmp_path):
     # Plant fp-a's (internally valid) entry under fp-b's address.
     os.makedirs(os.path.dirname(cache.entry_path("fp-b", 0)))
     os.rename(cache.entry_path("fp-a", 0), cache.entry_path("fp-b", 0))
-    payload, quarantined = cache.get("fp-b", 0)
-    assert payload is None
+    entry, quarantined = cache.get("fp-b", 0)
+    assert entry is None
     assert quarantined == cache.entry_path("fp-b", 0) + ".corrupt"

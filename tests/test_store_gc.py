@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.store import CacheEntry, DriveCache
+from repro.store import CacheEntry, DriveCache, ShardCorruptError
+from repro.store import cache as cache_module
 from repro.store.__main__ import main as store_main
 
 
@@ -43,9 +44,9 @@ def test_gc_evicts_oldest_first_by_mtime(tmp_path):
         "fp/drive-00003.jsonl",
     ]
     # The survivors still read back verified.
-    payload, quarantined = cache.get("fp", 3)
+    entry, quarantined = cache.get("fp", 3)
     assert quarantined is None
-    assert payload["records"] == [{"v": 3}]
+    assert entry.records == [{"v": 3}]
 
 
 def test_gc_ties_break_on_path(tmp_path):
@@ -144,3 +145,33 @@ def test_gc_cli_end_to_end(tmp_path, capsys):
     assert "removed debris fp/junk.jsonl.tmp" in out
     assert f"{entry_size} bytes retained" in out
     assert [e.relpath for e in cache.entries()] == ["fp/drive-00002.jsonl"]
+
+
+def test_entry_evicted_mid_lookup_is_a_plain_miss(tmp_path, monkeypatch):
+    cache = DriveCache(tmp_path)
+    _fill(cache, "fp", [0])
+    read_shard = cache_module.read_shard
+
+    def evicted_first(path, **kwargs):
+        # A concurrent ``python -m repro.store gc`` wins the race.
+        os.unlink(path)
+        return read_shard(path, **kwargs)
+
+    monkeypatch.setattr(cache_module, "read_shard", evicted_first)
+    assert cache.get("fp", 0) == (None, None)
+    assert cache.entries() == []
+
+
+def test_corrupt_entry_evicted_before_quarantine_is_a_plain_miss(
+    tmp_path, monkeypatch
+):
+    cache = DriveCache(tmp_path)
+    _fill(cache, "fp", [0])
+
+    def corrupt_then_evicted(path, **kwargs):
+        os.unlink(path)
+        raise ShardCorruptError("torn entry")
+
+    monkeypatch.setattr(cache_module, "read_shard", corrupt_then_evicted)
+    assert cache.get("fp", 0) == (None, None)
+    assert os.listdir(tmp_path / "fp") == []
