@@ -57,6 +57,7 @@ from repro.resilience import (
     CheckpointCorruptError,
     DIGEST_KEY,
     FailureClass,
+    NO_RETRY,
     ResilienceConfig,
     ResilienceReport,
     classify_exception,
@@ -147,16 +148,18 @@ class CampaignConfig:
     #: Optional deterministic fault schedule (see :mod:`repro.faults`).
     fault_schedule: FaultSchedule | None = None
     #: Worker processes for drive execution.  ``1`` runs drives serially
-    #: in-process; ``N > 1`` shards drives across a process pool (see
-    #: :mod:`repro.core.parallel_campaign`).  Execution-only knob: it is
+    #: in-process; ``N > 1`` shards drives across the supervised worker
+    #: pool (:mod:`repro.resilience.pool`).  Execution-only knob: it is
     #: excluded from :meth:`fingerprint` because any worker count
     #: produces byte-identical output.
     workers: int = 1
-    #: Self-healing execution (per-drive retries; watchdog for parallel
-    #: runs — see :mod:`repro.resilience`).  ``None`` keeps the bare
-    #: fail-once behaviour.  Execution-only like ``workers``: excluded
-    #: from :meth:`fingerprint` because retried and watchdog-healed runs
-    #: are byte-identical to untouched ones.
+    #: Retry budget for every run and watchdog settings for parallel
+    #: runs (see :mod:`repro.resilience`).  ``None`` means
+    #: :data:`repro.resilience.NO_RETRY`: one attempt per drive, and the
+    #: pool's default watchdog (no deadline, 60 s heartbeat timeout).
+    #: Execution-only like ``workers``: excluded from :meth:`fingerprint`
+    #: because retried and watchdog-healed runs are byte-identical to
+    #: untouched ones.
     resilience: ResilienceConfig | None = None
     #: How ``checkpoint_path`` is laid out: ``"json"`` keeps the legacy
     #: monolithic checkpoint file; ``"jsonl"`` makes it a
@@ -451,7 +454,7 @@ class Campaign:
         self._resilience = ResilienceReport()
         #: Sharded artifact store when ``artifact_format == "jsonl"``
         #: and a checkpoint path is in play; set by :meth:`run` (and by
-        #: the parallel executors in their workers).  ``None`` keeps the
+        #: the worker pool in its workers).  ``None`` keeps the
         #: legacy monolithic checkpoint writer.
         self._shard_store: ShardStore | None = None
         #: Content-addressed drive cache when ``cache_dir`` is set.
@@ -486,10 +489,12 @@ class Campaign:
         A drive that raises is captured as a :class:`DriveFailure` in
         :attr:`report` and the campaign continues with the next drive.
 
-        With ``config.workers > 1`` drives are sharded across a process
-        pool (:mod:`repro.core.parallel_campaign`) and merged in drive
-        order; dataset, checkpoint, and report are byte-identical to a
-        serial run, whatever the worker count.
+        With ``config.workers > 1`` drives are sharded across the
+        supervised worker pool (:mod:`repro.resilience.pool`) and merged
+        in drive order; dataset, checkpoint, and report are
+        byte-identical to a serial run, whatever the worker count.  A
+        worker that dies mid-drive costs that drive (a ``WorkerDied``
+        failure once the retry budget is spent), never the run.
 
         With an enabled recorder, a :class:`RunManifest` (config
         fingerprint, versions, per-drive timings, metric snapshot) is
@@ -533,31 +538,14 @@ class Campaign:
                 self._commit_progress(drive_payloads)
 
             if cfg.workers > 1:
-                if cfg.resilience is not None:
-                    from repro.resilience.pool import run_drives_supervised
+                from repro.resilience.pool import run_drives_supervised
 
-                    failures = run_drives_supervised(
-                        self,
-                        routes,
-                        drive_payloads,
-                        checkpoint_path,
-                        fingerprint,
-                        shutdown=shutdown,
-                    )
-                else:
-                    from repro.core.parallel_campaign import run_drives_parallel
-
-                    failures = run_drives_parallel(
-                        self,
-                        routes,
-                        drive_payloads,
-                        checkpoint_path,
-                        fingerprint,
-                        shutdown=shutdown,
-                    )
+                failures = run_drives_supervised(
+                    self, routes, drive_payloads, shutdown
+                )
             else:
                 failures = self._run_drives_serial(
-                    routes, drive_payloads, checkpoint_path, fingerprint, shutdown
+                    routes, drive_payloads, shutdown
                 )
 
             dataset = self._assemble(
@@ -826,63 +814,22 @@ class Campaign:
         return drive_payloads
 
     def _run_drives_serial(
-        self,
-        routes: list[Route],
-        drive_payloads: dict[int, dict],
-        checkpoint_path: str | os.PathLike | None,
-        fingerprint: str,
-        shutdown=None,
+        self, routes: list[Route], drive_payloads: dict[int, dict], shutdown
     ) -> list[DriveFailure]:
-        """Run every not-yet-completed drive in this process, in order."""
-        obs = self.obs
+        """Run every not-yet-completed drive in this process, in order,
+        committing progress after each one."""
         failures: list[DriveFailure] = []
         for drive_id, route in enumerate(routes):
             if drive_id in drive_payloads:
                 continue
-            if self.config.resilience is not None:
-                payload, failure = self._attempt_drive_with_retry(
-                    drive_id, route
-                )
-                if payload is not None:
-                    drive_payloads[drive_id] = payload
-                else:
-                    failures.append(failure)
-                    obs.counter("campaign.drives_failed").inc()
+            payload, failure = self._attempt_drive_with_retry(drive_id, route)
+            if failure is None:
+                drive_payloads[drive_id] = payload
             else:
-                started = time.perf_counter()
-                scratch = ObsRecorder() if obs.enabled else obs
-                try:
-                    with obs.span(
-                        "campaign.drive", drive=drive_id, route=route.name
-                    ):
-                        previous_obs, self.obs = self.obs, scratch
-                        try:
-                            payload = self._simulate_drive(drive_id, route)
-                        finally:
-                            self.obs = previous_obs
-                except Exception as exc:  # isolation is the point
-                    failures.append(
-                        DriveFailure.from_exception(drive_id, route.name, exc)
-                    )
-                    obs.counter("campaign.drives_failed").inc()
-                else:
-                    if obs.enabled:
-                        # The per-drive metric delta rides in the payload
-                        # (and hence the checkpoint), so a resumed drive
-                        # can restore the metrics it would have produced.
-                        payload["metrics"] = scratch.registry.snapshot()
-                        obs.registry.merge(payload["metrics"])
-                    drive_payloads[drive_id] = payload
-                    self._note_drive_done(
-                        drive_id,
-                        route.name,
-                        time.perf_counter() - started,
-                        len(payload["records"]),
-                        payload=payload,
-                    )
-            if checkpoint_path is not None:
-                self._commit_progress(drive_payloads)
-            if shutdown is not None and shutdown.requested:
+                failures.append(failure)
+                self.obs.counter("campaign.drives_failed").inc()
+            self._commit_progress(drive_payloads)
+            if shutdown.requested:
                 raise CampaignAborted(
                     f"shutdown requested (signal {shutdown.signum}); "
                     f"{len(drive_payloads)} drives checkpointed"
@@ -895,70 +842,61 @@ class Campaign:
         """One drive under the retry policy: ``(payload, None)`` on
         success, ``(None, failure)`` once the budget is spent.
 
-        Each attempt runs under a scratch recorder; only the successful
+        The policy is ``config.resilience`` or, without one,
+        :data:`~repro.resilience.NO_RETRY` (a single attempt).  Each
+        attempt runs under a scratch recorder; only the successful
         attempt's metrics merge into the campaign registry (in drive
         order, exactly like the parallel pool), so abandoned attempts
         leave no trace in deterministic artifacts.  The drive itself is
         a pure function of ``(config, drive_id)``, so a retried drive's
-        payload is byte-identical to an untouched run's.
+        payload is byte-identical to an untouched run's.  A
+        non-``Exception`` (``KeyboardInterrupt``, ``CampaignAborted``)
+        is never retried: it propagates and stops the run.
         """
-        policy = self.config.resilience.retry
+        policy = (self.config.resilience or NO_RETRY).retry
         obs = self.obs
-        jitter_rng = (
-            self.rng.get(f"resilience.retry.{drive_id}") if policy.jitter else None
-        )
+        attempts = obs.histogram("resilience.drive_attempts", buckets=ATTEMPT_BUCKETS)
+        jitter_rng = None
         attempt = 0
         while True:
-            scratch = ObsRecorder() if obs.enabled else self.obs
-            previous_obs, self.obs = self.obs, scratch
-            self.current_attempt = attempt
+            scratch = ObsRecorder() if obs.enabled else obs
+            self.obs, self.current_attempt = scratch, attempt
             started = time.perf_counter()
             try:
                 payload = self._simulate_drive(drive_id, route)
+                break
             except Exception as exc:  # noqa: BLE001 — isolation is the point
-                self.obs = previous_obs
                 if (
-                    classify_exception(exc) is FailureClass.TRANSIENT
-                    and attempt + 1 < policy.max_attempts
+                    classify_exception(exc) is not FailureClass.TRANSIENT
+                    or attempt + 1 >= policy.max_attempts
                 ):
-                    attempt += 1
-                    self._resilience.retries += 1
-                    obs.counter(
-                        "resilience.retries", kind=type(exc).__name__
-                    ).inc()
-                    delay = policy.delay_s(attempt, jitter_rng)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                obs.histogram(
-                    "resilience.drive_attempts", buckets=ATTEMPT_BUCKETS
-                ).observe(attempt + 1)
-                return None, DriveFailure.from_exception(
-                    drive_id, route.name, exc
-                )
-            else:
-                self.obs = previous_obs
-                elapsed = time.perf_counter() - started
-                if obs.enabled:
-                    payload["metrics"] = scratch.registry.snapshot()
-                    obs.registry.merge(payload["metrics"])
-                    obs.tracer.record(
-                        "campaign.drive",
-                        elapsed,
-                        drive=drive_id,
-                        route=route.name,
+                    attempts.observe(attempt + 1)
+                    return None, DriveFailure.from_exception(
+                        drive_id, route.name, exc
                     )
-                obs.histogram(
-                    "resilience.drive_attempts", buckets=ATTEMPT_BUCKETS
-                ).observe(attempt + 1)
-                self._note_drive_done(
-                    drive_id,
-                    route.name,
-                    elapsed,
-                    len(payload["records"]),
-                    payload=payload,
-                )
-                return payload, None
+                attempt += 1
+                self._resilience.retries += 1
+                obs.counter("resilience.retries", kind=type(exc).__name__).inc()
+                if policy.jitter and jitter_rng is None:
+                    jitter_rng = self.rng.get(f"resilience.retry.{drive_id}")
+                time.sleep(policy.delay_s(attempt, jitter_rng))
+            finally:
+                self.obs = obs
+        elapsed = time.perf_counter() - started
+        if obs.enabled:
+            # The per-drive metric delta rides in the payload (and hence
+            # the checkpoint), so a resumed drive can restore the
+            # metrics it would have produced.
+            payload["metrics"] = scratch.registry.snapshot()
+            obs.registry.merge(payload["metrics"])
+            obs.tracer.record(
+                "campaign.drive", elapsed, drive=drive_id, route=route.name
+            )
+        attempts.observe(attempt + 1)
+        self._note_drive_done(
+            drive_id, route.name, elapsed, len(payload["records"]), payload=payload
+        )
+        return payload, None
 
     def _note_drive_done(
         self,

@@ -34,10 +34,10 @@ SCALES = ("small", "medium", "paper")
 _default_workers = 1
 
 #: Resilience settings campaign datasets are generated with (see
-#: :mod:`repro.resilience`); ``None`` keeps the bare fail-once
-#: behaviour.  Module-level for the same reason as ``_default_workers``:
-#: the CLI's ``--retries``/``--drive-timeout`` reach every experiment
-#: without touching figure signatures.
+#: :mod:`repro.resilience`); ``None`` means
+#: :data:`repro.resilience.NO_RETRY`.  Module-level for the same reason
+#: as ``_default_workers``: the CLI's ``--retries``/``--drive-timeout``
+#: reach every experiment without touching figure signatures.
 _default_resilience = None
 
 

@@ -30,6 +30,7 @@ from repro.resilience.integrity import (
 )
 from repro.resilience.policy import (
     ATTEMPT_BUCKETS,
+    NO_RETRY,
     ResilienceConfig,
     ResilienceReport,
     RetryPolicy,
@@ -56,6 +57,7 @@ __all__ = [
     "DIGEST_KEY",
     "DriveTimeout",
     "FailureClass",
+    "NO_RETRY",
     "ResilienceConfig",
     "ResilienceReport",
     "RetryPolicy",

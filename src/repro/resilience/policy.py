@@ -87,9 +87,10 @@ class ResilienceConfig:
     """Execution-resilience knobs for a campaign.
 
     Attach one to :attr:`repro.core.campaign.CampaignConfig.resilience`
-    to enable per-drive retries (serial and parallel) and — for
+    to set the per-drive retry budget (serial and parallel) and — for
     parallel runs — the worker watchdog (per-drive deadlines, heartbeat
-    liveness, kill-and-requeue).
+    liveness, kill-and-requeue).  Without one a campaign runs under
+    :data:`NO_RETRY`.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -125,6 +126,13 @@ class ResilienceConfig:
             raise ValueError(
                 f"poll_interval_s must be positive, got {self.poll_interval_s}"
             )
+
+
+#: What ``CampaignConfig.resilience = None`` means: one attempt per
+#: drive and the default watchdog (no deadline, 60 s heartbeat
+#: timeout).  Serial and parallel runs take the same executors with or
+#: without a configured policy; this is the policy they get without one.
+NO_RETRY = ResilienceConfig(retry=RetryPolicy(max_attempts=1))
 
 
 @dataclass

@@ -1,50 +1,60 @@
-"""Supervised parallel drive execution: watchdog, retry, kill-and-requeue.
+"""The campaign's parallel drive executor: watchdog, retry, kill-and-requeue.
 
-:mod:`repro.core.parallel_campaign` shards drives across a stock
-``ProcessPoolExecutor`` — fast, but defenseless: one hung worker stalls
-the pool forever and one transient exception permanently costs a drive.
-This module is the armored variant the campaign routes through when
-:attr:`~repro.core.campaign.CampaignConfig.resilience` is set.  It owns
-its worker processes directly so it can do what an executor cannot:
+Every campaign with ``workers > 1`` runs its drives here, under the
+configured :class:`~repro.resilience.policy.ResilienceConfig` or, when
+:attr:`~repro.core.campaign.CampaignConfig.resilience` is ``None``,
+under :data:`~repro.resilience.policy.NO_RETRY`.  The pool owns its
+worker processes directly, so it can:
 
-* **per-drive deadlines** — a drive attempt that outlives
+* **enforce per-drive deadlines** — a drive attempt that outlives
   ``drive_timeout_s`` gets its worker killed (SIGKILL; a hung process
   does not honour polite signals) and the drive requeued;
-* **heartbeat liveness** — each worker bumps a shared timestamp from a
-  daemon thread; a worker that stops beating while a drive is in flight
-  is wedged and treated like a hang, and a worker that *dies* (crash,
-  OOM kill) mid-drive is detected and its drive requeued;
-* **excluded-worker accounting** — a drive is never requeued onto a
-  worker that already hung or died running it; replacements are spawned
-  when the survivors cannot cover the remaining work;
-* **bounded retries** — failures classified transient
+* **check heartbeat liveness** — each worker bumps a shared timestamp
+  from a daemon thread; a worker that stops beating while a drive is in
+  flight is wedged and treated like a hang, and a worker that *dies*
+  (crash, OOM kill, SIGTERM) mid-drive is detected and its drive
+  requeued — or, once the retry budget is spent, recorded as a
+  ``WorkerDied`` :class:`~repro.core.campaign.DriveFailure`;
+* **account for excluded workers** — a drive is never requeued onto a
+  worker that already hung or died running it; replacements are
+  spawned when the survivors cannot cover the remaining work;
+* **bound retries** — failures classified transient
   (:func:`~repro.resilience.taxonomy.classify_failure`) are requeued
   under the :class:`~repro.resilience.policy.RetryPolicy`'s budget with
-  deterministic seeded backoff; permanent failures are recorded once.
+  deterministic seeded backoff; permanent failures are recorded once;
+* **forward aborts** — a worker whose drive raises a non-``Exception``
+  (``KeyboardInterrupt``, ``SystemExit``,
+  :class:`~repro.resilience.taxonomy.CampaignAborted`) reports it, and
+  the parent raises :class:`CampaignAborted` with every completed drive
+  committed, as a serial run stops on the same exception.  An abort is
+  never retried and never recorded as a drive failure.
 
 Determinism is preserved by construction: a drive is a pure function of
-``(config, drive_id)``, so a retried or re-homed drive produces the
-payload byte-for-byte an untouched run would have, and results are
-merged in drive order through the same
-:func:`~repro.core.parallel_campaign.merge_drive_results` path as the
-plain pool.  Only the *success* attempt's metric snapshot is merged —
-abandoned attempts leave no trace in deterministic artifacts, and the
-healing itself is reported through ``resilience.*`` metrics (excluded
-from the deterministic manifest view) and the campaign report.
+``(config, drive_id)`` — its RNG family is ``rng.fork(drive_id)`` and
+its test ids start at ``drive_id * TEST_ID_STRIDE`` — so a drive run in
+any worker, retried or re-homed, produces the payload byte-for-byte a
+serial run would have.  Workers rebuild the campaign world from the
+config (``fork`` start method where available); only payload dicts and
+metric snapshots cross the process boundary.  :func:`merge_drive_results`
+folds results into the parent in drive order, so dataset, checkpoint,
+report and deterministic manifest match a serial run.  Only the
+*success* attempt's metric snapshot is merged — abandoned attempts
+leave no trace in deterministic artifacts, and the healing itself is
+reported through ``resilience.*`` metrics (excluded from the
+deterministic manifest view) and the campaign report.
 """
 
 from __future__ import annotations
 
 import collections
 import multiprocessing
-import os
 import queue as queue_module
 import signal as signal_module
 import threading
 import time
 
 from repro.obs.recorder import NULL_RECORDER, ObsRecorder
-from repro.resilience.policy import ResilienceConfig
+from repro.resilience.policy import ATTEMPT_BUCKETS, NO_RETRY, ResilienceConfig
 from repro.resilience.taxonomy import (
     CampaignAborted,
     FailureClass,
@@ -98,20 +108,23 @@ def _worker_main(
     SIGINT is ignored — a Ctrl+C lands on the whole process group, and
     shutdown belongs to the parent (which checkpoints first); a worker
     dying to the signal would masquerade as a crash and trigger a
-    spurious requeue.  SIGTERM keeps its default so the parent's
-    graceful teardown still works.
+    spurious requeue.  SIGTERM is reset to its default: the fork copies
+    the parent's flag-only :func:`~repro.resilience.signals.graceful_shutdown`
+    handler, which no worker polls, so a terminated worker would run on
+    until the watchdog killed it.
     """
     try:
         signal_module.signal(signal_module.SIGINT, signal_module.SIG_IGN)
+        signal_module.signal(signal_module.SIGTERM, signal_module.SIG_DFL)
     except (ValueError, OSError):
         pass
     from repro.core.campaign import Campaign, DriveFailure
 
     campaign = Campaign(config, recorder=NULL_RECORDER)
     if store_root is not None:
-        # Stream drive records to write-ahead shards (see
-        # repro.core.parallel_campaign._init_worker: a durability
-        # optimization the committing parent independently verifies).
+        # Stream drive records to write-ahead shards as they complete:
+        # a durability optimization only, since the committing parent
+        # re-derives the shard bytes and trusts only an exact match.
         from repro.store import ShardStore
 
         campaign._shard_store = ShardStore(store_root, config.fingerprint())
@@ -133,14 +146,8 @@ def _worker_main(
                 return
             drive_id, attempt = task
             route = routes[drive_id]
-            result_q.put(
-                {
-                    "kind": "start",
-                    "worker": worker_id,
-                    "drive": drive_id,
-                    "attempt": attempt,
-                }
-            )
+            head = {"worker": worker_id, "drive": drive_id, "attempt": attempt}
+            result_q.put({"kind": "start", **head})
             recorder = ObsRecorder() if observe else NULL_RECORDER
             campaign.obs = recorder
             campaign.current_attempt = attempt
@@ -148,34 +155,23 @@ def _worker_main(
             try:
                 payload = campaign._simulate_drive(drive_id, route)
             except Exception as exc:  # isolation is the point
-                result_q.put(
-                    {
-                        "kind": "done",
-                        "worker": worker_id,
-                        "drive": drive_id,
-                        "attempt": attempt,
-                        "ok": False,
-                        "failure": DriveFailure.from_exception(
-                            drive_id, route.name, exc
-                        ).to_dict(),
-                        "elapsed_s": time.perf_counter() - started,
-                        # Abandoned attempts must leave no metric trace.
-                        "metrics": [],
-                    }
-                )
+                failure = DriveFailure.from_exception(drive_id, route.name, exc)
+                # Abandoned attempts must leave no metric trace.
+                msg = {"ok": False, "failure": failure.to_dict(), "metrics": []}
+            except BaseException as exc:
+                # KeyboardInterrupt, SystemExit, CampaignAborted: the
+                # parent re-raises it as CampaignAborted.  Idle rather
+                # than exit until it tears the pool down: a dead worker
+                # could be reaped as WorkerDied (and retried) before its
+                # abort message is read.
+                error = f"{type(exc).__name__}: {exc}"
+                result_q.put({"kind": "abort", "error": error, **head})
+                continue
             else:
-                result_q.put(
-                    {
-                        "kind": "done",
-                        "worker": worker_id,
-                        "drive": drive_id,
-                        "attempt": attempt,
-                        "ok": True,
-                        "payload": payload,
-                        "elapsed_s": time.perf_counter() - started,
-                        "metrics": recorder.registry.snapshot() if observe else [],
-                    }
-                )
+                metrics = recorder.registry.snapshot() if observe else []
+                msg = {"ok": True, "payload": payload, "metrics": metrics}
+            elapsed_s = time.perf_counter() - started
+            result_q.put({"kind": "done", "elapsed_s": elapsed_s, **head, **msg})
     finally:
         stop.set()
 
@@ -184,27 +180,23 @@ def _worker_main(
 
 
 def run_drives_supervised(
-    campaign,
-    routes,
-    drive_payloads: dict[int, dict],
-    checkpoint_path: str | os.PathLike | None,
-    fingerprint: str,
-    shutdown=None,
+    campaign, routes, drive_payloads: dict[int, dict], shutdown
 ) -> list:
-    """Run every not-yet-completed drive under watchdog supervision.
+    """Run every not-yet-completed drive across ``config.workers``
+    supervised worker processes.
 
-    Same contract as
-    :func:`repro.core.parallel_campaign.run_drives_parallel` — fills
-    ``drive_payloads`` in place, checkpoints after every completed
-    drive, returns failures in drive order — plus the self-healing
-    behaviour documented in the module docstring.  ``shutdown`` is a
-    :class:`~repro.resilience.signals.ShutdownFlag`; when it trips the
-    pool raises :class:`CampaignAborted` after the last checkpoint.
+    Fills ``drive_payloads`` in place (drives already present, e.g.
+    restored from a checkpoint, never run again), checkpoints after
+    every completed drive, and returns the
+    :class:`~repro.core.campaign.DriveFailure` list in drive order, as
+    a serial run would.  ``shutdown`` is a
+    :class:`~repro.resilience.signals.ShutdownFlag`; when it trips, or a
+    worker forwards an abort, the pool raises :class:`CampaignAborted`
+    after the last checkpoint, so a later run at any worker count
+    resumes from there.
     """
-    from repro.core.parallel_campaign import merge_drive_results
-
     cfg = campaign.config
-    res: ResilienceConfig = cfg.resilience
+    res: ResilienceConfig = cfg.resilience or NO_RETRY
     policy = res.retry
     obs = campaign.obs
     events = campaign._resilience
@@ -282,8 +274,7 @@ def run_drives_supervised(
                 # resume can restore it.
                 result["payload"]["metrics"] = result["metrics"]
             drive_payloads[drive_id] = result["payload"]
-            if checkpoint_path is not None:
-                campaign._commit_progress(drive_payloads)
+            campaign._commit_progress(drive_payloads)
 
     def requeue_or_fail(
         drive_id: int, attempt: int, failure: dict, transient: bool
@@ -450,6 +441,7 @@ def run_drives_supervised(
                 msg = result_q.get(timeout=res.poll_interval_s)
             except queue_module.Empty:
                 msg = None
+            abort = None
             while msg is not None:
                 worker = workers.get(msg["worker"])
                 if msg["kind"] == "start":
@@ -462,10 +454,17 @@ def run_drives_supervised(
                         worker.deadline = time.monotonic() + res.drive_timeout_s
                 elif msg["kind"] == "done":
                     handle_done(msg)
+                elif abort is None:
+                    abort = msg
                 try:
                     msg = result_q.get_nowait()
                 except queue_module.Empty:
                     msg = None
+            if abort is not None:
+                raise CampaignAborted(
+                    f"drive {abort['drive']} raised {abort['error']} in "
+                    f"worker {abort['worker']}; completed drives are checkpointed"
+                )
 
             # Watchdog scan: deadlines, wedged heartbeats, dead workers.
             now = time.monotonic()
@@ -483,7 +482,7 @@ def run_drives_supervised(
                 elif (now - worker.heartbeat.value) > res.heartbeat_timeout_s:
                     kill_worker(worker, "stopped heartbeating")
 
-            if shutdown is not None and shutdown.requested:
+            if shutdown.requested:
                 raise CampaignAborted(
                     f"shutdown requested (signal {shutdown.signum}); "
                     "completed drives are checkpointed"
@@ -516,3 +515,45 @@ def _stop_pool(workers: dict[int, _Worker], result_q, graceful: bool) -> None:
         worker.task_q.cancel_join_thread()
     result_q.close()
     result_q.cancel_join_thread()
+
+
+def merge_drive_results(campaign, routes, results: dict[int, dict]) -> list:
+    """Fold per-drive worker results into the parent, in drive order.
+
+    Counters and histograms add, gauges are last-write-wins in drive
+    order, worker-measured drive durations are grafted into the parent
+    tracer as ``campaign.drive`` spans, and each drive's attempt count
+    feeds the ``resilience.drive_attempts`` histogram — a series
+    excluded from the deterministic manifest view, so healed and
+    untouched runs still match byte-for-byte.
+    """
+    from repro.core.campaign import DriveFailure
+
+    obs = campaign.obs
+    failures: list = []
+    for drive_id in sorted(results):
+        result = results[drive_id]
+        if obs.enabled and result["metrics"]:
+            obs.registry.merge(result["metrics"])
+        obs.histogram(
+            "resilience.drive_attempts", buckets=ATTEMPT_BUCKETS
+        ).observe(result["attempts"])
+        if result["ok"]:
+            if obs.enabled:
+                obs.tracer.record(
+                    "campaign.drive",
+                    result["elapsed_s"],
+                    drive=drive_id,
+                    route=routes[drive_id].name,
+                )
+            campaign._note_drive_done(
+                drive_id,
+                routes[drive_id].name,
+                result["elapsed_s"],
+                len(result["payload"]["records"]),
+                payload=result["payload"],
+            )
+        else:
+            failures.append(DriveFailure(**result["failure"]))
+            obs.counter("campaign.drives_failed").inc()
+    return failures

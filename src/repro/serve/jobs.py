@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -150,27 +151,55 @@ def spec_to_config(
 
     config.artifact_format = "jsonl"
     config.cache_dir = cache_dir
-    workers = spec.get("workers")
-    if workers is not None:
-        config.workers = int(workers)
-    retries = spec.get("retries")
-    drive_timeout_s = spec.get("drive_timeout_s")
-    if retries is not None or drive_timeout_s is not None:
-        resilience = ResilienceConfig()
-        if retries is not None:
-            resilience = dataclasses.replace(
-                resilience, retry=RetryPolicy(max_attempts=int(retries) + 1)
-            )
-        if drive_timeout_s is not None:
-            resilience = dataclasses.replace(
-                resilience, drive_timeout_s=float(drive_timeout_s)
-            )
-        config.resilience = resilience
+    workers = _exec_int(spec, "workers")
+    retries = _exec_int(spec, "retries")
+    drive_timeout_s = _exec_seconds(spec, "drive_timeout_s")
     try:
+        if workers is not None:
+            config.workers = workers
+        if retries is not None or drive_timeout_s is not None:
+            resilience = ResilienceConfig()
+            if retries is not None:
+                if retries < 0:
+                    raise ValueError(f"retries must be >= 0, got {retries}")
+                resilience = dataclasses.replace(
+                    resilience, retry=RetryPolicy(max_attempts=retries + 1)
+                )
+            if drive_timeout_s is not None:
+                resilience = dataclasses.replace(
+                    resilience, drive_timeout_s=drive_timeout_s
+                )
+            config.resilience = resilience
         config.__post_init__()
     except ValueError as exc:
         raise InvalidSubmission(str(exc)) from exc
     return config
+
+
+def _exec_int(spec: dict[str, Any], key: str) -> int | None:
+    """An integer execution key (``None`` when absent or ``null``); a
+    ``bool`` is refused although Python counts it as an ``int``."""
+    value = spec.get(key)
+    if value is None:
+        return None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidSubmission(f"{key} must be an integer, got {value!r}")
+
+
+def _exec_seconds(spec: dict[str, Any], key: str) -> float | None:
+    """A finite, non-``bool`` number of seconds (``None`` when absent)."""
+    value = spec.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            seconds = float(value)
+        except OverflowError:  # an integer beyond float range
+            seconds = math.inf
+        if math.isfinite(seconds):
+            return seconds
+    raise InvalidSubmission(f"{key} must be a finite number, got {value!r}")
 
 
 @dataclass

@@ -32,10 +32,10 @@ byte-identical to an uninterrupted service run
 (``tests/test_serve_crash.py`` proves this at every commit boundary).
 
 Jobs execute through the existing campaign machinery — including the
-supervised worker pool when a submission asks for ``workers > 1`` with
-a retry/watchdog budget.  The service layer adds *job*-level isolation:
-with ``isolation="fork"`` (the default where ``os.fork`` exists) each
-job runs in a forked child with an optional wall-clock deadline
+supervised worker pool when a submission asks for ``workers > 1``.
+The service layer adds *job*-level isolation: with
+``isolation="fork"`` (the default where ``os.fork`` exists) each job
+runs in a forked child with an optional wall-clock deadline
 (``job_timeout_s``); a deadline blow or a child death is a
 crash-classified failure.  ``isolation="inline"`` runs jobs in-process
 (the crash harness uses this so an injected SIGKILL takes down service

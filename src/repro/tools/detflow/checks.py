@@ -14,7 +14,7 @@ string in the crash-test files.  Missing crash-test files (or an
 unanalyzable label expression) fail closed as DF202: "cannot verify"
 must never read as "verified".
 
-**Fork-safety (DF301).**  ``parallel_campaign`` and ``serve.service``
+**Fork-safety (DF301).**  ``resilience.pool`` and ``serve.service``
 fork workers; state captured across a fork boundary is silently
 duplicated — a shared ``ShardWriter`` writes torn shards, a forked
 ``JobJournal`` fsyncs the same fd from two processes, a copied open

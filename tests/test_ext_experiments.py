@@ -6,25 +6,25 @@ import pytest
 from repro.experiments import run_experiment
 
 
-def test_ext_fec_recovers_gap():
-    result = run_experiment(
-        "ext-fec", duration_s=45, seed=3, segment_bytes=6000
-    )
-    udp = result.row("UDP (ceiling)").goodput_mbps
-    tcp = result.row("TCP (baseline)").goodput_mbps
-    fec = result.row("FEC k=20 r=4").goodput_mbps
+@pytest.fixture(scope="module")
+def ext_fec():
+    """One seeded ext-fec run shared by the tests that read its rows."""
+    return run_experiment("ext-fec", duration_s=45, seed=3, segment_bytes=6000)
+
+
+def test_ext_fec_recovers_gap(ext_fec):
+    udp = ext_fec.row("UDP (ceiling)").goodput_mbps
+    tcp = ext_fec.row("TCP (baseline)").goodput_mbps
+    fec = ext_fec.row("FEC k=20 r=4").goodput_mbps
     assert tcp < udp  # the paper's diagnosis
     assert fec > tcp  # the remedy works
     assert fec <= udp * 1.02
-    assert result.row("FEC k=20 r=4").overhead == pytest.approx(4 / 24)
+    assert ext_fec.row("FEC k=20 r=4").overhead == pytest.approx(4 / 24)
 
 
-def test_ext_fec_more_repair_less_block_loss():
-    result = run_experiment(
-        "ext-fec", duration_s=45, seed=3, segment_bytes=6000
-    )
-    weak = result.row("FEC k=20 r=2").block_loss_rate
-    strong = result.row("FEC k=20 r=4").block_loss_rate
+def test_ext_fec_more_repair_less_block_loss(ext_fec):
+    weak = ext_fec.row("FEC k=20 r=2").block_loss_rate
+    strong = ext_fec.row("FEC k=20 r=4").block_loss_rate
     assert strong <= weak + 0.02
 
 

@@ -5,19 +5,26 @@ produces **byte-identical** artifacts to a serial run — dataset JSON,
 checkpoint JSON, campaign report, and the deterministic view of the run
 manifest — while failures stay isolated, obs metrics merge in drive
 order, and a run killed mid-flight resumes (at any worker count) without
-re-executing checkpointed drives.
+re-executing checkpointed drives.  Every parallel run goes through the
+supervised pool, so a worker that dies costs its drive (``WorkerDied``),
+never the run, and an abort raised inside a worker stops the run as it
+would a serial one.
 
 The golden equivalence test honours ``REPRO_EQUIV_WORKERS`` (default 4)
 so CI can bound runtime by running it at 2 workers.
 """
 
 import json
+import multiprocessing
 import os
 import pickle
+import signal
+import time
 
 import pytest
 
 from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.dataset import DriveDataset, record_to_dict
 from repro.faults import FaultInjector, generate_schedule
 from repro.obs import (
     MetricsRegistry,
@@ -25,6 +32,8 @@ from repro.obs import (
     ObsRecorder,
     merge_snapshots,
 )
+from repro.resilience import CampaignAborted, ResilienceConfig, RetryPolicy
+from repro.store import ShardStore
 
 #: Worker count for the golden equivalence test (CI pins this to 2).
 EQUIV_WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "4"))
@@ -216,6 +225,144 @@ def test_kill_mid_parallel_run_resumes_without_rerunning(tmp_path):
     assert resumed.report.drives_failed == 0
     dataset.save_json(res)
     assert ref.read_bytes() == res.read_bytes()
+
+
+# -- one executor: worker death, aborts, SIGTERM, attempt accounting ----
+
+
+def _dying_worker_run(out_dir):
+    """Child-process body: an unresilient workers=2 run whose drive-1
+    worker dies outright; the dataset and failures land in ``out_dir``."""
+    original = Campaign._simulate_drive
+
+    def dying(self, drive_id, route):
+        if drive_id == 1:
+            os._exit(3)  # no exception, no cleanup: an OOM kill's footprint
+        return original(self, drive_id, route)
+
+    Campaign._simulate_drive = dying
+    campaign = Campaign(_grid_config(workers=2))
+    campaign.run().save_json(os.path.join(out_dir, "dataset.json"))
+    with open(os.path.join(out_dir, "failures.json"), "w") as handle:
+        json.dump([f.to_dict() for f in campaign.report.failures], handle)
+
+
+def test_worker_death_is_a_drive_failure_not_a_hang(tmp_path):
+    """A worker that dies mid-drive costs that drive, never the run.
+
+    The campaign runs in a child process joined with a timeout, so an
+    executor that hangs on a dead worker fails this test instead of
+    stalling the suite."""
+    reference = Campaign(_grid_config()).run()
+
+    child = multiprocessing.get_context("fork").Process(
+        target=_dying_worker_run, args=(os.fspath(tmp_path),)
+    )
+    child.start()
+    child.join(180.0)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("campaign hung after a worker died")
+    assert child.exitcode == 0
+
+    failures = json.loads((tmp_path / "failures.json").read_text())
+    assert [(f["drive_id"], f["error_type"]) for f in failures] == [
+        (1, "WorkerDied")
+    ]
+    dataset = DriveDataset.load_json(tmp_path / "dataset.json")
+    assert [record_to_dict(r) for r in dataset.records] == [
+        record_to_dict(r) for r in reference.records if r.drive_id != 1
+    ]
+
+
+def test_worker_abort_forwarded_never_retried(tmp_path):
+    """A ``KeyboardInterrupt`` inside a worker stops the run with
+    ``CampaignAborted`` once completed drives are committed, even under
+    a retry budget: it is not retried and not a drive failure."""
+    marker = tmp_path / "attempts"
+    original = Campaign._simulate_drive
+
+    def interrupted(self, drive_id, route):
+        if drive_id == 2:
+            with open(marker, "a") as handle:
+                handle.write(f"{self.current_attempt}\n")
+            raise KeyboardInterrupt
+        return original(self, drive_id, route)
+
+    store = tmp_path / "store"
+    config = _grid_config(
+        workers=2,
+        artifact_format="jsonl",
+        resilience=ResilienceConfig(
+            retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
+        ),
+    )
+    campaign = Campaign(config)
+    Campaign._simulate_drive = interrupted
+    try:
+        with pytest.raises(CampaignAborted, match="KeyboardInterrupt"):
+            campaign.run(checkpoint_path=store)
+    finally:
+        Campaign._simulate_drive = original
+
+    assert marker.read_text() == "0\n"
+    assert campaign.report is None
+    assert campaign._resilience.retries == 0
+    # Drive 2 only starts once a first drive completed (2 workers, 3
+    # drives), so the store holds at least that one.
+    committed, _ = ShardStore(os.fspath(store), config.fingerprint()).load()
+    assert committed and 2 not in committed
+
+
+def test_sigterm_kills_the_worker_not_waits_for_the_watchdog():
+    """A worker terminated mid-drive dies at once (``WorkerDied``); it
+    does not inherit the parent's flag-only SIGTERM handler and run on
+    until the drive deadline."""
+    original = Campaign._simulate_drive
+
+    def terminated(self, drive_id, route):
+        if drive_id == 1:
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(600.0)  # parked: only a kill ends this attempt
+        return original(self, drive_id, route)
+
+    deadline_s = 20.0
+    campaign = Campaign(
+        _grid_config(
+            workers=2,
+            resilience=ResilienceConfig(
+                retry=RetryPolicy(max_attempts=1), drive_timeout_s=deadline_s
+            ),
+        )
+    )
+    Campaign._simulate_drive = terminated
+    started = time.monotonic()
+    try:
+        campaign.run()
+    finally:
+        Campaign._simulate_drive = original
+    elapsed = time.monotonic() - started
+
+    [failure] = campaign.report.failures
+    assert (failure.drive_id, failure.error_type) == (1, "WorkerDied")
+    assert campaign.report.resilience["watchdog_kills"] == 0
+    assert elapsed < deadline_s / 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_drive_attempts_observed_once_per_drive(workers):
+    """Serial and parallel runs without a resilience config record one
+    ``resilience.drive_attempts`` observation per drive, outside the
+    deterministic manifest view."""
+    recorder = ObsRecorder()
+    campaign = Campaign(_grid_config(workers=workers), recorder=recorder)
+    campaign.run()
+    [attempts] = recorder.registry.by_name("resilience.drive_attempts")
+    assert attempts.count == 3
+    assert attempts.total == 3.0
+    deterministic = campaign.manifest.deterministic_dict()["metrics"]
+    assert "resilience.drive_attempts" not in {m["name"] for m in deterministic}
 
 
 # -- obs merge + pickling units ------------------------------------------

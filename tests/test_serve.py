@@ -171,6 +171,54 @@ def test_invalid_specs_rejected(spec):
         spec_to_config(spec)
 
 
+#: Execution keys of the wrong type or out of range: each must end in a
+#: typed ``InvalidSubmission``, never a ``TypeError``, a bare
+#: ``ValueError`` or a silent coercion (``2.7`` -> 2, ``true`` -> 1).
+BAD_EXECUTION_KEYS = [
+    {"workers": [2]},
+    {"workers": "two"},
+    {"workers": 2.7},
+    {"workers": True},
+    {"workers": 0},
+    {"retries": {"a": 1}},
+    {"retries": -1},
+    {"retries": 1.0},
+    {"retries": False},
+    {"drive_timeout_s": [1]},
+    {"drive_timeout_s": "1.5"},
+    {"drive_timeout_s": True},
+    {"drive_timeout_s": 0},
+    {"drive_timeout_s": -3.0},
+    {"drive_timeout_s": float("nan")},
+    {"drive_timeout_s": float("inf")},
+    {"drive_timeout_s": 10**400},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_EXECUTION_KEYS, ids=lambda bad: repr(bad)[:40])
+def test_bad_execution_keys_rejected_typed(tmp_path, bad):
+    spec = {**SPEC, **bad}
+    with pytest.raises(InvalidSubmission):
+        spec_to_config(spec)
+    service = _service(tmp_path)
+    try:
+        with pytest.raises(InvalidSubmission):
+            service.submit(spec)
+        assert service.jobs == {}
+    finally:
+        service.close()
+
+
+def test_execution_keys_accept_ints_and_numbers():
+    config = spec_to_config(
+        {**SPEC, "workers": 2, "retries": 0, "drive_timeout_s": 30}
+    )
+    assert config.workers == 2
+    assert config.resilience.retry.max_attempts == 1
+    assert config.resilience.drive_timeout_s == 30.0
+    assert isinstance(config.resilience.drive_timeout_s, float)
+
+
 # -- admission, dedup, cancellation --------------------------------------
 
 
