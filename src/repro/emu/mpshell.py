@@ -29,6 +29,15 @@ class TraceLink:
 
     API-compatible with :class:`repro.net.link.Link` so transports and
     :class:`repro.net.path.Path` cannot tell the difference.
+
+    Opportunities that find the queue empty do nothing but advance the
+    clock, so the link stops its clock when an opportunity leaves the
+    queue empty.  The next :meth:`send` replays the skipped opportunities'
+    time arithmetic up to ``now`` and schedules the first one at or after
+    ``now``.  An opportunity due exactly at ``now`` still serves the
+    packet, as it did when it sat in the heap ahead of the sending event;
+    that holds when the sender was scheduled before the previous
+    opportunity fired (see docs/PERFORMANCE.md, "The tie rule").
     """
 
     def __init__(
@@ -45,6 +54,18 @@ class TraceLink:
     ):
         if not opportunities_ms:
             raise ValueError("trace must contain at least one opportunity")
+        if opportunities_ms[0] < 0:
+            raise ValueError(
+                f"opportunity times must be non-negative, got {opportunities_ms[0]}"
+            )
+        for i, (before, after) in enumerate(
+            zip(opportunities_ms, opportunities_ms[1:])
+        ):
+            if before > after:
+                raise ValueError(
+                    f"opportunity times must be sorted: entry {i + 1}"
+                    f" ({after} ms) follows {before} ms"
+                )
         if opportunities_ms[-1] <= 0:
             raise ValueError("trace period must be positive")
         if not 0.0 <= loss_rate < 1.0:
@@ -68,7 +89,10 @@ class TraceLink:
         self.packets_delivered = 0
         self.random_losses = 0
         self.packets_sent = 0
-        self._schedule_next()
+        #: Time of the opportunity at ``_index``, and whether it is queued
+        #: in the simulator (False while the link is idle).
+        self._next_s = self._advance_from(sim.now)
+        self._running = False
 
     def connect(self, receiver) -> None:
         self._receiver = receiver
@@ -77,14 +101,31 @@ class TraceLink:
         if self._receiver is None:
             raise RuntimeError(f"{self.name}: send() before connect()")
         self.packets_sent += 1
-        self.queue.push(packet)
+        if self.queue.push(packet) and not self._running:
+            self._wake()
 
     # -- opportunity engine ------------------------------------------------
 
-    def _schedule_next(self) -> None:
+    def _advance_from(self, now_s: float) -> float:
+        """When the opportunity at ``_index`` fires, if the previous one
+        fired at ``now_s``: the float a relative ``schedule`` produces."""
         target_s = self._base_s + self.opportunities_ms[self._index] / 1000.0
-        delay = max(0.0, target_s - self.sim.now)
-        self.sim.schedule(delay, self._on_opportunity)
+        return now_s + max(0.0, target_s - now_s)
+
+    def _step(self) -> None:
+        self._index += 1
+        if self._index >= len(self.opportunities_ms):
+            self._index = 0
+            self._base_s += self.period_s
+
+    def _wake(self) -> None:
+        # Replay the opportunities that fired on an empty queue while idle.
+        now = self.sim.now
+        while self._next_s < now:
+            self._step()
+            self._next_s = self._advance_from(self._next_s)
+        self._running = True
+        self.sim.schedule_at(self._next_s, self._on_opportunity)
 
     def _on_opportunity(self) -> None:
         budget = self.mtu_bytes
@@ -100,11 +141,12 @@ class TraceLink:
                 self.sim.schedule(
                     self.delay_s, lambda p=packet: self._deliver(p)
                 )
-        self._index += 1
-        if self._index >= len(self.opportunities_ms):
-            self._index = 0
-            self._base_s += self.period_s
-        self._schedule_next()
+        self._step()
+        self._next_s = self._advance_from(self.sim.now)
+        if self.queue.is_empty:
+            self._running = False
+        else:
+            self.sim.schedule_at(self._next_s, self._on_opportunity)
 
     def _draw_loss(self) -> bool:
         # Time-window burst loss, mirroring repro.net.link.Link._draw_loss;

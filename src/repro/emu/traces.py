@@ -68,7 +68,7 @@ def write_trace(path: str | os.PathLike, opportunities_ms: list[int]) -> None:
 
 
 def read_trace(path: str | os.PathLike) -> list[int]:
-    """Read a Mahimahi trace file."""
+    """Read a Mahimahi trace file (sorted, as :func:`write_trace` writes)."""
     opportunities: list[int] = []
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -76,11 +76,16 @@ def read_trace(path: str | os.PathLike) -> list[int]:
             if not line:
                 continue
             try:
-                opportunities.append(int(line))
+                ts = int(line)
             except ValueError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: not a millisecond timestamp: {line!r}"
                 ) from exc
+            if opportunities and ts < opportunities[-1]:
+                raise ValueError(
+                    f"{path}:{lineno}: opportunity timestamps must be sorted"
+                )
+            opportunities.append(ts)
     if not opportunities:
         raise ValueError(f"{path}: empty trace")
     return opportunities

@@ -11,6 +11,7 @@ channel substrates emit.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Callable, Protocol
 
 import numpy as np
@@ -38,7 +39,9 @@ class ConditionsSchedule:
     """Piecewise-constant conditions from per-second channel samples.
 
     The sample list wraps around, so short traces can drive long
-    experiments (the paper's MpShell replay does the same).
+    experiments (the paper's MpShell replay does the same).  Samples must
+    be in time order.  The current step and its bounds are cached, so a
+    lookup inside the step the last one hit skips the bisect.
     """
 
     def __init__(
@@ -55,13 +58,27 @@ class ConditionsSchedule:
         self.downlink = downlink
         self.rtt_split = rtt_split
         self._times = [s.time_s for s in self.samples]
+        for i, (before, after) in enumerate(zip(self._times, self._times[1:])):
+            if not before <= after:
+                raise ValueError(
+                    f"conditions samples must be in time order: sample {i + 1}"
+                    f" at {after} s follows {before} s"
+                )
         self._t0 = self._times[0]
         self._span = max(self._times[-1] - self._t0 + 1.0, 1.0)
+        # The cached step: samples[_step] covers wrapped times in [_lo, _hi).
+        self._lo = self._hi = self._t0
+        self._step = 0
 
     def _sample_at(self, time_s: float) -> LinkConditions:
         wrapped = self._t0 + ((time_s - self._t0) % self._span)
-        idx = bisect.bisect_right(self._times, wrapped) - 1
-        return self.samples[max(idx, 0)]
+        if not self._lo <= wrapped < self._hi:
+            times = self._times
+            idx = bisect.bisect_right(times, wrapped) - 1
+            self._lo = times[idx] if idx >= 0 else -math.inf
+            self._hi = times[idx + 1] if idx + 1 < len(times) else math.inf
+            self._step = max(idx, 0)
+        return self.samples[self._step]
 
     def rate_bps(self, time_s: float) -> float:
         return self._sample_at(time_s).capacity_mbps(self.downlink) * 1e6

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable
 
 from repro.obs.recorder import get_recorder
@@ -29,19 +30,22 @@ class Simulator:
 
     def schedule(self, delay_s: float, callback: Callable[[], None]) -> "EventHandle":
         """Run ``callback`` after ``delay_s`` seconds of simulated time."""
-        if delay_s < 0:
+        if not delay_s >= 0:  # also rejects NaN
             raise ValueError(f"delay must be non-negative, got {delay_s}")
-        return self.schedule_at(self.now + delay_s, callback)
+        handle = EventHandle(callback)
+        heapq.heappush(
+            self._heap, (self.now + delay_s, next(self._counter), handle)
+        )
+        return handle
 
     def schedule_at(self, time_s: float, callback: Callable[[], None]) -> "EventHandle":
         """Run ``callback`` at absolute simulated time ``time_s``."""
-        if time_s < self.now:
+        if not time_s >= self.now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule in the past: {time_s} < now {self.now}"
             )
         handle = EventHandle(callback)
         heapq.heappush(self._heap, (time_s, next(self._counter), handle))
-        self._m_heap_max.set_max(len(self._heap))
         return handle
 
     def run(self, until_s: float | None = None) -> None:
@@ -51,19 +55,36 @@ class Simulator:
         A run cut short by :meth:`stop` leaves ``now`` at the last
         processed event; only a run that exhausts its window (or drains
         the heap under a deadline) fast-forwards the clock to ``until_s``.
+
+        The ``sim.*`` metrics are counted in locals and flushed to the
+        recorder once, when the run returns or raises.  The heap only
+        grows between pops, so its high-water mark is its length at the
+        start of the run or after some event's callback.
         """
         self._stopped = False
-        while self._heap and not self._stopped:
-            time_s, _, handle = self._heap[0]
-            if until_s is not None and time_s > until_s:
-                break
-            heapq.heappop(self._heap)
-            if handle.cancelled:
-                self._m_cancelled.inc()
-                continue
-            self.now = time_s
-            handle.fire()
-            self._m_fired.inc()
+        heap = self._heap
+        pop = heapq.heappop
+        limit = math.inf if until_s is None else until_s
+        fired = cancelled = 0
+        depth = len(heap)
+        try:
+            while heap and not self._stopped:
+                time_s, _, handle = heap[0]
+                if time_s > limit:
+                    break
+                pop(heap)
+                if handle.cancelled:
+                    cancelled += 1
+                    continue
+                self.now = time_s
+                handle._callback()
+                fired += 1
+                if len(heap) > depth:
+                    depth = len(heap)
+        finally:
+            self._m_fired.inc(fired)
+            self._m_cancelled.inc(cancelled)
+            self._m_heap_max.set_max(depth)
         if until_s is not None and not self._stopped and self.now < until_s:
             self.now = until_s
 
@@ -89,13 +110,70 @@ class EventHandle:
     def cancel(self) -> None:
         self.cancelled = True
 
-    def fire(self) -> None:
-        if not self.cancelled:
-            self._callback()
-
     # Heap entries compare on (time, counter); the handle must never be
     # compared, but heapq requires orderability when ties occur without a
     # counter.  The counter guarantees uniqueness, so any comparison that
     # reaches the handle indicates a bug.
     def __lt__(self, other: object) -> bool:  # pragma: no cover
         raise TypeError("EventHandle ordering should never be needed")
+
+
+class Timer:
+    """A one-shot timer that is re-armed far more often than it fires.
+
+    A retransmission timer moves its deadline out on nearly every ACK.
+    Rather than cancelling its heap entry and pushing a new one each
+    time, the timer keeps one entry and records the deadline plus the
+    sequence number a fresh push would have drawn.  An entry that comes
+    due before that (deadline, sequence) pair re-queues itself under
+    that exact pair, so the callback fires at the same float time and
+    in the same order among simultaneous events as the push-per-re-arm
+    pattern.  Only a re-arm to an *earlier* deadline replaces the entry.
+    """
+
+    __slots__ = ("_sim", "_callback", "_handle", "_entry_s", "_entry_seq", "deadline_s", "_seq")
+
+    def __init__(self, sim: Simulator, callback: Callable[[], None]):
+        self._sim = sim
+        self._callback = callback
+        self._handle: EventHandle | None = None
+        self._entry_s = 0.0
+        self._entry_seq = 0
+        #: When the callback is due, or None while disarmed.
+        self.deadline_s: float | None = None
+        self._seq = 0
+
+    def arm(self, delay_s: float) -> None:
+        """(Re)arm to fire ``delay_s`` seconds from now."""
+        if not delay_s >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be non-negative, got {delay_s}")
+        sim = self._sim
+        self.deadline_s = sim.now + delay_s
+        self._seq = next(sim._counter)
+        if self._handle is not None:
+            if self.deadline_s >= self._entry_s:
+                return  # the entry re-queues itself when it comes due
+            self._handle.cancel()
+        self._queue(EventHandle(self._due))
+
+    def cancel(self) -> None:
+        """Disarm; the callback will not fire."""
+        self.deadline_s = None
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _queue(self, handle: EventHandle) -> None:
+        heapq.heappush(self._sim._heap, (self.deadline_s, self._seq, handle))
+        self._handle = handle
+        self._entry_s = self.deadline_s
+        self._entry_seq = self._seq
+
+    def _due(self) -> None:
+        if self._entry_seq != self._seq:
+            # Re-armed since this entry was queued: move to the deadline.
+            self._queue(self._handle)
+            return
+        self._handle = None
+        self.deadline_s = None
+        self._callback()

@@ -84,8 +84,11 @@ class Subflow(TcpSender):
             data_seq = self.connection.assign_data_seq()
             self._data_map[seq] = data_seq
         self.stats.segments_sent += 1
+        meta = self.connection.stats
+        meta.segments_sent += 1
         if retransmit:
             self.stats.retransmissions += 1
+            meta.retransmissions += 1
         self.path.send_data(
             Packet(
                 flow_id=self.flow_id,
@@ -98,13 +101,13 @@ class Subflow(TcpSender):
         )
 
     def on_ack(self, packet: Packet) -> None:
+        # An advancing ACK pumps the connection from _try_send; nothing the
+        # pump reads changes after it, so it is not pumped again here.
         old_una = self.snd_una
         self.connection.on_meta_ack(packet)
         super().on_ack(packet)
-        if self.snd_una > old_una:
-            for seq in range(old_una, self.snd_una):
-                self._data_map.pop(seq, None)
-            self.connection.pump()
+        for seq in range(old_una, self.snd_una):
+            self._data_map.pop(seq, None)
 
     def _on_rto(self) -> None:
         had_inflight = self.inflight > 0
@@ -251,15 +254,6 @@ class MptcpConnection:
                 chosen.send_one()
         finally:
             self._pumping = False
-        self._refresh_stats()
-
-    def _refresh_stats(self) -> None:
-        self.stats.segments_sent = sum(
-            sf.stats.segments_sent for sf in self.subflows
-        )
-        self.stats.retransmissions = sum(
-            sf.stats.retransmissions for sf in self.subflows
-        )
 
 
 class MptcpReceiver:

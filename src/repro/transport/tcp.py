@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.net.packet import ACK_SIZE_BYTES, Packet
 from repro.net.path import Path
-from repro.net.simulator import EventHandle, Simulator
+from repro.net.simulator import Simulator, Timer
 from repro.transport.congestion import CongestionControl, make_congestion_control
 
 #: RFC 6298 constants, with the maximum capped well below the RFC's 60 s:
@@ -168,6 +168,12 @@ class TcpSender:
         # SACK scoreboard.
         self._sacked: set[int] = set()
         self._rtx_done: set[int] = set()
+        #: Retransmitted segments below the loss bound that are not SACKed:
+        #: ``len({s in _rtx_done - _sacked if s < _loss_bound()})``, kept
+        #: up to date wherever either set or the bound changes.
+        self._rtx_lost = 0
+        #: At least ``max(_rtx_done)``; -1 after the set is cleared.
+        self._rtx_max = -1
         self._fack = 0  # one past the highest SACKed segment
         self._hole_cursor = 0  # monotone scan position for hole search
         #: After an RTO everything below this is presumed lost (RFC 5681
@@ -177,7 +183,8 @@ class TcpSender:
         self._min_rtt = float("inf")
         self._rttvar = 0.0
         self._rto = 1.0
-        self._rto_timer: EventHandle | None = None
+        # Looked up on each expiry, so subclasses may override _on_rto.
+        self._rto_timer = Timer(sim, lambda: self._on_rto())
         self._last_progress_s = 0.0
         self._started = False
 
@@ -226,12 +233,17 @@ class TcpSender:
         bound = self._loss_bound()
         if bound <= self.snd_una:
             return 0
-        covered = len(self._sacked) + sum(
-            1
-            for s in self._rtx_done
-            if s not in self._sacked and s < bound
-        )
+        covered = len(self._sacked) + self._rtx_lost
         return max(0, (bound - self.snd_una) - covered)
+
+    def _mark_retransmitted(self, seq: int) -> None:
+        if seq in self._rtx_done:
+            return
+        self._rtx_done.add(seq)
+        if seq > self._rtx_max:
+            self._rtx_max = seq
+        if seq < self._loss_bound() and seq not in self._sacked:
+            self._rtx_lost += 1
 
     def _next_hole(self) -> int | None:
         """Lowest presumed-lost segment not yet retransmitted.
@@ -277,7 +289,7 @@ class TcpSender:
             if hole is None:
                 break
             self._transmit(hole, retransmit=True)
-            self._rtx_done.add(hole)
+            self._mark_retransmitted(hole)
             occupancy += 1
         return occupancy
 
@@ -311,10 +323,22 @@ class TcpSender:
         if packet.timestamp_echo_s >= 0:
             self._rtt_sample(self.sim.now - packet.timestamp_echo_s)
         if packet.sack_start >= 0:
-            for seq in range(packet.sack_start, packet.sack_end):
-                if seq >= self.snd_una:
-                    self._sacked.add(seq)
+            sacked = self._sacked
+            rtx_done = self._rtx_done
+            old_bound = self._loss_bound()
+            for seq in range(max(packet.sack_start, self.snd_una), packet.sack_end):
+                if seq not in sacked:
+                    sacked.add(seq)
+                    if seq < old_bound and seq in rtx_done:
+                        self._rtx_lost -= 1
             self._fack = max(self._fack, packet.sack_end)
+            new_bound = self._loss_bound()
+            if new_bound > old_bound and self._rtx_max >= old_bound:
+                self._rtx_lost += sum(
+                    1
+                    for s in rtx_done
+                    if old_bound <= s < new_bound and s not in sacked
+                )
             self._last_progress_s = self.sim.now  # SACKs are forward progress
 
         if packet.ack > self.snd_una:
@@ -345,9 +369,15 @@ class TcpSender:
 
     def _prune_scoreboard(self) -> None:
         self._sacked = {s for s in self._sacked if s >= self.snd_una}
-        self._rtx_done = {s for s in self._rtx_done if s >= self.snd_una}
         if not self._sacked:
             self._fack = self.snd_una
+        if self._rtx_done:
+            self._rtx_done = {s for s in self._rtx_done if s >= self.snd_una}
+            bound = self._loss_bound()
+            sacked = self._sacked
+            self._rtx_lost = sum(
+                1 for s in self._rtx_done if s < bound and s not in sacked
+            )
 
     def _enter_recovery(self) -> None:
         self._recover = self.snd_nxt
@@ -357,7 +387,7 @@ class TcpSender:
         if not self._sacked:
             # Pure-dupack entry (ACK SACK info lost): assume snd_una is lost.
             self._transmit(self.snd_una, retransmit=True)
-            self._rtx_done.add(self.snd_una)
+            self._mark_retransmitted(self.snd_una)
         self._try_send()
 
     # -- RTT / RTO -------------------------------------------------------
@@ -385,26 +415,24 @@ class TcpSender:
             self.cc.ssthresh = self.cc.cwnd
 
     def _arm_rto(self) -> None:
-        if self._rto_timer is None and self.inflight > 0:
-            self._rto_timer = self.sim.schedule(self._rto, self._on_rto)
+        if self._rto_timer.deadline_s is None and self.inflight > 0:
+            self._rto_timer.arm(self._rto)
 
     def _reset_rto(self) -> None:
-        if self._rto_timer is not None:
+        """Restart the timer at ``now + _rto`` (stop it when idle)."""
+        if self.inflight > 0:
+            self._rto_timer.arm(self._rto)
+        else:
             self._rto_timer.cancel()
-            self._rto_timer = None
-        self._arm_rto()
 
     def _on_rto(self) -> None:
-        self._rto_timer = None
         if self.inflight == 0:
             return
         # The timer is restarted lazily: if there has been progress since it
         # was armed, push it out instead of declaring a timeout.
         elapsed = self.sim.now - self._last_progress_s
         if elapsed < self._rto - 1e-9:
-            self._rto_timer = self.sim.schedule(
-                max(self._rto - elapsed, 1e-3), self._on_rto
-            )
+            self._rto_timer.arm(max(self._rto - elapsed, 1e-3))
             return
         self._last_progress_s = self.sim.now
         self.stats.rto_events += 1
@@ -412,11 +440,13 @@ class TcpSender:
         self._recover = self.snd_nxt
         self._dupacks = 0
         self._rtx_done.clear()
+        self._rtx_lost = 0
+        self._rtx_max = -1
         self._hole_cursor = self.snd_una
         self._high_lost = self.snd_nxt
         self._rto = min(self._rto * 2.0, _RTO_MAX_S)
         self._transmit(self.snd_una, retransmit=True)
-        self._rtx_done.add(self.snd_una)
+        self._mark_retransmitted(self.snd_una)
         self._arm_rto()
 
 

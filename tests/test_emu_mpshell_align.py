@@ -59,6 +59,39 @@ def test_tracelink_respects_buffer():
     assert link.queue_drops == 90
 
 
+def _quiet_link(sim, received):
+    link = TraceLink(sim, [0, 100, 200, 300], 0.0, 15_000, np.random.default_rng(0))
+    link.connect(lambda p: received.append((p.seq, sim.now)))
+    return link
+
+
+def test_tracelink_serves_opportunity_due_at_send_time():
+    sim = Simulator()
+    received = []
+    link = _quiet_link(sim, received)
+    # The idle link replays its opportunity clock on send.  0.1 s and
+    # 0.7 s are opportunities, so packets sent then leave then; one sent
+    # at 0.25 s waits for the 0.3 s opportunity.
+    sim.schedule_at(0.1, lambda: link.send(Packet(flow_id=0, size_bytes=1500, seq=1)))
+    sim.schedule_at(0.25, lambda: link.send(Packet(flow_id=0, size_bytes=1500, seq=2)))
+    sim.schedule_at(0.7, lambda: link.send(Packet(flow_id=0, size_bytes=1500, seq=3)))
+    sim.run(until_s=1.0)
+    assert received == [(1, 0.1), (2, 0.3), (3, 0.7)]
+
+
+def test_idle_tracelink_schedules_no_events():
+    sim = Simulator()
+    received = []
+    link = _quiet_link(sim, received)
+    sim.run(until_s=5.0)
+    assert sim.pending_events == 0
+    link.send(Packet(flow_id=0, size_bytes=1500, seq=1))
+    sim.run(until_s=10.0)
+    # The float the per-opportunity clock reaches, not 5.1 itself.
+    assert received == [(1, 5.099999999999999)]
+    assert sim.pending_events == 0
+
+
 def test_tracelink_validation():
     sim = Simulator()
     with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 """Mahimahi trace conversion and file I/O."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.conditions import LinkConditions
+from repro.emu.mpshell import TraceLink
 from repro.emu.traces import (
     conditions_to_opportunities_ms,
     read_trace,
@@ -11,6 +13,8 @@ from repro.emu.traces import (
     trace_mean_mbps,
     write_trace,
 )
+from repro.net.link import ConditionsSchedule
+from repro.net.simulator import Simulator
 
 
 def test_constant_rate_conversion():
@@ -81,6 +85,50 @@ def test_read_rejects_empty(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(ValueError):
         read_trace(path)
+
+
+def _read_text(tmp_path, text):
+    path = tmp_path / "trace.txt"
+    path.write_text(text)
+    return read_trace(path)
+
+
+def _trace_link(opportunities_ms):
+    return TraceLink(
+        Simulator(), opportunities_ms, 10.0, 15000, np.random.default_rng(0)
+    )
+
+
+def _schedule(times):
+    return ConditionsSchedule(
+        [LinkConditions(t, rate, 1.0, 20.0, 0.0) for t, rate in zip(times, (10.0, 50.0, 100.0))]
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda tmp: _read_text(tmp, "0\n5\n3\n"), id="read_trace-unsorted"),
+        pytest.param(lambda tmp: _trace_link([0, 5, 3, 10]), id="tracelink-unsorted"),
+        pytest.param(lambda tmp: _trace_link([-2, 5, 10]), id="tracelink-negative"),
+        pytest.param(lambda tmp: _schedule([2.0, 0.0, 1.0]), id="schedule-unsorted"),
+    ],
+)
+def test_unsorted_inputs_rejected(build, tmp_path):
+    with pytest.raises(ValueError):
+        build(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda tmp: _read_text(tmp, "0\n3\n3\n5\n"), id="read_trace"),
+        pytest.param(lambda tmp: _trace_link([0, 3, 3, 10]), id="tracelink"),
+        pytest.param(lambda tmp: _schedule([0.0, 1.0, 2.0]), id="schedule"),
+    ],
+)
+def test_sorted_inputs_with_ties_accepted(build, tmp_path):
+    build(tmp_path)
 
 
 @given(
