@@ -9,10 +9,33 @@ simulator — consumes this one type.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-import numpy as np
+
+def _check(
+    downlink_mbps: float,
+    uplink_mbps: float,
+    rtt_ms: float,
+    loss_rate: float,
+    loss_burst: float,
+) -> None:
+    """Reject a sample no channel can produce.
+
+    Every check is written ``not x >= bound``: NaN fails every
+    comparison, so the negated form rejects it where ``x < bound``
+    would let it through.
+    """
+    if not (downlink_mbps >= 0 and uplink_mbps >= 0):
+        raise ValueError(
+            "capacities must be non-negative, got "
+            f"{downlink_mbps} down / {uplink_mbps} up"
+        )
+    if not rtt_ms >= 0:
+        raise ValueError(f"rtt must be non-negative, got {rtt_ms}")
+    if not 0.0 <= loss_rate <= 1.0:
+        raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
+    if not loss_burst >= 1.0:
+        raise ValueError(f"loss_burst must be >= 1, got {loss_burst}")
 
 
 @dataclass(frozen=True)
@@ -30,14 +53,41 @@ class LinkConditions:
     loss_burst: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.downlink_mbps < 0 or self.uplink_mbps < 0:
-            raise ValueError("capacities must be non-negative")
-        if self.rtt_ms < 0:
-            raise ValueError(f"rtt must be non-negative, got {self.rtt_ms}")
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
-        if self.loss_burst < 1.0:
-            raise ValueError(f"loss_burst must be >= 1, got {self.loss_burst}")
+        _check(
+            self.downlink_mbps,
+            self.uplink_mbps,
+            self.rtt_ms,
+            self.loss_rate,
+            self.loss_burst,
+        )
+
+    @classmethod
+    def _of(
+        cls,
+        time_s: float,
+        downlink_mbps: float,
+        uplink_mbps: float,
+        rtt_ms: float,
+        loss_rate: float,
+        loss_burst: float = 1.0,
+    ) -> "LinkConditions":
+        """Positional constructor for the per-second channel samplers.
+
+        Runs the same checks and yields an equal instance (same ``==``,
+        ``hash`` and ``repr``), but fills the instance dict directly
+        instead of paying the frozen dataclass's ``object.__setattr__``
+        per field.
+        """
+        _check(downlink_mbps, uplink_mbps, rtt_ms, loss_rate, loss_burst)
+        c = object.__new__(cls)
+        d = c.__dict__
+        d["time_s"] = time_s
+        d["downlink_mbps"] = downlink_mbps
+        d["uplink_mbps"] = uplink_mbps
+        d["rtt_ms"] = rtt_ms
+        d["loss_rate"] = loss_rate
+        d["loss_burst"] = loss_burst
+        return c
 
     @property
     def is_outage(self) -> bool:
@@ -61,11 +111,11 @@ class LinkConditions:
         channel knowing: capacities scale, loss adds (clamped to 1), RTT
         adds.  ``capacity_factor`` must be non-negative.
         """
-        if capacity_factor < 0.0:
+        if not capacity_factor >= 0.0:
             raise ValueError(
                 f"capacity_factor must be non-negative, got {capacity_factor}"
             )
-        if extra_loss < 0.0 or extra_rtt_ms < 0.0:
+        if not (extra_loss >= 0.0 and extra_rtt_ms >= 0.0):
             raise ValueError("extra_loss and extra_rtt_ms must be non-negative")
         return LinkConditions(
             time_s=self.time_s,
@@ -77,81 +127,6 @@ class LinkConditions:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionsArray:
-    """A whole trace of link conditions as parallel numpy arrays.
-
-    Structure-of-arrays counterpart to ``list[LinkConditions]`` for the
-    vectorized fluid models (:mod:`repro.core.fastpath.fluid`): one
-    float64 array per field, aligned by second.  Conversion either way
-    is lossless — the arrays hold exactly the floats the samples hold.
-    """
-
-    time_s: np.ndarray
-    downlink_mbps: np.ndarray
-    uplink_mbps: np.ndarray
-    rtt_ms: np.ndarray
-    loss_rate: np.ndarray
-    loss_burst: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.time_s.shape
-        for name in ("downlink_mbps", "uplink_mbps", "rtt_ms", "loss_rate", "loss_burst"):
-            arr = getattr(self, name)
-            if arr.ndim != 1 or arr.shape != n:
-                raise ValueError(
-                    f"{name} must be 1-D of shape {n}, got {arr.shape}"
-                )
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[LinkConditions]) -> "ConditionsArray":
-        """Pack a per-second sample list into aligned arrays."""
-        return cls(
-            time_s=np.array([s.time_s for s in samples], dtype=float),
-            downlink_mbps=np.array([s.downlink_mbps for s in samples], dtype=float),
-            uplink_mbps=np.array([s.uplink_mbps for s in samples], dtype=float),
-            rtt_ms=np.array([s.rtt_ms for s in samples], dtype=float),
-            loss_rate=np.array([s.loss_rate for s in samples], dtype=float),
-            loss_burst=np.array([s.loss_burst for s in samples], dtype=float),
-        )
-
-    def __len__(self) -> int:
-        return int(self.time_s.size)
-
-    def __iter__(self) -> Iterator[LinkConditions]:
-        return iter(self.to_samples())
-
-    def __getitem__(self, i: int) -> LinkConditions:
-        return LinkConditions(
-            time_s=float(self.time_s[i]),
-            downlink_mbps=float(self.downlink_mbps[i]),
-            uplink_mbps=float(self.uplink_mbps[i]),
-            rtt_ms=float(self.rtt_ms[i]),
-            loss_rate=float(self.loss_rate[i]),
-            loss_burst=float(self.loss_burst[i]),
-        )
-
-    def capacity_mbps(self, downlink: bool) -> np.ndarray:
-        """Capacity array for the requested direction."""
-        return self.downlink_mbps if downlink else self.uplink_mbps
-
-    @property
-    def is_outage(self) -> np.ndarray:
-        """Boolean array: seconds where no data can flow either way."""
-        return (self.downlink_mbps <= 0.0) & (self.uplink_mbps <= 0.0)
-
-    def to_samples(self) -> list[LinkConditions]:
-        """Unpack back into per-second sample objects."""
-        return [self[i] for i in range(len(self))]
-
-
 def outage(time_s: float, rtt_ms: float = 1000.0, loss_burst: float = 1.0) -> LinkConditions:
     """A fully dead second (used during deep blockage / no coverage)."""
-    return LinkConditions(
-        time_s=time_s,
-        downlink_mbps=0.0,
-        uplink_mbps=0.0,
-        rtt_ms=rtt_ms,
-        loss_rate=1.0,
-        loss_burst=loss_burst,
-    )
+    return LinkConditions._of(time_s, 0.0, 0.0, rtt_ms, 1.0, loss_burst)

@@ -1184,27 +1184,39 @@ class Campaign:
             )
         return channels
 
+    def _windows(self, tracker: Tracker) -> list[list]:
+        """Each scheduled test window's slice of the drive's 1 Hz rows.
+
+        Windows start every ``window_period_s`` seconds and last
+        ``test_duration_s``.  The start range stops short of the last
+        ``test_duration_s`` rows, so a final window that would end
+        exactly at the drive's last row is not run; the pinned datasets
+        encode that schedule.
+        """
+        cfg = self.config
+        metadata = tracker.records
+        duration = int(cfg.test_duration_s)
+        return [
+            metadata[start : start + duration]
+            for start in range(
+                0, max(0, len(metadata) - duration), int(cfg.window_period_s)
+            )
+        ]
+
     def _attach_timelines(self, tracker: Tracker, channels: dict[str, object]) -> None:
         """Precompute the drive's satellite geometry for the fast path.
 
         Collects exactly the seconds the test windows will sample (the
-        same slicing :meth:`_run_tests` performs), builds one
+        same :meth:`_windows` that :meth:`_run_tests` walks), builds one
         :class:`~repro.core.fastpath.GeometryTimeline` over them, and
         attaches it to both Starlink channels — the geometry is shared;
         every random draw stays per-channel in the legacy order.
         """
         from repro.core.fastpath import GeometryTimeline
 
-        cfg = self.config
-        metadata = tracker.records
-        window_starts = range(
-            0,
-            max(0, len(metadata) - int(cfg.test_duration_s)),
-            int(cfg.window_period_s),
-        )
         sampled: dict[float, GeoPoint] = {}
-        for start in window_starts:
-            for meta in metadata[start : start + int(cfg.test_duration_s)]:
+        for window in self._windows(tracker):
+            for meta in window:
                 if meta.time_s not in sampled:
                     sampled[meta.time_s] = GeoPoint(meta.lat_deg, meta.lon_deg)
         if not sampled:
@@ -1228,157 +1240,125 @@ class Campaign:
     ) -> tuple[list[TestRecord], int]:
         """Run every scheduled test window; ``sink`` (a
         :class:`repro.store.ShardWriter`) receives each completed record
-        as it exists, streaming results to durable storage mid-drive."""
+        as it exists, streaming results to durable storage mid-drive.
+
+        Each window runs network by network, each network second by
+        second.  That order gives the same bits as sampling all five
+        networks per second: every channel draws from its own named
+        RNG substream, each fluid model has its own seed, and the
+        Starlink channels share only RNG-free geometry.
+        """
         cfg = self.config
         records: list[TestRecord] = []
-        metadata = tracker.records
         if cfg.fastpath:
             # Scalar-lane stepper, bit-identical to FluidTcp (same RNG
             # stream consumption; see repro.core.fastpath.fluid).
             from repro.core.fastpath.fluid import FluidTcpFast as fluid_cls
         else:
             fluid_cls = FluidTcp
-        window_starts = range(
-            0,
-            max(0, len(metadata) - int(cfg.test_duration_s)),
-            int(cfg.window_period_s),
-        )
-        for window_idx, start in enumerate(window_starts):
+        new_sample = SecondSample._of
+        for window_idx, window in enumerate(self._windows(tracker)):
             kind = cfg.cycle[window_idx % len(cfg.cycle)]
-            window = metadata[start : start + int(cfg.test_duration_s)]
-            per_network: dict[str, list[SecondSample]] = {n: [] for n in NETWORKS}
-            retx: dict[str, float] = {}
-            fluids = {
-                network: fluid_cls(
-                    parallel=kind.parallel,
-                    seed=cfg.seed * 7919 + test_id + i,
-                )
-                for i, network in enumerate(NETWORKS)
-            }
-            loss_weighted: dict[str, float] = {n: 0.0 for n in NETWORKS}
-            capacity_sum: dict[str, float] = {n: 0.0 for n in NETWORKS}
-            # Running per-network link-rate estimate the UDP sender's
-            # offered load tracks (reset each window, like iPerf restarts).
-            udp_rate_est: dict[str, float] = {}
             downlink = kind.direction == "dl"
             protocol = kind.protocol
-            # Bound methods hoisted out of the per-second loop (the
-            # network sampling order per second is unchanged); the
-            # protocol branch is hoisted with them, giving one tight
-            # loop per test kind instead of a per-second dispatch.
-            lanes = [
-                (n, channels[n].sample, per_network[n].append, fluids[n])
-                for n in NETWORKS
+            rows = [
+                (
+                    meta.time_s,
+                    GeoPoint(meta.lat_deg, meta.lon_deg),
+                    meta.speed_kmh,
+                    meta.area,
+                    meta.lat_deg,
+                    meta.lon_deg,
+                )
+                for meta in window
             ]
-            if protocol == "udp":
-                for meta in window:
-                    position = GeoPoint(meta.lat_deg, meta.lon_deg)
-                    time_s = meta.time_s
-                    speed_kmh = meta.speed_kmh
-                    area = meta.area
-                    for network, sample_fn, append, _fluid in lanes:
+            window_records = []
+            for network in NETWORKS:
+                sample_fn = channels[network].sample
+                samples: list[SecondSample] = []
+                append = samples.append
+                retx = 0.0
+                if protocol == "udp":
+                    # iPerf UDP overdrive model: the sender blasts a
+                    # constant offered load ~20% above its EWMA estimate
+                    # of the link rate (reset each window, like iPerf
+                    # restarts); delivered goodput is min(offered,
+                    # capacity) thinned by random loss.  During dips the
+                    # link saturates; during spikes goodput is capped by
+                    # the offered rate.
+                    est = None
+                    for time_s, position, speed_kmh, area, lat, lon in rows:
                         conditions = sample_fn(time_s, position, speed_kmh, area)
                         capacity = (
                             conditions.downlink_mbps
                             if downlink
                             else conditions.uplink_mbps
                         )
-                        # iPerf UDP overdrive model: the sender blasts a
-                        # constant offered load ~20% above its EWMA
-                        # estimate of the link rate; delivered goodput is
-                        # min(offered, capacity) thinned by random loss.
-                        # During dips the link saturates; during spikes
-                        # goodput is capped by the offered rate.
-                        est = udp_rate_est.get(network)
                         est = (
                             capacity
                             if est is None
                             else est + 0.25 * (capacity - est)
                         )
-                        udp_rate_est[network] = est
-                        offered = UDP_OVERDRIVE * est
-                        throughput = min(offered, capacity) * (
-                            1.0 - conditions.loss_rate
+                        loss = conditions.loss_rate
+                        throughput = min(UDP_OVERDRIVE * est, capacity) * (
+                            1.0 - loss
                         )
                         append(
-                            SecondSample(
-                                time_s=time_s,
-                                throughput_mbps=throughput,
-                                rtt_ms=conditions.rtt_ms,
-                                loss_rate=conditions.loss_rate,
-                                speed_kmh=speed_kmh,
-                                area=area,
-                                lat_deg=meta.lat_deg,
-                                lon_deg=meta.lon_deg,
+                            new_sample(
+                                time_s, throughput, conditions.rtt_ms, loss,
+                                speed_kmh, area, lat, lon,
                             )
                         )
-            elif protocol == "tcp":
-                for meta in window:
-                    position = GeoPoint(meta.lat_deg, meta.lon_deg)
-                    time_s = meta.time_s
-                    speed_kmh = meta.speed_kmh
-                    area = meta.area
-                    for network, sample_fn, append, fluid in lanes:
+                elif protocol == "tcp":
+                    step = fluid_cls(
+                        parallel=kind.parallel, seed=cfg.seed * 7919 + test_id
+                    ).step
+                    loss_weighted = 0.0
+                    capacity_sum = 0.0
+                    for time_s, position, speed_kmh, area, lat, lon in rows:
                         conditions = sample_fn(time_s, position, speed_kmh, area)
-                        throughput = fluid.step(conditions, downlink=downlink)
+                        throughput = step(conditions, downlink)
                         capacity = (
                             conditions.downlink_mbps
                             if downlink
                             else conditions.uplink_mbps
                         )
-                        loss_weighted[network] += capacity * conditions.loss_rate
-                        capacity_sum[network] += capacity
+                        loss = conditions.loss_rate
+                        loss_weighted += capacity * loss
+                        capacity_sum += capacity
                         append(
-                            SecondSample(
-                                time_s=time_s,
-                                throughput_mbps=throughput,
-                                rtt_ms=conditions.rtt_ms,
-                                loss_rate=conditions.loss_rate,
-                                speed_kmh=speed_kmh,
-                                area=area,
-                                lat_deg=meta.lat_deg,
-                                lon_deg=meta.lon_deg,
+                            new_sample(
+                                time_s, throughput, conditions.rtt_ms, loss,
+                                speed_kmh, area, lat, lon,
                             )
                         )
-            else:  # ping
-                for meta in window:
-                    position = GeoPoint(meta.lat_deg, meta.lon_deg)
-                    time_s = meta.time_s
-                    speed_kmh = meta.speed_kmh
-                    area = meta.area
-                    for _network, sample_fn, append, _fluid in lanes:
+                    retx = loss_weighted / max(capacity_sum, 1e-9)
+                else:  # ping
+                    for time_s, position, speed_kmh, area, lat, lon in rows:
                         conditions = sample_fn(time_s, position, speed_kmh, area)
                         append(
-                            SecondSample(
-                                time_s=time_s,
-                                throughput_mbps=0.0,
-                                rtt_ms=conditions.rtt_ms,
-                                loss_rate=conditions.loss_rate,
-                                speed_kmh=speed_kmh,
-                                area=area,
-                                lat_deg=meta.lat_deg,
-                                lon_deg=meta.lon_deg,
+                            new_sample(
+                                time_s, 0.0, conditions.rtt_ms,
+                                conditions.loss_rate, speed_kmh, area, lat, lon,
                             )
                         )
-            for network in NETWORKS:
-                if kind.protocol == "tcp":
-                    retx[network] = loss_weighted[network] / max(
-                        capacity_sum[network], 1e-9
+                window_records.append(
+                    TestRecord(
+                        test_id=test_id,
+                        drive_id=drive_id,
+                        network=network,
+                        protocol=protocol,
+                        direction=kind.direction,
+                        parallel=kind.parallel,
+                        samples=samples,
+                        retransmission_rate=min(retx, 1.0),
                     )
-                record = TestRecord(
-                    test_id=test_id,
-                    drive_id=drive_id,
-                    network=network,
-                    protocol=kind.protocol,
-                    direction=kind.direction,
-                    parallel=kind.parallel,
-                    samples=per_network[network],
-                    retransmission_rate=min(retx.get(network, 0.0), 1.0),
                 )
-                records.append(record)
-                if sink is not None:
-                    sink.append(record_to_dict(record))
                 test_id += 1
+            records.extend(window_records)
+            if sink is not None:
+                for record in window_records:
+                    sink.append(record_to_dict(record))
         return records, test_id
 
 

@@ -17,16 +17,13 @@ Layout:
   (replaces the O(segments) haversine rescan per mobility step);
 * :mod:`repro.core.fastpath.timeline` — per-drive satellite visibility /
   elevation / bent-pipe RTT timelines shared by both Starlink channels;
-* :mod:`repro.core.fastpath.fluid` — scalar-lane fluid TCP stepping and
-  whole-trace array sampling for the fluid transport models
-  (:class:`repro.conditions.ConditionsArray` in, series out).
+* :mod:`repro.core.fastpath.fluid` — scalar-lane fluid TCP, stepped
+  once per second (TCP state is sequential, so time cannot batch);
+* :mod:`repro.core.fastpath.channels` — the Starlink and cellular
+  samplers with their per-second pipelines scalarized and inlined.
 """
 
-from repro.core.fastpath.fluid import (
-    FluidTcpFast,
-    fluid_tcp_series_fast,
-    fluid_udp_series_fast,
-)
+from repro.core.fastpath.fluid import FluidTcpFast
 from repro.core.fastpath.route import RouteTable
 from repro.core.fastpath.timeline import GeometryTimeline
 
@@ -34,6 +31,4 @@ __all__ = [
     "FluidTcpFast",
     "GeometryTimeline",
     "RouteTable",
-    "fluid_tcp_series_fast",
-    "fluid_udp_series_fast",
 ]

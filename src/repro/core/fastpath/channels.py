@@ -48,7 +48,6 @@ from repro.leo.channel import StarlinkChannel
 from repro.leo.visibility import VisibilityModel
 
 __all__ = [
-    "CellLoadFast",
     "CellularChannelFast",
     "ObstructionProcessFast",
     "StarlinkChannelFast",
@@ -98,16 +97,6 @@ class ObstructionProcessFast(ObstructionProcess):
         return ObstructionSample(fraction=self._fraction, deep_blockage=False)
 
 
-class CellLoadFast(CellLoad):
-    """Cell-load AR(1) with the per-second ``np.clip`` scalarized."""
-
-    def step(self, area: AreaType) -> float:
-        mean = self.MEAN_LOAD[area]
-        self._load += 0.15 * (mean - self._load) + float(self._gen.normal(0, 0.03))
-        self._load = min(max(self._load, 0.02), 0.95)
-        return 1.0 - self._load
-
-
 class CellularChannelFast(CellularChannel):
     """Cellular channel with the whole per-second pipeline scalarized.
 
@@ -121,7 +110,6 @@ class CellularChannelFast(CellularChannel):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.load = _adopt(CellLoadFast, self.load)
         # (area, hole_probability/8, site_density, mean_nearest,
         # mean_load) behind an identity check — the vehicle stays in an
         # area type for long stretches, so the enum-dict lookups and the
@@ -170,7 +158,9 @@ class CellularChannelFast(CellularChannel):
             tracker._area = area
             tracker.handover_count += 1
         else:
-            drift_km = speed_kmh / 3600.0 * float(gen.uniform(-0.3, 1.0))
+            # gen.uniform(-0.3, 1.0), which numpy computes as
+            # low + (high - low) * next_double on the same stream.
+            drift_km = speed_kmh / 3600.0 * (-0.3 + (1.0 - -0.3) * gen.random())
             distance_km = max(0.01, distance_km + drift_km)
             if distance_km > tracker.HANDOVER_RADIUS_FACTOR * mean_nearest:
                 distance_km = nearest_site_distance_km(density, gen)
@@ -258,20 +248,7 @@ class CellularChannelFast(CellularChannel):
             loss = 0.0
         elif loss > 1.0:
             loss = 1.0
-        return LinkConditions(
-            time_s=time_s,
-            downlink_mbps=dl,
-            uplink_mbps=ul,
-            rtt_ms=rtt,
-            loss_rate=loss,
-            loss_burst=self.LOSS_BURST,
-        )
-
-    def _loss_rate(self, snr_db_value: float) -> float:
-        base = 5e-6
-        weak = 0.0008 if snr_db_value < -5.0 else 0.0
-        burst = float(self._gen.exponential(5e-6))
-        return min(max(base + weak + burst, 0.0), 1.0)
+        return LinkConditions._of(time_s, dl, ul, rtt, loss, self.LOSS_BURST)
 
 
 class StarlinkChannelFast(StarlinkChannel):
@@ -347,13 +324,8 @@ class StarlinkChannelFast(StarlinkChannel):
         )
         rtt_ms = self._rtt_ms(time_s, position, serving.index, t_idx=t_idx)
         loss = self._loss_rate(fraction, speed_kmh, state.extra_loss)
-        return LinkConditions(
-            time_s=time_s,
-            downlink_mbps=capacity_dl,
-            uplink_mbps=capacity_ul,
-            rtt_ms=rtt_ms,
-            loss_rate=loss,
-            loss_burst=self.LOSS_BURST,
+        return LinkConditions._of(
+            time_s, capacity_dl, capacity_ul, rtt_ms, loss, self.LOSS_BURST
         )
 
     def _capacities(

@@ -8,17 +8,23 @@ re-implements the identical arithmetic lane-by-lane in plain Python
 floats, keeping a numpy call only where scalar Python computes different
 bits:
 
-* ``Generator.poisson`` — one array draw per second, exactly as the
-  reference makes it, so the RNG stream advances identically (for a
-  single lane the scalar draw consumes the same stream);
 * ``np.argsort`` in the water-fill — its unstable introsort breaks
   demand ties, and tied lanes receive *different* shares, so the
   permutation itself is part of the contract;
-* ``np.sum`` over lanes — numpy's pairwise reduction orders additions
-  differently from a naive Python loop for wide arrays;
 * ``np.power`` for CUBIC's cube/cube-root — the array ufunc does not
   agree bitwise with Python's ``**`` (numpy optimizes small integer
   exponents), so the fast path calls the same ufunc on scalars.
+
+Two numpy calls of the reference are replaced by exact scalar replicas:
+
+* the reference draws loss events with one ``Generator.poisson`` call
+  on the lane array; numpy fills that array by drawing each element in
+  turn from the same bit generator, so one scalar draw per lane yields
+  the same values and leaves the same generator state;
+* the reference sums lanes with ``np.sum``, whose pairwise reduction
+  adds up to 7 values left to right from ``0.0`` and exactly 8 as
+  ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``; :func:`_lane_sum` performs
+  those additions in that order (wider arrays keep ``np.sum``).
 
 Bit-identity against the reference — same goodput series, same RNG
 stream state after every step — is enforced by the golden and property
@@ -29,15 +35,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.conditions import ConditionsArray, LinkConditions
+from repro.conditions import LinkConditions
 from repro.core.fluid import FluidTcp
 from repro.units import DEFAULT_MTU_BYTES
 
-__all__ = [
-    "FluidTcpFast",
-    "fluid_tcp_series_fast",
-    "fluid_udp_series_fast",
-]
+__all__ = ["FluidTcpFast"]
+
+
+def _lane_sum(values: list[float]) -> float:
+    """``float(np.asarray(values).sum())``, bit for bit, in Python floats."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n == 8:
+        a0, a1, a2, a3, a4, a5, a6, a7 = values
+        return ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+    return float(np.asarray(values).sum())
 
 
 class FluidTcpFast:
@@ -90,26 +106,11 @@ class FluidTcpFast:
 
     def step(self, sample: LinkConditions, downlink: bool = True) -> float:
         """Advance one second; return delivered goodput (Mbps)."""
-        return self.step_values(
-            sample.capacity_mbps(downlink),
-            sample.rtt_ms,
-            sample.loss_rate,
-            sample.loss_burst,
-            sample.is_outage,
-        )
-
-    def step_values(
-        self,
-        capacity_mbps: float,
-        rtt_ms: float,
-        loss_rate: float,
-        loss_burst: float,
-        is_outage: bool,
-    ) -> float:
-        """One second from raw per-second values (no sample object)."""
         mss = self.mss
         n = self.parallel
-        if is_outage:
+        dl = sample.downlink_mbps
+        ul = sample.uplink_mbps
+        if dl <= 0.0 and ul <= 0.0:  # sample.is_outage
             if not self._in_outage:
                 self._ssthresh = [
                     max(c / 2.0, 2.0 * mss) for c in self._cwnd
@@ -120,17 +121,18 @@ class FluidTcpFast:
             return 0.0
         self._in_outage = False
 
-        capacity_bytes = capacity_mbps * 1e6 / 8.0
-        rtt_s = max(rtt_ms / 1000.0, 1e-3)
+        loss_rate = sample.loss_rate
+        capacity_bytes = (dl if downlink else ul) * 1e6 / 8.0
+        rtt_s = max(sample.rtt_ms / 1000.0, 1e-3)
         rates = self._allocate(capacity_bytes, rtt_s)
         one_minus_loss = 1.0 - loss_rate
         if n == 1:
             delivered = rates[0] * one_minus_loss
         else:
-            delivered = float(np.asarray(rates).sum()) * one_minus_loss
+            delivered = _lane_sum(rates) * one_minus_loss
 
         cwnd = self._cwnd
-        burst = max(loss_burst, 1.0)
+        burst = max(sample.loss_burst, 1.0)
         bdp = capacity_bytes * rtt_s / n
         overshoot_at = 1.5 * bdp + 10.0 * mss
         lam = [
@@ -138,12 +140,10 @@ class FluidTcpFast:
             + (0.7 if c > overshoot_at else 0.0)
             for r, c in zip(rates, cwnd, strict=True)
         ]
-        # One draw, same shape the reference passes, so the stream
-        # advances identically (scalar == 1-element array consumption).
-        if n == 1:
-            events = [int(self._gen.poisson(lam[0]))]
-        else:
-            events = self._gen.poisson(np.asarray(lam)).tolist()
+        # One scalar draw per lane, in lane order: the same values and
+        # stream position as the reference's one array draw.
+        poisson = self._gen.poisson
+        events = [poisson(x) for x in lam]
 
         beta = self.beta
         buffer_bytes = self.buffer_bytes
@@ -208,7 +208,7 @@ class FluidTcpFast:
             d = cwnd[0] / rtt_s
             return [d] if d <= capacity_bytes else [capacity_bytes]
         demand = [c / rtt_s for c in cwnd]
-        total = float(np.asarray(demand).sum())
+        total = _lane_sum(demand)
         if total <= capacity_bytes:
             return demand
         # The reference breaks demand *ties* with np.argsort's unstable
@@ -227,60 +227,3 @@ class FluidTcpFast:
             left -= 1
         return rates
 
-
-def fluid_udp_series_fast(
-    samples: ConditionsArray | list[LinkConditions],
-    downlink: bool = True,
-    offered_mbps: float | None = None,
-) -> list[float]:
-    """Vectorized :func:`repro.core.fluid.fluid_udp_series`.
-
-    The UDP model is stateless per second, so the whole trace evaluates
-    as three elementwise array operations — bit-identical to the scalar
-    loop (same multiplies, same ``min``), just batched.
-    """
-    arr = (
-        samples
-        if isinstance(samples, ConditionsArray)
-        else ConditionsArray.from_samples(samples)
-    )
-    capacity = arr.capacity_mbps(downlink)
-    offered = capacity * 1.2 if offered_mbps is None else offered_mbps
-    out = np.minimum(offered, capacity) * (1.0 - arr.loss_rate)
-    return out.tolist()
-
-
-def fluid_tcp_series_fast(
-    samples: ConditionsArray | list[LinkConditions],
-    parallel: int = 1,
-    downlink: bool = True,
-    mss_bytes: int = DEFAULT_MTU_BYTES,
-    buffer_bytes: float = float("inf"),
-    seed: int = 0,
-) -> list[float]:
-    """Fast :func:`repro.core.fluid.fluid_tcp_series` over a whole trace.
-
-    TCP is stateful — every second's window depends on the previous
-    second and on sequential RNG draws — so time cannot be batched
-    without changing the bits.  The speedup comes from
-    :class:`FluidTcpFast`'s scalar lanes and from reading the trace out
-    of a :class:`~repro.conditions.ConditionsArray` without building a
-    ``LinkConditions`` object per second.
-    """
-    model = FluidTcpFast(
-        parallel=parallel,
-        mss_bytes=mss_bytes,
-        buffer_bytes=buffer_bytes,
-        seed=seed,
-    )
-    if isinstance(samples, ConditionsArray):
-        cap = samples.capacity_mbps(downlink).tolist()
-        outage = samples.is_outage.tolist()
-        rtt = samples.rtt_ms.tolist()
-        loss = samples.loss_rate.tolist()
-        burst = samples.loss_burst.tolist()
-        return [
-            model.step_values(cap[i], rtt[i], loss[i], burst[i], outage[i])
-            for i in range(len(samples))
-        ]
-    return [model.step(sample, downlink=downlink) for sample in samples]

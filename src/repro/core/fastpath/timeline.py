@@ -9,12 +9,21 @@ a drive can precompute it once as arrays and the channels replay lookups.
 Bit-exactness strategy (each step verified by
 ``tests/test_fastpath_equivalence.py``):
 
-* the candidate *prefilter* is approximate and trig-free: satellite /
-  observer dot products come from the per-plane basis decomposition
+* whole orbital planes are *culled* per time chunk before the
+  prefilter when every observer row sits farther from the plane's great
+  circle than the widest central angle at which a satellite on it could
+  clear the prefilter's elevation (plus a stated slack) — a bound that
+  holds for every satellite of the plane at any orbital phase;
+* the candidate *prefilter* is approximate and trig-free.  From the
+  surface, a satellite's elevation falls as its central angle from the
+  observer grows, so "elevation >= e" is "unit satellite . unit
+  observer >= cos(cap(e))".  The satellite's unit vector comes from its
+  in-plane basis
   (:meth:`repro.leo.constellation.Constellation.plane_frames`) and the
-  angle-sum identity, with a full degree of slack below the lowest mask
-  any dish can have (the Mobility dish's 15 deg floor) — slack that
-  dwarfs the ~1e-12 relative error of the reordered arithmetic;
+  angle-sum identity, so one float32 matmul per shell prices a whole
+  chunk.  The test runs a full degree of elevation below the lowest
+  mask any dish can have (the Mobility dish's 15 deg floor) — slack
+  that dwarfs single-precision error;
 * *exact* positions are then computed only for the union of surviving
   satellites via
   :meth:`repro.leo.constellation.Constellation.positions_ecef_subset_many`,
@@ -33,11 +42,15 @@ Bit-exactness strategy (each step verified by
   ``np.arcsin``); they only feed *threshold* and *argmin* decisions, so
   any pair within a generous boundary band of a decision is re-checked
   with the exact scalar function.  The bent-pipe gateway scan uses the
-  same approximate-scan / exact-winner pattern per lookup.
+  same approximate-scan / exact-winner pattern: the approximate scan
+  for every second's top two candidates runs in bulk at build time, the
+  exact scalar pass on first lookup only (a drive reads under half of
+  them).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 
@@ -55,14 +68,20 @@ from repro.units import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
 #: (the Mobility dish's 15 deg field-of-view floor).
 FLOOR_DEG = 15.0
 
-#: Slack prefilter threshold: sine of one degree below the floor.  The
-#: prefilter uses approximate geometry (plane-basis dot products via the
-#: angle-sum identity), so it must over-select; a full degree of slack
-#: dwarfs the ~1e-12 relative error of reordered float arithmetic.
-_SIN_PREFILTER = math.sin(math.radians(FLOOR_DEG - 1.0))
+#: Elevation the prefilter tests (degrees): one below the floor.  The
+#: prefilter runs in float32 (error ~1e-5 deg), so it must over-select;
+#: a full degree of slack dwarfs that error.
+_PREFILTER_DEG = FLOOR_DEG - 1.0
 
-#: Time chunk for the batched geometry build, bounding peak memory
-#: (a chunk holds a handful of (CHUNK, num_sats) float64 scratch arrays).
+#: Slack of the plane cull (degrees of central angle).  The cull is an
+#: exact geometric bound, so the slack only has to absorb float error in
+#: the float32 prefilter and in the cull's own float64 arithmetic; one
+#: degree covers both many times over.
+_CULL_SLACK_DEG = 1.0
+
+#: Time chunk for the batched geometry build, bounding peak memory (a
+#: chunk holds a (CHUNK, num_sats) keep mask, float32 prefilter scores,
+#: and float64 positions for the satellites that survive it).
 _CHUNK = 512
 
 #: Maximum gateway ground distance the bent-pipe path considers (km).
@@ -74,31 +93,87 @@ _GW_REACH_KM = 1_500.0
 #: decided by less than this generous margin is re-run exactly.
 _EXACT_BAND = 1e-6
 
-#: Per-constellation cache of float32-cast plane frames.  The prefilter
+#: Per-constellation cache of float32-cast shell frames.  The prefilter
 #: is approximate with a full degree of slack, so it runs in float32
 #: (error ~1e-6 vs slack ~1.7e-2): half the memory traffic of the
 #: (chunk, num_satellites) scratch arrays.  One campaign builds one
 #: timeline per drive from the same constellation, so the cast (and the
-#: basis transpose) happens once per campaign, not once per drive.
+#: basis set-up) happens once per campaign, not once per drive.
 _FRAMES_F32: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def central_angle_cap(radius_km: float, elevation_deg: float) -> float:
+    """Largest central angle (radians) at which a satellite at
+    ``radius_km`` clears ``elevation_deg`` seen from the surface.
+
+    A satellite at radius ``r`` seen at elevation ``e`` lies
+    ``acos(R cos e / r) - e`` of central angle from the observer, and
+    elevation falls as that angle grows.
+    """
+    e = math.radians(elevation_deg)
+    return math.acos(EARTH_RADIUS_KM * math.cos(e) / radius_km) - e
+
+
+def cull_sine(radius_km: float) -> float:
+    """Sine of the plane cull's central-angle cap for an orbit radius.
+
+    The cap is the prefilter's (one degree of elevation below
+    :data:`FLOOR_DEG`) plus :data:`_CULL_SLACK_DEG`.  An observer whose
+    unit vector ``u`` has ``|u . n| > cull_sine(r)`` against a plane's
+    unit normal ``n`` is farther than the cap from every point of the
+    plane's orbit, so no satellite on it can pass the prefilter.
+    """
+    cap = central_angle_cap(radius_km, _PREFILTER_DEG)
+    return math.sin(cap + math.radians(_CULL_SLACK_DEG))
 
 
 def _frames_f32(constellation: Constellation) -> list[dict]:
     frames = _FRAMES_F32.get(constellation)
     if frames is None:
-        frames = [
-            {
-                "radius_km": fr["radius_km"],
-                "mean_motion_rad_s": fr["mean_motion_rad_s"],
-                "cos_phase": np.asarray(fr["cos_phase"], dtype=np.float32),
-                "sin_phase": np.asarray(fr["sin_phase"], dtype=np.float32),
-                "p_T": np.asarray(fr["p_vec"], dtype=np.float32).T.copy(),
-                "q_T": np.asarray(fr["q_vec"], dtype=np.float32).T.copy(),
-            }
-            for fr in constellation.plane_frames()
-        ]
+        frames = []
+        for shell, fr in zip(
+            constellation.shells, constellation.plane_frames(), strict=True
+        ):
+            per_plane = shell.sats_per_plane
+            p, q = fr["p_vec"], fr["q_vec"]
+            cph = fr["cos_phase"][:, None]
+            sph = fr["sin_phase"][:, None]
+            # Angle sum: with arg = phase0 + m t, the unit satellite
+            # vector cos(arg) p + sin(arg) q is cos(m t) a + sin(m t) b
+            # for a = cos(phase0) p + sin(phase0) q (its t = 0 direction)
+            # and b = cos(phase0) q - sin(phase0) p (a quarter orbit on).
+            basis = np.hstack([cph * p + sph * q, cph * q - sph * p])
+            # Every satellite of a plane shares its (p, q) basis, so the
+            # plane normal is p x q of the plane's first satellite.
+            normals = np.cross(p[::per_plane], q[::per_plane])
+            frames.append(
+                {
+                    "mean_motion_rad_s": fr["mean_motion_rad_s"],
+                    "basis_T": basis.T.astype(np.float32),
+                    "cos_cap": math.cos(
+                        central_angle_cap(fr["radius_km"], _PREFILTER_DEG)
+                    ),
+                    "normal_T": normals.T.copy(),
+                    "plane_cols": np.arange(shell.num_satellites).reshape(
+                        shell.num_planes, per_plane
+                    ),
+                    "cull_sine": cull_sine(fr["radius_km"]),
+                }
+            )
         _FRAMES_F32[constellation] = frames
     return frames
+
+
+def plane_cull(frame: dict, up_inertial: np.ndarray) -> np.ndarray:
+    """Shell columns of the planes some observer row may see.
+
+    ``up_inertial`` holds the observers' unit vectors in the inertial
+    frame, one row each.  A plane is kept while some row lies within
+    the cap of its orbit's great circle (see :func:`cull_sine`); the
+    result lists the kept planes' satellites, ascending.
+    """
+    near = np.abs(up_inertial @ frame["normal_T"]).min(axis=0) <= frame["cull_sine"]
+    return frame["plane_cols"][near].ravel()
 
 
 class GeometryTimeline:
@@ -151,16 +226,17 @@ class GeometryTimeline:
         # -- candidate satellites per second (sorted by elevation) -------
         # Plain Python lists per second: the per-sample lookups walk a
         # short sorted prefix, which is faster scalar than re-dispatching
-        # numpy kernels on 40-element arrays every call.
-        self._cand_idx: list[list[int]] = [[] for _ in range(n_t)]
-        self._cand_elev: list[list[float]] = [[] for _ in range(n_t)]
-        self._cand_azim: list[list[float]] = [[] for _ in range(n_t)]
-        self._cand_range: list[list[float]] = [[] for _ in range(n_t)]
-        self._cand_pos: list[np.ndarray] = [
-            np.zeros((0, 3)) for _ in range(n_t)
-        ]
-        self._cand_row: list[dict[int, int]] = [{} for _ in range(n_t)]
+        # numpy kernels on 40-element arrays every call.  Chunks append
+        # their rows in order.
+        self._cand_idx: list[list[int]] = []
+        self._cand_elev: list[list[float]] = []
+        self._cand_azim: list[list[float]] = []
+        self._cand_range: list[list[float]] = []
+        self._cand_pos: list[np.ndarray] = []
         self._has_ties = np.zeros(n_t, dtype=bool)
+        # ECEF positions of each second's rank-0 and rank-1 candidates
+        # (zeros where a second has fewer), for the bulk RTT scan.
+        self._top_pos = np.zeros((2, n_t, 3))
         self._vs_cache: dict[tuple[int, int], VisibleSatellite] = {}
         times_arr = np.asarray(times, dtype=float)
         frames = _frames_f32(constellation)
@@ -171,7 +247,6 @@ class GeometryTimeline:
             )
 
         # -- gateway geometry per second ---------------------------------
-        self._gw = gateways
         gw_list = gateways.gateways
         self._gw_ecef = [geodetic_to_ecef_km(g.location) for g in gw_list]
         self._gw_pos = (
@@ -204,74 +279,60 @@ class GeometryTimeline:
                     haversine_km(observers[i], gw_list[j].location)
                     <= _GW_REACH_KM
                 )
-            self._reach = [np.nonzero(reach_mask[i])[0] for i in range(n_t)]
+            self._reach_mask = reach_mask
             # First index achieving the minimum — same gateway the legacy
             # strict-< scan in ``GatewayNetwork.nearest`` picks; rows with
             # a near-tie are re-scanned with exact scalar distances.
             nearest = np.argmin(ground, axis=1)
             rowmin = ground[np.arange(n_t), nearest]
-            for i in range(n_t):
-                cand = np.nonzero(ground[i] <= rowmin[i] + _EXACT_BAND)[0]
-                if cand.size > 1:
-                    exact = [
-                        haversine_km(observers[i], gw_list[j].location)
-                        for j in cand
-                    ]
-                    nearest[i] = cand[int(np.argmin(exact))]
+            near = ground <= rowmin[:, None] + _EXACT_BAND
+            for i in np.nonzero(near.sum(axis=1) > 1)[0].tolist():
+                cand = np.nonzero(near[i])[0]
+                exact = [
+                    haversine_km(observers[i], gw_list[j].location) for j in cand
+                ]
+                nearest[i] = cand[int(np.argmin(exact))]
             self._nearest_idx = nearest
+            self._top_gateways = [
+                self._scan_gateways(sat, reach_mask) for sat in self._top_pos
+            ]
         else:
-            self._reach = [np.zeros(0, dtype=np.intp) for _ in range(n_t)]
+            self._reach_mask = np.zeros((n_t, 0), dtype=bool)
             self._nearest_idx = np.zeros(n_t, dtype=np.int64)
         self._rtt_cache: dict[tuple[int, int], float] = {}
-        if n_g:
-            self._precompute_top_rtts()
 
-    def _precompute_top_rtts(self) -> None:
-        """Warm the RTT cache for every second's top two candidates.
+    def _scan_gateways(
+        self, sat: np.ndarray, reach_mask: np.ndarray
+    ) -> list[list[int]]:
+        """Bulk approximate gateway scan for one satellite per second.
 
         The serving satellite is either the highest-elevation candidate
         or — thanks to the handover process's within-slot hysteresis — a
-        recently-best one still near the top, so warming the first two
-        ranks absorbs nearly every :meth:`bent_pipe_rtt_ms` lookup.
-        Same approximate-scan / exact-winner scheme as the lazy path —
-        the cached values are bit-identical to the legacy per-call
-        arithmetic.
+        recently-best one still near the top, so scanning the first two
+        ranks in bulk serves nearly every :meth:`bent_pipe_rtt_ms`
+        lookup.  Per second, returns the reachable gateways whose
+        approximate RTT lies within the boundary band of the best one
+        (the nearest gateway when none is in reach); the exact scalar
+        pass over them waits for the first lookup, since a drive reads
+        under half of these entries.
         """
-        n_t = len(self._cand_idx)
-        cache = self._rtt_cache
-        for rank in (0, 1):
-            top_t = [t for t in range(n_t) if len(self._cand_idx[t]) > rank]
-            if not top_t:
-                continue
-            sat = np.array([self._cand_pos[t][rank] for t in top_t])
-            diff = sat - self._user_ecef[top_t]
-            up_a = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            d = sat[:, None, :] - self._gw_pos[None, :, :]
-            down_a = np.sqrt(np.einsum("tgj,tgj->tg", d, d))
-            vals = 2.0 * (
-                (up_a[:, None] + down_a) / SPEED_OF_LIGHT_KM_S * 1000.0
-                + self._backhaul_arr[None, :]
-            )
-            for k, t in enumerate(top_t):
-                reach = self._reach[t]
-                if reach.size:
-                    sel = vals[k][reach]
-                    cand = reach[sel <= sel.min() + _EXACT_BAND].tolist()
-                else:
-                    cand = [int(self._nearest_idx[t])]
-                sat_t = self._cand_pos[t][rank]
-                du = sat_t - self._user_ecef[t]
-                up_km = math.sqrt(np.dot(du, du))
-                best_ms = float("inf")
-                for j in cand:
-                    dg = sat_t - self._gw_ecef[j]
-                    down_km = math.sqrt(np.dot(dg, dg))
-                    one_way_ms = (
-                        (up_km + down_km) / SPEED_OF_LIGHT_KM_S * 1000.0
-                        + self._backhaul_list[j]
-                    )
-                    best_ms = min(best_ms, 2.0 * one_way_ms)
-                cache[(t, self._cand_idx[t][rank])] = best_ms
+        diff = sat - self._user_ecef
+        up_a = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        d = sat[:, None, :] - self._gw_pos[None, :, :]
+        down_a = np.sqrt(np.einsum("tgj,tgj->tg", d, d))
+        approx = 2.0 * (
+            (up_a[:, None] + down_a) / SPEED_OF_LIGHT_KM_S * 1000.0
+            + self._backhaul_arr[None, :]
+        )
+        approx[~reach_mask] = np.inf
+        in_band = approx <= approx.min(axis=1)[:, None] + _EXACT_BAND
+        gateways = [[j] for j in approx.argmin(axis=1).tolist()]
+        in_reach = reach_mask.any(axis=1)
+        for t in np.nonzero(~in_reach)[0].tolist():
+            gateways[t] = [int(self._nearest_idx[t])]
+        for t in np.nonzero(in_reach & (in_band.sum(axis=1) > 1))[0].tolist():
+            gateways[t] = np.nonzero(in_band[t])[0].tolist()
+        return gateways
 
     def _build_chunk(
         self,
@@ -284,53 +345,31 @@ class GeometryTimeline:
     ) -> None:
         """Prefilter + exact geometry for timeline rows [lo, hi)."""
         times = times_arr[lo:hi]
-        user = self._user_ecef[lo:hi]
         up = bases[lo:hi, 2, :]
-        # Observer vectors rotated into the inertial frame (the inverse
-        # of the constellation's inertial->ECEF rotation).  Everything
-        # below is float32: the prefilter over-selects by a full degree
-        # of slack, which dwarfs single-precision error.
+        # Observer unit vectors rotated into the inertial frame (the
+        # inverse of the constellation's inertial->ECEF rotation).
         theta = EARTH_ROTATION_RAD_S * times
         ct, st = np.cos(theta), np.sin(theta)
-        up_i = np.column_stack(
+        up_i64 = np.column_stack(
             [up[:, 0] * ct - up[:, 1] * st, up[:, 0] * st + up[:, 1] * ct, up[:, 2]]
-        ).astype(np.float32)
-        obs_i = np.column_stack(
-            [
-                user[:, 0] * ct - user[:, 1] * st,
-                user[:, 0] * st + user[:, 1] * ct,
-                user[:, 2],
-            ]
-        ).astype(np.float32)
-        obs_dot_up = np.einsum("td,td->t", user, up).astype(np.float32)[:, None]
-        obs_norm2 = np.einsum("td,td->t", user, user)
+        )
 
         keep = np.zeros((hi - lo, constellation.num_satellites), dtype=bool)
         base = 0
         for fr in frames:
-            r = float(fr["radius_km"])
-            mm = float(fr["mean_motion_rad_s"])
-            cph, sph = fr["cos_phase"], fr["sin_phase"]
-            n = cph.size
-            mt = mm * times
-            # cos/sin(phase0 + mm*t) via the angle-sum identity: exact in
-            # real arithmetic, ~1e-6 off in float32 — prefilter only.
-            cmt = np.cos(mt).astype(np.float32)[:, None]
-            smt = np.sin(mt).astype(np.float32)[:, None]
-            cosarg = cmt * cph - smt * sph
-            sinarg = smt * cph + cmt * sph
-            # sat . v for ECEF vectors v, via the per-satellite in-plane
-            # basis: sat_inertial = r * (cos(arg) p + sin(arg) q).
-            pu = up_i @ fr["p_T"]
-            qu = up_i @ fr["q_T"]
-            po = obs_i @ fr["p_T"]
-            qo = obs_i @ fr["q_T"]
-            z_enu = r * (cosarg * pu + sinarg * qu) - obs_dot_up
-            rel2 = (
-                (r * r + obs_norm2).astype(np.float32)[:, None]
-                - (2.0 * r) * (cosarg * po + sinarg * qo)
-            )
-            keep[:, base : base + n] = z_enu >= _SIN_PREFILTER * np.sqrt(rel2)
+            n = fr["basis_T"].shape[1]
+            cols = plane_cull(fr, up_i64)
+            if cols.size:
+                # unit sat . u = cos(m t) (a . u) + sin(m t) (b . u): one
+                # (rows, 6) @ (6, sats) matmul per shell, exact in real
+                # arithmetic and ~1e-6 off in float32 — prefilter only.
+                mt = fr["mean_motion_rad_s"] * times
+                rows = np.hstack(
+                    [np.cos(mt)[:, None] * up_i64, np.sin(mt)[:, None] * up_i64]
+                ).astype(np.float32)
+                keep[:, base + cols] = (
+                    rows @ fr["basis_T"][:, cols] >= fr["cos_cap"]
+                )
             base += n
 
         union = np.nonzero(keep.any(axis=0))[0]
@@ -385,22 +424,23 @@ class GeometryTimeline:
             for k in np.nonzero(tie)[0]:
                 self._has_ties[lo + int(t_sorted[k])] = True
 
+        per_row = np.bincount(t_sel, minlength=nt)
         a_off = np.zeros(nt + 1, dtype=np.intp)
-        np.cumsum(np.bincount(t_sel, minlength=nt), out=a_off[1:])
+        np.cumsum(per_row, out=a_off[1:])
+        for rank in (0, 1):
+            rows = np.nonzero(per_row > rank)[0]
+            self._top_pos[rank, lo + rows] = pos_sorted[a_off[rows] + rank]
         idx_list = idx_sorted.tolist()
         elev_list = elev_sorted.tolist()
         azim_list = azim_sorted.tolist()
         range_list = range_sorted.tolist()
-        for trel in range(nt):
-            t = lo + trel
-            o0, o1 = int(a_off[trel]), int(a_off[trel + 1])
-            ids = idx_list[o0:o1]
-            self._cand_idx[t] = ids
-            self._cand_elev[t] = elev_list[o0:o1]
-            self._cand_azim[t] = azim_list[o0:o1]
-            self._cand_range[t] = range_list[o0:o1]
-            self._cand_pos[t] = pos_sorted[o0:o1]
-            self._cand_row[t] = dict(zip(ids, range(o1 - o0)))
+        bounds = a_off.tolist()
+        for o0, o1 in itertools.pairwise(bounds):
+            self._cand_idx.append(idx_list[o0:o1])
+            self._cand_elev.append(elev_list[o0:o1])
+            self._cand_azim.append(azim_list[o0:o1])
+            self._cand_range.append(range_list[o0:o1])
+            self._cand_pos.append(pos_sorted[o0:o1])
 
     # -- lookups ---------------------------------------------------------
 
@@ -529,46 +569,45 @@ class GeometryTimeline:
         cached = self._rtt_cache.get(key)
         if cached is not None:
             return cached + scheduling_ms
-        row = self._cand_row[t_idx].get(sat_index)
-        if row is None:
+        try:
+            row = self._cand_idx[t_idx].index(sat_index)
+        except ValueError:
             raise KeyError(
                 f"satellite {sat_index} is not a candidate at timeline row {t_idx}"
-            )
+            ) from None
         sat = self._cand_pos[t_idx][row]
         diff = sat - self._user_ecef[t_idx]
         # sqrt(dot(x, x)) is bitwise what np.linalg.norm computes for a
         # 1-D vector; the axis-batched norm reduces in a different order
         # and drifts by an ulp.
         up_km = math.sqrt(np.dot(diff, diff))
-        reach = self._reach[t_idx]
-        if reach.size:
-            # Approximate vectorized scan over the reachable gateways;
-            # the winner (and anything within the boundary band of it,
-            # i.e. physically sub-millimetre ties) is recomputed with
-            # the exact legacy scalar arithmetic.
-            d = self._gw_pos[reach] - sat
-            approx = 2.0 * (
-                (up_km + np.sqrt(np.einsum("ij,ij->i", d, d)))
-                / SPEED_OF_LIGHT_KM_S
-                * 1000.0
-                + self._backhaul_arr[reach]
-            )
-            best_ms = float("inf")
-            for j in reach[approx <= approx.min() + _EXACT_BAND].tolist():
-                dg = sat - self._gw_ecef[j]
-                down_km = math.sqrt(np.dot(dg, dg))
-                one_way_ms = (
-                    (up_km + down_km) / SPEED_OF_LIGHT_KM_S * 1000.0
-                    + self._backhaul_list[j]
-                )
-                best_ms = min(best_ms, 2.0 * one_way_ms)
+        # Approximate vectorized scan over the reachable gateways (done
+        # at build time for the top two ranks); the winner and anything
+        # within the boundary band of it (physically sub-millimetre
+        # ties) are recomputed with the exact legacy scalar arithmetic.
+        if row < 2:
+            gateways = self._top_gateways[row][t_idx]
         else:
-            j = int(self._nearest_idx[t_idx])
-            gw = self._gw.gateways[j]
+            reach = np.nonzero(self._reach_mask[t_idx])[0]
+            if reach.size:
+                d = self._gw_pos[reach] - sat
+                approx = 2.0 * (
+                    (up_km + np.sqrt(np.einsum("ij,ij->i", d, d)))
+                    / SPEED_OF_LIGHT_KM_S
+                    * 1000.0
+                    + self._backhaul_arr[reach]
+                )
+                gateways = reach[approx <= approx.min() + _EXACT_BAND].tolist()
+            else:
+                gateways = [int(self._nearest_idx[t_idx])]
+        best_ms = float("inf")
+        for j in gateways:
             dg = sat - self._gw_ecef[j]
             down_km = math.sqrt(np.dot(dg, dg))
-            best_ms = 2.0 * (
-                (up_km + down_km) / SPEED_OF_LIGHT_KM_S * 1000.0 + gw.backhaul_ms
+            one_way_ms = (
+                (up_km + down_km) / SPEED_OF_LIGHT_KM_S * 1000.0
+                + self._backhaul_list[j]
             )
+            best_ms = min(best_ms, 2.0 * one_way_ms)
         self._rtt_cache[key] = best_ms
         return best_ms + scheduling_ms

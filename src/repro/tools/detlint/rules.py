@@ -462,8 +462,9 @@ def det006(ctx: FileContext) -> Iterable[Finding]:
 
 # -- DET007: no per-sample loops over LinkConditions traces --------------
 
-#: Packages whose per-second hot paths must consume whole traces through
-#: :class:`repro.conditions.ConditionsArray` / the fastpath steppers.
+#: Packages whose per-second hot paths must hand traces to the fluid
+#: models (:mod:`repro.core.fluid`, :mod:`repro.core.fastpath.fluid`)
+#: instead of walking them sample by sample.
 TRACE_PACKAGES = ("repro.core", "repro.leo")
 
 #: The fluid pair allowed to walk traces sample-by-sample: the scalar
@@ -483,10 +484,9 @@ def det007(ctx: FileContext) -> Iterable[Finding]:
     if ctx.module in TRACE_REFERENCE_MODULES:
         return []
     msg = (
-        "per-sample Python loop over a LinkConditions trace; batch the "
-        "trace through repro.conditions.ConditionsArray and the "
-        "repro.core.fastpath models (repro.core.fluid is the scalar "
-        "reference)"
+        "per-sample Python loop over a LinkConditions trace; hand the "
+        "trace to the fluid models (repro.core.fluid, the scalar "
+        "reference, or its repro.core.fastpath.fluid twin)"
     )
 
     def loop_names(target: ast.expr) -> set[str]:

@@ -51,3 +51,69 @@ def test_frozen():
     s = outage(0.0)
     with pytest.raises(AttributeError):
         s.downlink_mbps = 5.0
+
+
+NAN = float("nan")
+
+#: (field, positional args) rows whose one NaN value must be rejected.
+NAN_ROWS = [
+    ("downlink_mbps", (0.0, NAN, 10.0, 50.0, 0.0, 1.0)),
+    ("uplink_mbps", (0.0, 10.0, NAN, 50.0, 0.0, 1.0)),
+    ("rtt_ms", (0.0, 10.0, 10.0, NAN, 0.0, 1.0)),
+    ("loss_rate", (0.0, 10.0, 10.0, 50.0, NAN, 1.0)),
+    ("loss_burst", (0.0, 10.0, 10.0, 50.0, 0.0, NAN)),
+]
+
+
+@pytest.mark.parametrize(("field", "args"), NAN_ROWS, ids=[r[0] for r in NAN_ROWS])
+def test_nan_rejected_by_both_constructors(field, args):
+    with pytest.raises(ValueError):
+        LinkConditions(*args)
+    with pytest.raises(ValueError):
+        LinkConditions._of(*args)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"capacity_factor": NAN},
+        {"extra_loss": NAN},
+        {"extra_rtt_ms": NAN},
+        {"loss_burst": NAN},
+    ],
+)
+def test_degraded_rejects_nan(kwargs):
+    with pytest.raises(ValueError):
+        LinkConditions(0.0, 10.0, 10.0, 50.0, 0.0).degraded(**kwargs)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1e5),
+    st.floats(min_value=0.0, max_value=1e4),
+    st.floats(min_value=0.0, max_value=1e3),
+    st.floats(min_value=0.0, max_value=2e3),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1.0, max_value=200.0),
+)
+def test_private_constructor_equals_keyword_constructor(t, dl, ul, rtt, loss, burst):
+    args = (t, dl, ul, rtt, loss, burst)
+    fast = LinkConditions._of(*args)
+    slow = LinkConditions(*args)
+    assert fast == slow
+    assert hash(fast) == hash(slow)
+    assert repr(fast) == repr(slow)
+    assert list(vars(fast)) == list(vars(slow))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0.0, -1.0, 10.0, 50.0, 0.0, 1.0),
+        (0.0, 10.0, 10.0, -1.0, 0.0, 1.0),
+        (0.0, 10.0, 10.0, 50.0, 1.5, 1.0),
+        (0.0, 10.0, 10.0, 50.0, 0.0, 0.5),
+    ],
+)
+def test_private_constructor_validates(args):
+    with pytest.raises(ValueError):
+        LinkConditions._of(*args)

@@ -227,3 +227,18 @@ def test_record_from_dict_rejects_malformed_input_with_value_error(make, message
     raw = make(record_to_dict(record()))
     with pytest.raises(ValueError, match=message):
         record_from_dict(raw)
+
+
+@pytest.mark.parametrize("area", list(AreaType))
+def test_second_sample_private_constructor_equals_keyword_constructor(area):
+    import pickle
+
+    slow = sample(t=3.0, mbps=12.5, rtt=41.0, loss=0.002, area=area, speed=95.0)
+    fast = SecondSample._of(3.0, 12.5, 41.0, 0.002, 95.0, area, 44.0, -93.0)
+    assert fast == slow
+    assert hash(fast) == hash(slow)
+    assert repr(fast) == repr(slow)
+    assert list(vars(fast)) == list(vars(slow))
+    assert pickle.dumps(fast) == pickle.dumps(slow)
+    with pytest.raises(AttributeError):
+        fast.rtt_ms = 1.0

@@ -19,6 +19,7 @@ so CI can bound runtime by running it at 2 workers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -33,25 +34,28 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cellular.carriers import carrier_by_short_name
 from repro.cellular.channel import CellularChannel
-from repro.conditions import ConditionsArray, LinkConditions, outage
+from repro.conditions import LinkConditions, outage
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.dataset import CELLULAR_NETWORKS, STARLINK_NETWORKS
 from repro.core.fastpath import GeometryTimeline
 from repro.core.fastpath.channels import CellularChannelFast, StarlinkChannelFast
-from repro.core.fastpath.fluid import (
-    FluidTcpFast,
-    fluid_tcp_series_fast,
-    fluid_udp_series_fast,
+from repro.core.fastpath.fluid import FluidTcpFast, _lane_sum
+from repro.core.fastpath.timeline import (
+    FLOOR_DEG,
+    _frames_f32,
+    cull_sine,
+    plane_cull,
 )
-from repro.core.fluid import FluidTcp, fluid_tcp_series, fluid_udp_series
+from repro.core.fluid import FluidTcp
 from repro.faults import generate_schedule
 from repro.geo.classify import AreaClassifier, AreaType
 from repro.geo.coords import GeoPoint
 from repro.geo.places import PlaceDatabase
 from repro.leo.channel import StarlinkChannel
-from repro.leo.constellation import Constellation
+from repro.leo.constellation import EARTH_ROTATION_RAD_S, Constellation
 from repro.leo.dish import DishPlan, dish_for_plan
 from repro.leo.gateway import GatewayNetwork
+from repro.leo.geometry import look_angles_many
 from repro.leo.visibility import VisibilityModel
 from repro.obs import ObsRecorder
 from repro.rng import RngStreams
@@ -411,42 +415,137 @@ def test_fluid_tcp_fast_bitwise_property(samples, seed, parallel, downlink):
     assert _rng_state(fast._gen) == _rng_state(reference._gen)
 
 
+# -- scalar replicas of numpy calls (the fluid and cellular hot loops) ---
+
+lambda_st = st.floats(
+    min_value=0.0, max_value=60.0, allow_nan=False, allow_infinity=False
+) | st.just(0.0) | st.sampled_from([1e-9, 0.7, 5e-6])
+
+
 @given(
-    samples=st.lists(conditions_st, min_size=1, max_size=80),
-    downlink=st.booleans(),
+    lam=st.lists(lambda_st, min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    warmup=st.integers(0, 3),
 )
-@settings(max_examples=60, deadline=None)
-def test_fluid_udp_series_fast_matches_reference(samples, downlink):
-    reference = fluid_udp_series(samples, downlink=downlink)
-    assert fluid_udp_series_fast(samples, downlink=downlink) == reference
-    packed = ConditionsArray.from_samples(samples)
-    assert fluid_udp_series_fast(packed, downlink=downlink) == reference
+@settings(max_examples=200, deadline=None)
+def test_lane_poisson_matches_array_draw(lam, seed, warmup):
+    """One scalar ``poisson`` per lane == one array draw: same values,
+    same generator state after (FluidTcpFast's loss-event draw)."""
+    a = np.random.default_rng(seed)
+    b = np.random.default_rng(seed)
+    a.random(warmup)
+    b.random(warmup)
+    array_draw = a.poisson(np.asarray(lam)).tolist()
+    lane_draws = [b.poisson(x) for x in lam]
+    assert lane_draws == array_draw
+    assert _rng_state(b) == _rng_state(a)
 
 
-def test_fluid_tcp_series_fast_matches_reference():
-    samples = _fluid_trace(3, n=300)
-    for parallel in (1, 4):
-        reference = fluid_tcp_series(samples, parallel=parallel, seed=5)
-        assert (
-            fluid_tcp_series_fast(samples, parallel=parallel, seed=5)
-            == reference
+lane_value_st = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e-307),  # subnormals and tiny
+    st.floats(min_value=1e300, max_value=1.7976931348623157e308),
+    st.floats(min_value=1e-3, max_value=1e9),  # lane rates in B/s
+)
+
+
+@given(st.lists(lane_value_st, min_size=1, max_size=9))
+@settings(max_examples=400, deadline=None)
+def test_lane_sum_matches_numpy_sum(values):
+    """The Python replica of numpy's pairwise add reduction is bitwise
+    ``float(np.asarray(values).sum())`` for 1-9 lanes."""
+    with np.errstate(over="ignore"):  # huge lanes may overflow to inf
+        expected = float(np.asarray(values).sum())
+        got = _lane_sum(values)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_uniform_rewrite_matches_generator_uniform(seed, draws):
+    """``-0.3 + (1.0 - -0.3) * gen.random()`` is ``gen.uniform(-0.3, 1.0)``
+    bit for bit, leaving the same generator state (the cellular drift)."""
+    a = np.random.default_rng(seed)
+    b = np.random.default_rng(seed)
+    for _ in range(draws):
+        assert -0.3 + (1.0 - -0.3) * b.random() == float(a.uniform(-0.3, 1.0))
+    assert _rng_state(b) == _rng_state(a)
+
+
+# -- plane cull and lazy bent-pipe RTTs ----------------------------------
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_world():
+    return _shared_world()
+
+
+@given(
+    lat=st.sampled_from([0.0, 40.0, -40.0, 53.0, -53.0, 70.0, -70.0]),
+    lon=st.floats(min_value=-180.0, max_value=180.0),
+    t0=st.floats(min_value=0.0, max_value=2e5),
+    step_s=st.floats(min_value=1.0, max_value=300.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_plane_cull_keeps_every_visible_satellite(lat, lon, t0, step_s):
+    """Cull + prefilter never drop a (second, satellite) pair the exact
+    pass keeps: each row's candidates are exactly the satellites at
+    elevation >= FLOOR_DEG in the reference per-second geometry."""
+    _, constellation, gateways = _cached_world()
+    times = [t0 + k * step_s for k in range(6)]
+    points = [
+        GeoPoint(max(-90.0, min(90.0, lat + 0.3 * k)), lon) for k in range(6)
+    ]
+    timeline = GeometryTimeline(constellation, gateways, times, points)
+    for t, point in zip(times, points):
+        elev, _, _ = look_angles_many(
+            point, constellation.positions_ecef_km(t)
         )
-        packed = ConditionsArray.from_samples(samples)
-        assert (
-            fluid_tcp_series_fast(packed, parallel=parallel, seed=5)
-            == reference
-        )
+        expected = set(np.nonzero(elev >= FLOOR_DEG)[0].tolist())
+        got = set(timeline._cand_idx[timeline.index_of(t)])
+        assert got == expected
 
 
-@given(st.lists(conditions_st, min_size=1, max_size=40))
-@settings(max_examples=40, deadline=None)
-def test_conditions_array_round_trip(samples):
-    """list[LinkConditions] → ConditionsArray → list is lossless."""
-    packed = ConditionsArray.from_samples(samples)
-    assert len(packed) == len(samples)
-    assert packed.to_samples() == samples
-    assert packed[0] == samples[0]
-    assert list(packed) == samples
+def test_plane_cull_drops_planes_at_mid_latitude():
+    """The cull is active: at 40 deg N it keeps some planes, not all."""
+    _, constellation, _ = _cached_world()
+    frame = _frames_f32(constellation)[0]
+    lat, lon, t = math.radians(40.0), math.radians(-95.0), 1234.0
+    theta = EARTH_ROTATION_RAD_S * t
+    up_i = np.array(
+        [[
+            math.cos(lat) * math.cos(lon + theta),
+            math.cos(lat) * math.sin(lon + theta),
+            math.sin(lat),
+        ]]
+    )
+    kept = plane_cull(frame, up_i)
+    shell = constellation.shells[0]
+    planes = kept.size // shell.sats_per_plane
+    assert 0 < planes < shell.num_planes
+    # Central-angle cap at 550 km: about 12.7 deg plus the slack.
+    assert 12.5 < math.degrees(math.asin(cull_sine(shell.orbit_radius_km))) < 14.5
+
+
+def test_lazy_rtt_matches_gateway_network_for_top_ranks():
+    """Every second's rank-0 and rank-1 RTT — scanned in bulk at build,
+    settled exactly on first lookup — equals the reference search."""
+    _, constellation, gateways = _cached_world()
+    times, points, _, _ = _synthetic_trace(90)
+    timeline = GeometryTimeline(constellation, gateways, times, points)
+    assert not timeline._rtt_cache  # nothing exact is computed up front
+    checked = 0
+    for t in range(90):
+        t_idx = timeline.index_of(times[t])
+        positions = constellation.positions_ecef_km(times[t])
+        for sat in timeline._cand_idx[t_idx][:2]:
+            expected = gateways.bent_pipe_rtt_ms(points[t], positions[sat])
+            assert timeline.bent_pipe_rtt_ms(t_idx, sat) == expected
+            # A repeat lookup is served from the cache, unchanged.
+            assert timeline.bent_pipe_rtt_ms(t_idx, sat) == expected
+            checked += 1
+    assert checked > 90
 
 
 # -- vectorized geometry helpers vs. their scalar forms ------------------
