@@ -1,9 +1,9 @@
 """Campaign scaling benchmark: 1 vs N workers on the small campaign.
 
 Runs ``CampaignConfig.small(drives=4)`` serially and sharded across
-``REPRO_BENCH_WORKERS`` (default 4) worker processes, asserts the two
-checkpoints are byte-identical (the parallel-campaign invariant at full
-small() scale), and writes ``BENCH_parallel.json`` at the repo root —
+``REPRO_BENCH_WORKERS`` (default 4) worker processes, each with a
+checkpoint, asserts the two shard-store directories are byte-identical
+(the parallel-campaign invariant at full small() scale), and writes ``BENCH_parallel.json`` at the repo root —
 the machine-readable scaling baseline, next to ``BENCH_obs.json``.
 Speedup is hardware-bound: expect ~Nx on an N-core runner and ~1x (pool
 overhead only) on a single core; the JSON records ``cpu_count`` so a
@@ -15,6 +15,7 @@ import os
 import time
 
 from repro.core.campaign import Campaign, CampaignConfig
+from tests.helpers import store_bytes
 
 #: Where the scaling baseline lands (repo root, next to BENCH_obs.json).
 _BENCH_PATH = os.path.join(
@@ -27,11 +28,11 @@ WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
 
 def test_parallel_scaling_small_campaign(tmp_path):
     runs = []
-    checkpoints = {}
+    stores = {}
     for workers in (1, WORKERS):
         config = CampaignConfig.small(drives=4)
         config.workers = workers
-        ckpt = tmp_path / f"w{workers}.ckpt.json"
+        ckpt = tmp_path / f"w{workers}.store"
         started = time.perf_counter()
         dataset = Campaign(config).run(checkpoint_path=ckpt)
         wall = time.perf_counter() - started
@@ -42,10 +43,10 @@ def test_parallel_scaling_small_campaign(tmp_path):
                 "num_tests": dataset.num_tests,
             }
         )
-        checkpoints[workers] = ckpt.read_bytes()
+        stores[workers] = store_bytes(ckpt)
 
     # The equivalence invariant, at full small() scale.
-    assert checkpoints[1] == checkpoints[WORKERS]
+    assert stores[1] == stores[WORKERS]
 
     speedup = runs[0]["wall_s"] / max(runs[1]["wall_s"], 1e-9)
     payload = {

@@ -4,8 +4,8 @@ Runs the same small campaign twice — clean, then under a seed-driven
 fault schedule (satellite outages, gateway failures, obstruction bursts,
 a weather front, cellular sector outages) — and prints what the faults
 did to each network plus the campaign report.  Also demonstrates
-checkpoint/resume: the faulted campaign writes a JSON checkpoint after
-every drive, and re-running from it skips the completed drives.
+checkpoint/resume: the faulted campaign commits each drive to a shard
+store directory, and re-running from it skips the completed drives.
 
 Run:  python examples/fault_campaign.py
 """
@@ -50,7 +50,7 @@ def main() -> None:
     clean = Campaign(build_config(with_faults=False)).run()
 
     print("Faulted campaign (checkpointing after every drive)...")
-    checkpoint = os.path.join(tempfile.mkdtemp(), "campaign.ckpt.json")
+    checkpoint = os.path.join(tempfile.mkdtemp(), "campaign.store")
     faulted_campaign = Campaign(build_config(with_faults=True))
     faulted = faulted_campaign.run(checkpoint_path=checkpoint)
     report = faulted_campaign.report

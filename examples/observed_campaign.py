@@ -3,8 +3,8 @@
 Demonstrates the :mod:`repro.obs` loop end to end:
 
 1. build an :class:`~repro.obs.ObsRecorder` and hand it to the campaign;
-2. run with a checkpoint so the :class:`~repro.obs.RunManifest` lands
-   next to it;
+2. run with a checkpoint (a shard store directory) so the
+   :class:`~repro.obs.RunManifest` lands next to it;
 3. run a packet-level TCP test under the same recorder, so the DES
    event-loop counters land in the same artifact;
 4. dump metrics as JSONL and Prometheus text;
@@ -57,7 +57,7 @@ def main() -> None:
     campaign = Campaign(config, recorder=recorder)
 
     out_dir = tempfile.mkdtemp(prefix="observed_campaign_")
-    checkpoint = os.path.join(out_dir, "campaign.ckpt.json")
+    checkpoint = os.path.join(out_dir, "campaign.store")
     dataset = campaign.run(checkpoint_path=checkpoint)
 
     # A packet-level TCP test over a Starlink trace from the same world:

@@ -10,9 +10,10 @@ logger records metadata continuously.
 The orchestration is resilient the way a month-long field campaign has to
 be: drives are isolated (one drive blowing up becomes a structured
 :class:`DriveFailure`, not a lost campaign), progress is checkpointed to
-JSON after every drive so an interrupted run resumes from the last
-completed drive, and a :class:`CampaignReport` records failures, injected
-faults, and resumed state.  Fault injection itself lives in
+a sharded store (:class:`repro.store.ShardStore`) after every drive so
+an interrupted run resumes from the last completed drive, and a
+:class:`CampaignReport` records failures, injected faults, and resumed
+state.  Fault injection itself lives in
 :mod:`repro.faults` and composes over the channels from the outside.
 """
 
@@ -54,18 +55,12 @@ from repro.obs.recorder import ObsRecorder, get_recorder
 from repro.resilience import (
     ATTEMPT_BUCKETS,
     CampaignAborted,
-    CheckpointCorruptError,
-    DIGEST_KEY,
     FailureClass,
     NO_RETRY,
     ResilienceConfig,
     ResilienceReport,
     classify_exception,
-    embed_digest,
     graceful_shutdown,
-    quarantine,
-    salvage_drives,
-    verify_digest,
 )
 from repro.rng import RngStreams
 from repro.store import DriveCache, ShardStore
@@ -85,11 +80,6 @@ TEST_ID_STRIDE = 100_000
 #: iPerf-style UDP overdrive: the sender's constant offered load sits
 #: ~20% above its running estimate of the link rate.
 UDP_OVERDRIVE = 1.2
-
-#: Checkpoint schema version.  v2 added content digests (whole-file and
-#: per-drive), which is what makes corruption detectable and salvage
-#: possible; v1 files fail the version check with a clear message.
-CHECKPOINT_VERSION = 2
 
 #: Bucket bounds for the per-drive wall-clock histogram.
 DRIVE_SECONDS_BUCKETS = (0.1, 0.5, 1, 5, 10, 60, 300, 1800)
@@ -161,14 +151,6 @@ class CampaignConfig:
     #: because retried and watchdog-healed runs are byte-identical to
     #: untouched ones.
     resilience: ResilienceConfig | None = None
-    #: How ``checkpoint_path`` is laid out: ``"json"`` keeps the legacy
-    #: monolithic checkpoint file; ``"jsonl"`` makes it a
-    #: :class:`repro.store.ShardStore` directory of digest-chained
-    #: per-drive shards that stream as tests complete (see
-    #: ``docs/ARTIFACTS.md``).  Execution-only knob like ``workers``:
-    #: excluded from :meth:`fingerprint` because both formats hold the
-    #: byte-identical payloads.
-    artifact_format: str = "json"
     #: Optional content-addressed result cache
     #: (:class:`repro.store.DriveCache`).  Drives already cached under
     #: ``(fingerprint(), drive_id)`` are restored instead of recomputed;
@@ -227,11 +209,6 @@ class CampaignConfig:
             raise ValueError(
                 f"resilience must be a ResilienceConfig, got {type(self.resilience)}"
             )
-        if self.artifact_format not in ("json", "jsonl"):
-            raise ValueError(
-                f"artifact_format must be 'json' or 'jsonl', "
-                f"got {self.artifact_format!r}"
-            )
         if self.cache_dir is not None:
             self.cache_dir = os.fspath(self.cache_dir)
         if not isinstance(self.fastpath, bool):
@@ -247,13 +224,12 @@ class CampaignConfig:
         """Stable content hash: guards checkpoint/config mismatches.
 
         Covers every knob that shapes the dataset; ``workers``,
-        ``resilience``, ``artifact_format``, ``cache_dir``, and
-        ``fastpath`` are deliberately excluded — they are execution
-        knobs, so a checkpoint written by a serial run resumes under any
-        worker count, retry/watchdog setting, artifact layout, cache
-        configuration, or hot-path implementation (and vice versa), and
-        cached results address the same key whatever execution shape
-        produced them.
+        ``resilience``, ``cache_dir``, and ``fastpath`` are deliberately
+        excluded — they are execution knobs, so a checkpoint written by
+        a serial run resumes under any worker count, retry/watchdog
+        setting, cache configuration, or hot-path implementation (and
+        vice versa), and cached results address the same key whatever
+        execution shape produced them.
         """
         payload = {
             "seed": self.seed,
@@ -452,15 +428,12 @@ class Campaign:
         #: What the self-healing machinery did this run (see
         #: :class:`repro.resilience.ResilienceReport`).
         self._resilience = ResilienceReport()
-        #: Sharded artifact store when ``artifact_format == "jsonl"``
-        #: and a checkpoint path is in play; set by :meth:`run` (and by
-        #: the worker pool in its workers).  ``None`` keeps the
-        #: legacy monolithic checkpoint writer.
+        #: The checkpoint's shard store when a checkpoint path is in
+        #: play; set by :meth:`run` (and by the worker pool in its
+        #: workers).
         self._shard_store: ShardStore | None = None
         #: Content-addressed drive cache when ``cache_dir`` is set.
         self._cache: DriveCache | None = None
-        #: Monolithic checkpoint path when no shard store is in play.
-        self._checkpoint_path: str | None = None
         #: Config fingerprint, cached for the artifact writers.
         self._fingerprint = self.config.fingerprint()
         #: Canonical JSON of each record of a drive payload, keyed by the
@@ -480,11 +453,14 @@ class Campaign:
     ) -> DriveDataset:
         """Simulate the whole campaign and return the dataset.
 
-        With ``checkpoint_path``, progress is written there after every
-        drive and a matching checkpoint found at start resumes the run
-        from the last completed drive.  Per-drive results are independent
-        (seeds and test ids are derived per drive), so a resumed campaign
-        produces a dataset identical to an uninterrupted one.
+        With ``checkpoint_path``, progress is committed to a
+        :class:`~repro.store.ShardStore` directory there after every
+        drive, and a matching store found at start resumes the run from
+        the last completed drive.  A regular file at that path is
+        rejected with ``ValueError`` before anything is written.
+        Per-drive results are independent (seeds and test ids are
+        derived per drive), so a resumed campaign produces a dataset
+        identical to an uninterrupted one.
 
         A drive that raises is captured as a :class:`DriveFailure` in
         :attr:`report` and the campaign continues with the next drive.
@@ -509,7 +485,11 @@ class Campaign:
         self._resilience = ResilienceReport()
         self._fingerprint = fingerprint
         self._record_json = {}
-        self._open_store(checkpoint_path, fingerprint)
+        self._shard_store = (
+            ShardStore(checkpoint_path, fingerprint)
+            if checkpoint_path is not None
+            else None
+        )
         self._cache = DriveCache(cfg.cache_dir) if cfg.cache_dir else None
 
         with obs.span("campaign.run", fingerprint=fingerprint), graceful_shutdown() as shutdown:
@@ -518,7 +498,8 @@ class Campaign:
             drive_payloads: dict[int, dict] = {}
             resumed = 0
             if checkpoint_path is not None and os.path.exists(checkpoint_path):
-                drive_payloads = self._resume(checkpoint_path, fingerprint)
+                with obs.span("campaign.resume"):
+                    drive_payloads = self._load_store()
                 resumed = len(drive_payloads)
                 obs.counter("campaign.drives_resumed").inc(resumed)
                 for drive_id in sorted(drive_payloads):
@@ -527,14 +508,9 @@ class Campaign:
                     )
 
             cached = self._restore_from_cache(routes, drive_payloads, fingerprint)
-            if (
-                checkpoint_path is not None
-                and self._shard_store is not None
-                and (resumed or cached)
-                and drive_payloads
-            ):
-                # Re-seed the store so migrated, salvaged, and cached
-                # drives are durably committed before execution starts.
+            if self._shard_store is not None and (resumed or cached) and drive_payloads:
+                # Re-seed the store so adopted and cached drives are
+                # durably committed before execution starts.
                 self._commit_progress(drive_payloads)
 
             if cfg.workers > 1:
@@ -577,68 +553,7 @@ class Campaign:
 
     # -- internals ---------------------------------------------------------
 
-    def _open_store(
-        self, checkpoint_path: str | os.PathLike | None, fingerprint: str
-    ) -> None:
-        """Decide the artifact layout for this run.
-
-        ``artifact_format == "jsonl"`` opens a :class:`ShardStore` at
-        the checkpoint path; so does an existing store *directory*
-        regardless of the configured format (a store, once sharded,
-        stays readable).  Everything else keeps the legacy monolithic
-        checkpoint writer.
-        """
-        self._shard_store = None
-        self._checkpoint_path = None
-        if checkpoint_path is None:
-            return
-        path = os.fspath(checkpoint_path)
-        if self.config.artifact_format == "jsonl" or os.path.isdir(path):
-            self._shard_store = ShardStore(path, fingerprint)
-        else:
-            self._checkpoint_path = path
-
-    def _resume(
-        self, checkpoint_path: str | os.PathLike, fingerprint: str
-    ) -> dict[int, dict]:
-        """Restore completed drives from whatever exists at the path."""
-        obs = self.obs
-        with obs.span("campaign.resume"):
-            if self._shard_store is None:
-                try:
-                    return _load_checkpoint(checkpoint_path, fingerprint)
-                except CheckpointCorruptError as exc:
-                    return self._salvage_checkpoint(
-                        checkpoint_path, fingerprint, exc
-                    )
-            path = os.fspath(checkpoint_path)
-            if os.path.isfile(path):
-                return self._migrate_legacy_checkpoint(path, fingerprint)
-            return self._load_store(fingerprint)
-
-    def _migrate_legacy_checkpoint(
-        self, path: str, fingerprint: str
-    ) -> dict[int, dict]:
-        """A monolithic checkpoint file sits where the store goes.
-
-        Load it through the legacy reader (salvage included), move the
-        file aside to ``<path>.legacy.json``, and let the caller commit
-        the restored drives into the fresh store directory — old
-        checkpoints stay readable and upgrade in place.
-        """
-        from repro.store.commit import fsync_dir
-
-        try:
-            payloads = _load_checkpoint(path, fingerprint)
-        except CheckpointCorruptError as exc:
-            # Quarantines the file itself, freeing the store's name.
-            return self._salvage_checkpoint(path, fingerprint, exc)
-        legacy = f"{path}.legacy.json"
-        os.replace(path, legacy)
-        fsync_dir(os.path.dirname(os.path.abspath(path)))
-        return payloads
-
-    def _load_store(self, fingerprint: str) -> dict[int, dict]:
+    def _load_store(self) -> dict[int, dict]:
         """Recover the shard store, folding repairs into the report."""
         obs = self.obs
         store = self._shard_store
@@ -656,7 +571,7 @@ class Campaign:
             # their metric snapshots lived in the lost manifest and a
             # resumed run must still produce the clean-run manifest.
             if not obs.enabled:
-                raw = self._adopt_orphan_shards(store)
+                raw = store.adopt_orphans(range(self.config.num_drives))
         if recovery.shards_quarantined:
             count = len(recovery.shards_quarantined)
             self._resilience.integrity_failures += count
@@ -677,32 +592,6 @@ class Campaign:
             drive_id: _payload_from_raw(payload)
             for drive_id, payload in raw.items()
         }
-
-    def _adopt_orphan_shards(self, store: ShardStore) -> dict[int, dict]:
-        """Strictly re-verified shards from a store with no manifest."""
-        from repro.store import read_shard, shard_name
-        from repro.store.shard import ShardCorruptError
-
-        raw: dict[int, dict] = {}
-        adopted: dict[int, dict] = {}
-        for drive_id in range(self.config.num_drives):
-            path = os.path.join(store.root, shard_name(drive_id))
-            if not os.path.exists(path):
-                continue
-            try:
-                data = read_shard(
-                    path, fingerprint=store.fingerprint, drive_id=drive_id
-                )
-            except ShardCorruptError:
-                continue  # recomputed; commit() will overwrite it
-            raw[drive_id] = data.payload()
-            adopted[drive_id] = {
-                "shard": shard_name(drive_id),
-                "records": len(data.records),
-                "head": data.head,
-            }
-        store._entries.update(adopted)
-        return raw
 
     def _restore_from_cache(
         self, routes: list[Route], drive_payloads: dict[int, dict], fingerprint: str
@@ -747,16 +636,10 @@ class Campaign:
         return hits
 
     def _commit_progress(self, drive_payloads: dict[int, dict]) -> None:
-        """Durably persist completed drives through the active layout."""
-        obs = self.obs
+        """Durably commit completed drives to the shard store, if any."""
         if self._shard_store is not None:
-            with obs.span("campaign.checkpoint"):
+            with self.obs.span("campaign.checkpoint"):
                 self._shard_store.commit(drive_payloads, self._record_lines)
-        elif self._checkpoint_path is not None:
-            with obs.span("campaign.checkpoint"):
-                _write_checkpoint(
-                    self._checkpoint_path, self._fingerprint, drive_payloads
-                )
 
     def _cache_put(self, drive_id: int, payload: dict) -> None:
         """Store one freshly computed drive in the cache (if configured)."""
@@ -781,37 +664,6 @@ class Campaign:
         lines = [canonical_json(record_to_dict(r)) for r in records]
         self._record_json[id(records)] = (records, lines)
         return lines
-
-    def _salvage_checkpoint(
-        self,
-        checkpoint_path: str | os.PathLike,
-        fingerprint: str,
-        exc: CheckpointCorruptError,
-    ) -> dict[int, dict]:
-        """Quarantine a corrupt checkpoint and resume from what survives.
-
-        The damaged file moves to ``<path>.corrupt`` (freeing the
-        original name for fresh checkpoints), every drive whose own
-        digest still verifies is restored, and the rest re-simulate —
-        a corrupted checkpoint costs the damaged drives, not the run.
-        """
-        obs = self.obs
-        corrupt_path = quarantine(checkpoint_path)
-        raw = salvage_drives(corrupt_path, fingerprint)
-        drive_payloads = {
-            drive_id: {
-                **drive,
-                "records": [record_from_dict(r) for r in drive["records"]],
-            }
-            for drive_id, drive in raw.items()
-        }
-        self._resilience.integrity_failures += 1
-        self._resilience.checkpoint_quarantined = corrupt_path
-        self._resilience.checkpoint_error = str(exc)[:500]
-        self._resilience.drives_salvaged = len(drive_payloads)
-        obs.counter("resilience.integrity_failures", artifact="checkpoint").inc()
-        obs.counter("resilience.drives_salvaged").inc(len(drive_payloads))
-        return drive_payloads
 
     def _run_drives_serial(
         self, routes: list[Route], drive_payloads: dict[int, dict], shutdown
@@ -1362,7 +1214,7 @@ class Campaign:
         return records, test_id
 
 
-# -- checkpoint I/O ------------------------------------------------------
+# -- payloads ------------------------------------------------------------
 
 
 def _payload_from_raw(raw: dict) -> dict:
@@ -1371,104 +1223,6 @@ def _payload_from_raw(raw: dict) -> dict:
         **{k: v for k, v in raw.items() if k != "records"},
         "records": [record_from_dict(r) for r in raw["records"]],
     }
-
-
-def _load_checkpoint(path: str | os.PathLike, fingerprint: str) -> dict[int, dict]:
-    """Completed drives from a checkpoint, keyed by drive id.
-
-    Validates in order of increasing trust: JSON well-formedness, schema
-    (``version``/``drives`` keys present), version compatibility,
-    whole-file digest, config fingerprint, then per-drive digests.
-    Corruption (truncation, tampering, bit rot) raises
-    :class:`~repro.resilience.CheckpointCorruptError` — the campaign
-    responds by quarantining the file and salvaging intact drives.  A
-    structurally sound checkpoint from the wrong version or config
-    raises plain ``ValueError``: that is operator error, not damage,
-    and salvage must not paper over it.
-    """
-    name = os.fspath(path)
-    with open(path) as handle:
-        text = handle.read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointCorruptError(
-            f"checkpoint {name!r} is not valid JSON ({exc}); likely a "
-            "truncated or interrupted write — it will be quarantined to "
-            f"'{name}.corrupt' and intact drives salvaged"
-        ) from exc
-    if not isinstance(payload, dict) or not (
-        "version" in payload and "drives" in payload
-    ):
-        raise CheckpointCorruptError(
-            f"checkpoint {name!r} is missing required keys "
-            "('version', 'drives'); the file is damaged or is not a "
-            "campaign checkpoint"
-        )
-    if payload["version"] != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint {name!r} has version "
-            f"{payload.get('version')!r}, expected {CHECKPOINT_VERSION}"
-        )
-    if not verify_digest(payload):
-        raise CheckpointCorruptError(
-            f"checkpoint {name!r} fails its content digest; the file was "
-            "modified or damaged after it was written"
-        )
-    if payload.get("fingerprint") != fingerprint:
-        raise ValueError(
-            f"checkpoint {name!r} was written by a different "
-            f"campaign config (fingerprint {payload.get('fingerprint')!r} "
-            f"!= {fingerprint!r}); delete it or fix the config"
-        )
-    drives: dict[int, dict] = {}
-    for key, raw in payload["drives"].items():
-        if not isinstance(raw, dict) or not verify_digest(raw):
-            raise CheckpointCorruptError(
-                f"checkpoint {name!r}: drive {key} fails its digest"
-            )
-        drives[int(key)] = {
-            **{k: v for k, v in raw.items() if k != DIGEST_KEY},
-            "records": [record_from_dict(r) for r in raw["records"]],
-        }
-    return drives
-
-
-def _write_checkpoint(
-    path: str | os.PathLike,
-    fingerprint: str,
-    drive_payloads: dict[int, dict],
-) -> None:
-    """Durably and atomically persist completed drives.
-
-    Written through :func:`repro.store.commit.atomic_write_json` — tmp
-    file, fsync, atomic rename, directory fsync — so a crash (even a
-    power loss) at any boundary leaves the previous checkpoint intact
-    and no partial file under the real name; the tmp file is removed on
-    any failure.  Drives are emitted in drive-id order regardless of
-    completion order, so a checkpoint from a parallel run is
-    byte-identical to a serial one.  Each drive entry and the whole
-    payload embed content digests (see :mod:`repro.resilience.integrity`)
-    for load-time corruption detection and per-drive salvage.
-    """
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "fingerprint": fingerprint,
-        "drives": {
-            str(drive_id): embed_digest(
-                {
-                    **drive_payloads[drive_id],
-                    "records": [
-                        record_to_dict(r)
-                        for r in drive_payloads[drive_id]["records"]
-                    ],
-                }
-            )
-            for drive_id in sorted(drive_payloads)
-        },
-    }
-    embed_digest(payload)
-    atomic_write_json(path, payload, boundary="checkpoint")
 
 
 def run_campaign(

@@ -68,13 +68,6 @@ def main(argv: list[str] | None = None) -> int:
         "with or without the cache; see docs/ARTIFACTS.md)",
     )
     parser.add_argument(
-        "--artifact-format",
-        choices=["json", "jsonl"],
-        default=None,
-        help="checkpoint layout: monolithic 'json' or digest-chained "
-        "streaming 'jsonl' shards (see docs/ARTIFACTS.md)",
-    )
-    parser.add_argument(
         "--duration", type=int, default=None, help="test duration (seconds)"
     )
     parser.add_argument(
@@ -115,11 +108,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.experiments.common import set_default_cache_dir
 
         set_default_cache_dir(args.cache_dir)
-
-    if args.artifact_format is not None:
-        from repro.experiments.common import set_default_artifact_format
-
-        set_default_artifact_format(args.artifact_format)
 
     module, description = REGISTRY[args.experiment]
     accepted = inspect.signature(module.run).parameters

@@ -66,11 +66,6 @@ def default_workers() -> int:
 #: signatures.
 _default_cache_dir = None
 
-#: Artifact layout campaigns persist through when a checkpoint path is
-#: used (``"json"`` monolithic or ``"jsonl"`` sharded streaming store;
-#: see ``docs/ARTIFACTS.md``).
-_default_artifact_format = "json"
-
 
 def set_default_cache_dir(cache_dir) -> None:
     """Set the drive-cache directory campaigns are generated with.
@@ -86,21 +81,6 @@ def set_default_cache_dir(cache_dir) -> None:
 def default_cache_dir():
     """The cache directory :func:`campaign_dataset` currently uses."""
     return _default_cache_dir
-
-
-def set_default_artifact_format(artifact_format: str) -> None:
-    """Set the artifact layout campaigns persist through."""
-    if artifact_format not in ("json", "jsonl"):
-        raise ValueError(
-            f"artifact_format must be 'json' or 'jsonl', got {artifact_format!r}"
-        )
-    global _default_artifact_format
-    _default_artifact_format = artifact_format
-
-
-def default_artifact_format() -> str:
-    """The artifact layout :func:`campaign_dataset` currently uses."""
-    return _default_artifact_format
 
 
 def set_default_resilience(resilience) -> None:
@@ -157,7 +137,6 @@ def campaign_dataset(scale: str = "medium", seed: int = 0) -> DriveDataset:
     config = config_for_scale(scale, seed)
     config.workers = _default_workers
     config.resilience = _default_resilience
-    config.artifact_format = _default_artifact_format
     config.cache_dir = _default_cache_dir
     return Campaign(config).run()
 

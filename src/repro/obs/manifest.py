@@ -58,9 +58,9 @@ class RunManifest:
     #: Per-drive wall-clock rows: [{drive, route, duration_s, tests}, ...]
     drives: list[dict[str, Any]] = field(default_factory=list)
     #: Artifact layout summary (shard names, record counts, head
-    #: digests) when the run used a sharded store — pure content, so it
-    #: survives into :meth:`deterministic_dict`.  Empty for monolithic
-    #: checkpoints.
+    #: digests) when the run checkpointed to a shard store — pure
+    #: content, so it survives into :meth:`deterministic_dict`.  Empty
+    #: for runs without a checkpoint.
     artifacts: dict[str, Any] = field(default_factory=dict)
     #: Free-form run facts (num_tests, distance_km, ...).
     extra: dict[str, Any] = field(default_factory=dict)

@@ -11,8 +11,8 @@ together:
   deterministically-jittered exponential backoff — retries re-run a
   pure function, so healed runs stay byte-identical to untouched ones;
 * **artifact integrity** (:mod:`~repro.resilience.integrity`) — content
-  digests embedded in every persisted JSON artifact, and
-  quarantine-and-salvage for corrupt checkpoints;
+  digests embedded in every persisted JSON artifact, and quarantine
+  for corrupt ones;
 * **graceful shutdown** (:mod:`~repro.resilience.signals`) and a
   **supervised worker pool** (:mod:`~repro.resilience.pool`) with
   per-drive deadlines, heartbeat liveness, and kill-and-requeue.
@@ -25,7 +25,6 @@ from repro.resilience.integrity import (
     embed_digest,
     payload_digest,
     quarantine,
-    salvage_drives,
     verify_digest,
 )
 from repro.resilience.policy import (
@@ -39,7 +38,6 @@ from repro.resilience.signals import ShutdownFlag, graceful_shutdown
 from repro.resilience.taxonomy import (
     ArtifactCorruptError,
     CampaignAborted,
-    CheckpointCorruptError,
     DriveTimeout,
     FailureClass,
     TRANSIENT_ERROR_TYPES,
@@ -53,7 +51,6 @@ __all__ = [
     "ATTEMPT_BUCKETS",
     "ArtifactCorruptError",
     "CampaignAborted",
-    "CheckpointCorruptError",
     "DIGEST_KEY",
     "DriveTimeout",
     "FailureClass",
@@ -71,6 +68,5 @@ __all__ = [
     "graceful_shutdown",
     "payload_digest",
     "quarantine",
-    "salvage_drives",
     "verify_digest",
 ]

@@ -52,15 +52,8 @@ class CampaignAborted(KeyboardInterrupt):
 
 
 class ArtifactCorruptError(ValueError):
-    """An on-disk artifact (dataset, manifest) failed integrity
-    validation: its embedded content digest does not match its body."""
-
-
-class CheckpointCorruptError(ArtifactCorruptError):
-    """A campaign checkpoint is truncated, tampered with, or
-    structurally invalid.  The campaign quarantines such a file to
-    ``<path>.corrupt``, salvages every drive whose own digest still
-    verifies, and resumes from the salvaged state."""
+    """An on-disk artifact (dataset, manifest, shard) failed integrity
+    validation: its content digest does not match its body."""
 
 
 #: Exception type names treated as transient.  Name-based so the set

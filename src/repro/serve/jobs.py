@@ -109,8 +109,7 @@ def spec_to_config(
     overrides, or the sim knobs spelled out directly.  The execution
     keys ``workers``, ``retries``, and ``drive_timeout_s`` shape *how*
     the job runs (worker pool, retry budget, watchdog deadline), never
-    what it produces.  The service forces the sharded artifact layout
-    and wires the shared drive cache.
+    what it produces.  The service wires the shared drive cache.
 
     Raises :class:`InvalidSubmission` for anything else — a bad spec
     must be rejected at admission, not explode mid-queue.
@@ -149,7 +148,6 @@ def spec_to_config(
     except (TypeError, ValueError) as exc:
         raise InvalidSubmission(str(exc)) from exc
 
-    config.artifact_format = "jsonl"
     config.cache_dir = cache_dir
     workers = _exec_int(spec, "workers")
     retries = _exec_int(spec, "retries")

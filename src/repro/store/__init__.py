@@ -7,9 +7,9 @@ The repo's artifact layer (see ``docs/ARTIFACTS.md``):
   fsync), plus the crash-injection seam the harness hooks;
 * :mod:`repro.store.shard` — digest-chained JSONL drive shards with
   streaming writes, strict verification, and per-record salvage;
-* :mod:`repro.store.artifacts` — :class:`ShardStore`, the directory
-  checkpoint format (``--artifact-format jsonl``) whose manifest commits
-  the shard set;
+* :mod:`repro.store.artifacts` — :class:`ShardStore`, the campaign's
+  one checkpoint format: a directory whose manifest commits the shard
+  set;
 * :mod:`repro.store.cache` — :class:`DriveCache`, the content-addressed
   result cache keyed by ``(config.fingerprint(), drive_id)``, bounded
   with ``max_bytes`` / collected by ``python -m repro.store gc``.

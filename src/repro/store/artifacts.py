@@ -1,6 +1,7 @@
 """The sharded drive store: a checkpoint that is a directory of shards.
 
-Layout of one store (``--artifact-format jsonl``)::
+The one checkpoint format of ``Campaign.run(checkpoint_path=...)``.
+Layout of one store::
 
     <checkpoint_path>/
         MANIFEST.json        # the commit point: the committed shard set
@@ -20,14 +21,17 @@ resume).
 Recovery (:meth:`ShardStore.load`) trusts nothing:
 
 * a manifest that fails to parse or fails its digest is quarantined and
-  the store rebuilds from scratch;
+  the store rebuilds from scratch (:meth:`ShardStore.adopt_orphans`
+  re-admits the shards that still verify on their own);
 * every named shard is strictly re-verified (chain, canonical bytes,
   head digest, record count); damage quarantines *that shard only* and
   its drive recomputes — per-drive salvage, never all-or-nothing;
 * leftover ``*.wal`` files (crash mid-drive) are scanned for complete
   records (counted for the resilience report) and removed;
 * a manifest from a different config fingerprint or schema version
-  raises plain ``ValueError`` — operator error, not damage.
+  raises plain ``ValueError`` — operator error, not damage — and so
+  does a regular file where the store directory goes, before anything
+  is written.
 
 Because every artifact is a pure function of ``(config, drive_id)``,
 :meth:`ShardStore.commit` is parent-authoritative: it recomputes the
@@ -39,6 +43,7 @@ optimization — never a source of truth.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -84,11 +89,21 @@ class StoreRecovery:
         return not self.shards_quarantined and self.manifest_quarantined is None
 
 
+def _entry(drive_id: int, records: int, head: str) -> dict[str, Any]:
+    """The manifest entry naming one committed shard."""
+    return {"shard": shard_name(drive_id), "records": records, "head": head}
+
+
 class ShardStore:
     """One campaign's sharded checkpoint directory."""
 
     def __init__(self, root: str | os.PathLike, fingerprint: str):
         self.root = os.fspath(root)
+        if os.path.exists(self.root) and not os.path.isdir(self.root):
+            raise ValueError(
+                f"checkpoint path {self.root!r} is a file, not a shard store "
+                "directory; move it aside or pick another path"
+            )
         self.fingerprint = fingerprint
         #: drive_id -> manifest entry of every committed drive.
         self._entries: dict[int, dict[str, Any]] = {}
@@ -186,6 +201,28 @@ class ShardStore:
             payload["metrics"] = metrics
         return payload
 
+    def adopt_orphans(self, drive_ids: Iterable[int]) -> dict[int, dict[str, Any]]:
+        """Re-admit shards that strictly verify without a manifest.
+
+        After a quarantined manifest, each intact shard still proves
+        itself (chain, end line, header fingerprint and drive id).  The
+        shards that pass become committed entries again and their raw
+        payloads are returned; damaged ones are left for :meth:`commit`
+        to overwrite once their drives recompute.
+        """
+        payloads: dict[int, dict[str, Any]] = {}
+        for drive_id in drive_ids:
+            path = os.path.join(self.root, shard_name(drive_id))
+            if not os.path.exists(path):
+                continue
+            try:
+                data = read_shard(path, fingerprint=self.fingerprint, drive_id=drive_id)
+            except ShardCorruptError:
+                continue
+            payloads[drive_id] = data.payload()
+            self._entries[drive_id] = _entry(drive_id, len(data.records), data.head)
+        return payloads
+
     def _sweep_debris(self, recovery: StoreRecovery) -> None:
         """Salvage-and-remove leftover WAL and tmp files from a crash."""
         for name in sorted(os.listdir(self.root)):
@@ -241,11 +278,7 @@ class ShardStore:
             )
             path = os.path.join(self.root, shard_name(drive_id))
             self._ensure_bytes(path, expected)
-            entry: dict[str, Any] = {
-                "shard": shard_name(drive_id),
-                "records": len(records),
-                "head": head,
-            }
+            entry = _entry(drive_id, len(records), head)
             if payload.get("metrics"):
                 entry["metrics"] = payload["metrics"]
             self._entries[drive_id] = entry

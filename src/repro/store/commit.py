@@ -1,7 +1,7 @@
 """Crash-proof filesystem commit primitives.
 
-Every durable artifact the repo writes — checkpoints, shards, store
-manifests, run manifests, datasets, cache entries — goes through the
+Every durable artifact the repo writes — shards, store manifests, run
+manifests, datasets, cache entries — goes through the
 two writers here, which implement the full commit protocol:
 
 1. write the payload to ``<path>.tmp``;
@@ -32,7 +32,7 @@ import os
 from typing import Any, Callable
 
 #: Crash-injection seam.  When set (by the crash harness only), it is
-#: called with a boundary label (e.g. ``"checkpoint.tmp.fsync"``) after
+#: called with a boundary label (e.g. ``"manifest.tmp.fsync"``) after
 #: each commit-protocol step; the harness's hook SIGKILLs the process at
 #: a chosen boundary.  Never set in production code.
 _CRASH_HOOK: Callable[[str], None] | None = None

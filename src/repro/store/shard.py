@@ -18,8 +18,7 @@ The chain is what makes streaming durable: a write torn at any byte is
 detectable at the exact line it tore (the damaged line either fails to
 parse, is not in canonical form, or breaks the chain), and
 :func:`salvage_shard` recovers every complete record before the tear —
-per-record salvage instead of the per-drive all-or-nothing a monolithic
-JSON checkpoint allows.  Verification re-derives the chain and also
+per-record salvage, not all-or-nothing per drive.  Verification re-derives the chain and also
 checks each raw line equals the canonical re-serialization of its parsed
 value, so even mutations that parse to the same JSON value (flipping a
 space to a tab, reordering keys) are caught: any single-byte change to a

@@ -136,7 +136,7 @@ def _reference_strings(tests_dir: str) -> tuple[set[str], list[str]]:
 def _covered(declared: str, refs: set[str]) -> bool:
     """A declaration pattern is covered if any reference string matches
     it — in either direction, since both sides may hold the wildcard
-    (declared ``*.tmp.write`` vs referenced ``checkpoint.tmp.write``;
+    (declared ``*.tmp.write`` vs referenced ``manifest.tmp.write``;
     declared ``shard.rename`` vs referenced ``shard.*``)."""
     for ref in refs:
         if ref == declared:

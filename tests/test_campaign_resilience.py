@@ -18,6 +18,8 @@ from repro.geo.classify import AreaType
 from repro.geo.routes import Route
 from repro.tools.tracker import TrackerRecord
 from repro.faults import FaultSchedule, SatelliteOutage, generate_schedule
+from repro.resilience import embed_digest
+from repro.store import MANIFEST_NAME
 
 
 def _tiny_config(seed=7, drives=2, **overrides):
@@ -201,7 +203,7 @@ def test_surviving_drive_identical_with_and_without_failure():
 
 
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
-    ckpt = tmp_path / "campaign.ckpt.json"
+    ckpt = tmp_path / "campaign.store"
     reference = Campaign(_tiny_config()).run()
     ref_json = tmp_path / "ref.json"
     reference.save_json(ref_json)
@@ -230,15 +232,23 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
 
 
 def test_checkpoint_fingerprint_mismatch_raises(tmp_path):
-    ckpt = tmp_path / "campaign.ckpt.json"
+    ckpt = tmp_path / "campaign.store"
     Campaign(_tiny_config(seed=7)).run(checkpoint_path=ckpt)
     with pytest.raises(ValueError, match="different"):
         Campaign(_tiny_config(seed=8)).run(checkpoint_path=ckpt)
 
 
 def test_checkpoint_version_mismatch_raises(tmp_path):
-    ckpt = tmp_path / "campaign.ckpt.json"
-    ckpt.write_text(json.dumps({"version": 99, "fingerprint": "x", "drives": {}}))
+    """A digest-valid store manifest from another schema version is
+    operator error, not damage: the run refuses to resume from it."""
+    ckpt = tmp_path / "campaign.store"
+    ckpt.mkdir()
+    manifest = {
+        "version": 99,
+        "fingerprint": _tiny_config().fingerprint(),
+        "drives": {},
+    }
+    (ckpt / MANIFEST_NAME).write_text(json.dumps(embed_digest(manifest)))
     with pytest.raises(ValueError, match="version"):
         Campaign(_tiny_config()).run(checkpoint_path=ckpt)
 
@@ -289,7 +299,7 @@ def test_paper_scale_faulted_campaign_completes(tmp_path):
         seed=1, num_drives=config.num_drives, drive_duration_s=7200.0
     )
     campaign = Campaign(config)
-    dataset = campaign.run(checkpoint_path=tmp_path / "paper.ckpt.json")
+    dataset = campaign.run(checkpoint_path=tmp_path / "paper.store")
     report = campaign.report
     assert report.ok and not report.failures
     assert dataset.num_tests > 1000
@@ -297,7 +307,7 @@ def test_paper_scale_faulted_campaign_completes(tmp_path):
 
 
 def test_faulted_checkpoint_resume_identical(tmp_path):
-    ckpt = tmp_path / "ckpt.json"
+    ckpt = tmp_path / "ckpt"
     ref = tmp_path / "ref.json"
     res = tmp_path / "res.json"
     Campaign(_faulted_config()).run().save_json(ref)

@@ -4,7 +4,7 @@ The contract under test (``docs/PERFORMANCE.md``): a campaign run with
 ``CampaignConfig.fastpath=True`` — precomputed geometry timelines,
 scalar-lane fluid models, inlined channel samplers — produces
 **byte-identical** artifacts to the reference path (``fastpath=False``):
-dataset JSON, checkpoint JSON, campaign report, and the deterministic
+dataset JSON, checkpoint store, campaign report, and the deterministic
 view of the run manifest.  The golden tests push every figure-relevant
 scenario through both paths — LEO and cellular networks, faults on and
 off, coverage outages, parallel TCP flows, finite buffer caps, multiple
@@ -59,6 +59,7 @@ from repro.leo.geometry import look_angles_many
 from repro.leo.visibility import VisibilityModel
 from repro.obs import ObsRecorder
 from repro.rng import RngStreams
+from tests.helpers import store_bytes
 
 #: Worker count for the parallel golden test (CI pins this to 2).
 EQUIV_WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "4"))
@@ -93,14 +94,14 @@ def _scenario_config(seed: int, faults: bool, workers: int = 1) -> CampaignConfi
 
 def _run_artifacts(config: CampaignConfig, tmp_path, label: str) -> dict:
     campaign = Campaign(config, recorder=ObsRecorder())
-    ckpt = tmp_path / f"{label}.ckpt.json"
+    ckpt = tmp_path / f"{label}.store"
     dataset = campaign.run(checkpoint_path=ckpt)
     data = tmp_path / f"{label}.dataset.json"
     dataset.save_json(data)
     report = campaign.report.to_dict()
     report.pop("checkpoint_path")
     return {
-        "ckpt": ckpt.read_bytes(),
+        "ckpt": store_bytes(ckpt),
         "dataset": data.read_bytes(),
         "report": report,
         "manifest": campaign.manifest.deterministic_blob(),

@@ -40,7 +40,6 @@ def _config(cache_dir) -> CampaignConfig:
         max_drive_seconds=120.0,
         test_duration_s=20.0,
         window_period_s=25.0,
-        artifact_format="jsonl",
         cache_dir=str(cache_dir),
     )
 

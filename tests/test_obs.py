@@ -344,7 +344,7 @@ def observed_runs(tmp_path_factory):
     no checkpoint (checkpoint writes are I/O, not instrumentation).
     """
     out = tmp_path_factory.mktemp("obs_campaign")
-    checkpoint = out / "campaign.ckpt.json"
+    checkpoint = out / "campaign.store"
 
     null_times, obs_times = [], []
     null_dataset = None

@@ -2,7 +2,7 @@
 
 The contract under test: a campaign run with any ``workers`` count
 produces **byte-identical** artifacts to a serial run — dataset JSON,
-checkpoint JSON, campaign report, and the deterministic view of the run
+checkpoint store, campaign report, and the deterministic view of the run
 manifest — while failures stay isolated, obs metrics merge in drive
 order, and a run killed mid-flight resumes (at any worker count) without
 re-executing checkpointed drives.  Every parallel run goes through the
@@ -33,7 +33,8 @@ from repro.obs import (
     merge_snapshots,
 )
 from repro.resilience import CampaignAborted, ResilienceConfig, RetryPolicy
-from repro.store import ShardStore
+from repro.store import MANIFEST_NAME, ShardStore
+from tests.helpers import store_bytes
 
 #: Worker count for the golden equivalence test (CI pins this to 2).
 EQUIV_WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "4"))
@@ -81,7 +82,7 @@ def test_workers_excluded_from_fingerprint():
 
 def test_parallel_run_byte_identical_to_serial(tmp_path):
     """``CampaignConfig.small``-style drives at workers=1 vs workers=N:
-    checkpoint JSON, dataset JSON, report, and deterministic manifest
+    checkpoint store, dataset JSON, report, and deterministic manifest
     agree byte for byte."""
     artifacts = {}
     for label, workers in (("serial", 1), ("parallel", EQUIV_WORKERS)):
@@ -89,14 +90,14 @@ def test_parallel_run_byte_identical_to_serial(tmp_path):
         campaign = Campaign(
             _grid_config(workers=workers, faults=True), recorder=recorder
         )
-        ckpt = tmp_path / f"{label}.ckpt.json"
+        ckpt = tmp_path / f"{label}.store"
         dataset = campaign.run(checkpoint_path=ckpt)
         data = tmp_path / f"{label}.dataset.json"
         dataset.save_json(data)
         report = campaign.report.to_dict()
         assert report.pop("checkpoint_path") == os.fspath(ckpt)
         artifacts[label] = {
-            "ckpt": ckpt.read_bytes(),
+            "ckpt": store_bytes(ckpt),
             "dataset": data.read_bytes(),
             "report": report,
             "manifest": campaign.manifest.deterministic_blob(),
@@ -184,7 +185,7 @@ def test_kill_mid_parallel_run_resumes_without_rerunning(tmp_path):
     """Kill a parallel run after drive k (via the fault injector), resume
     at a different worker count: checkpointed drives never re-execute and
     the final dataset matches an uninterrupted run byte for byte."""
-    ckpt = tmp_path / "ckpt.json"
+    ckpt = tmp_path / "ckpt"
     ref, res = tmp_path / "ref.json", tmp_path / "res.json"
     Campaign(_grid_config(faults=True)).run().save_json(ref)
 
@@ -206,7 +207,8 @@ def test_kill_mid_parallel_run_resumes_without_rerunning(tmp_path):
     finally:
         FaultInjector.sample = original
 
-    completed = {int(k) for k in json.loads(ckpt.read_text())["drives"]}
+    manifest = json.loads((ckpt / MANIFEST_NAME).read_text())
+    completed = {int(k) for k in manifest["drives"]}
     assert completed and 2 not in completed
 
     def poison(self, time_s, position, speed_kmh, area):
@@ -293,7 +295,6 @@ def test_worker_abort_forwarded_never_retried(tmp_path):
     store = tmp_path / "store"
     config = _grid_config(
         workers=2,
-        artifact_format="jsonl",
         resilience=ResilienceConfig(
             retry=RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
         ),

@@ -14,23 +14,18 @@ class level (the pool's fork workers inherit it), keyed off
 
 import json
 import os
+import shutil
 import signal
 import time
 
 import pytest
 
-from repro.core.campaign import (
-    Campaign,
-    CampaignConfig,
-    _load_checkpoint,
-    _write_checkpoint,
-)
+from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.dataset import DriveDataset
 from repro.obs import ObsRecorder
 from repro.resilience import (
     ArtifactCorruptError,
     CampaignAborted,
-    CheckpointCorruptError,
     DriveTimeout,
     FailureClass,
     ResilienceConfig,
@@ -42,10 +37,11 @@ from repro.resilience import (
     embed_digest,
     payload_digest,
     quarantine,
-    salvage_drives,
     verify_digest,
 )
 from repro.rng import RngStreams
+from repro.store import MANIFEST_NAME, ShardStore, shard_name
+from tests.helpers import store_bytes
 
 
 def _config(seed=11, drives=2, **overrides):
@@ -88,7 +84,6 @@ def test_failure_classification():
 def test_campaign_aborted_is_keyboard_interrupt():
     """Drive isolation catches Exception; an abort must escape it."""
     assert issubclass(CampaignAborted, KeyboardInterrupt)
-    assert issubclass(CheckpointCorruptError, ArtifactCorruptError)
     assert issubclass(ArtifactCorruptError, ValueError)
 
 
@@ -174,44 +169,7 @@ def test_quarantine_never_clobbers_earlier_evidence(tmp_path):
         assert open(target).read() == f"{{broken-{generation}"
 
 
-def test_salvage_recovers_only_digest_valid_drives(tmp_path):
-    good = embed_digest({"records": [{"r": 1}], "trace_minutes": 1.0})
-    tampered = embed_digest({"records": [{"r": 2}], "trace_minutes": 2.0})
-    tampered["trace_minutes"] = 99.0  # modified after digesting
-    undigested = {"records": [{"r": 3}]}
-    path = tmp_path / "c.json"
-    path.write_text(
-        json.dumps(
-            {
-                "version": 2,
-                "fingerprint": "fp",
-                "drives": {"0": good, "1": tampered, "2": undigested},
-            }
-        )
-    )
-    out = salvage_drives(path, "fp")
-    assert set(out) == {0}
-    assert out[0]["records"] == [{"r": 1}]
-    assert "digest" not in out[0]
-    # Wrong fingerprint: refuse everything.
-    assert salvage_drives(path, "other") == {}
-
-
-def test_salvage_reads_truncated_json(tmp_path):
-    drives = {
-        str(i): embed_digest({"records": [{"r": i}], "trace_minutes": float(i)})
-        for i in range(3)
-    }
-    text = json.dumps({"version": 2, "fingerprint": "fp", "drives": drives})
-    # Cut through the final drive entry: 0 and 1 stay complete.
-    cut = text.rindex('"2"') + 20
-    path = tmp_path / "trunc.json"
-    path.write_text(text[:cut])
-    out = salvage_drives(path, "fp")
-    assert set(out) == {0, 1}
-
-
-# -- checkpoint durability and validation (satellites a, b) --------------
+# -- checkpoint durability and validation --------------------------------
 
 
 def _dummy_payloads():
@@ -230,73 +188,69 @@ def _dummy_payloads():
 def test_write_checkpoint_failure_leaves_no_tmp_and_keeps_previous(
     tmp_path, monkeypatch
 ):
-    path = tmp_path / "ck.json"
-    _write_checkpoint(path, "fp", _dummy_payloads())
-    before = path.read_bytes()
+    root = tmp_path / "ck"
+    store = ShardStore(root, "fp")
+    store.commit(_dummy_payloads(), lambda records: records)
+    before = store_bytes(root)
 
     def explode(fd):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr("repro.store.commit.os.fsync", explode)
+    payloads = {**_dummy_payloads(), 1: _dummy_payloads()[0]}
     with pytest.raises(OSError):
-        _write_checkpoint(path, "fp", _dummy_payloads())
-    assert path.read_bytes() == before  # previous checkpoint intact
-    assert list(tmp_path.iterdir()) == [path]  # no .tmp litter
+        store.commit(payloads, lambda records: records)
+    assert store_bytes(root) == before  # previous commit intact, no .tmp
+
+
+def _committed_store(tmp_path, fingerprint="fp"):
+    root = tmp_path / "ck"
+    ShardStore(root, fingerprint).commit(_dummy_payloads(), lambda records: records)
+    return root, root / MANIFEST_NAME
 
 
 def test_load_checkpoint_rejects_truncated_json(tmp_path):
-    path = tmp_path / "ck.json"
-    _write_checkpoint(path, "fp", _dummy_payloads())
-    path.write_text(path.read_text()[:50])
-    with pytest.raises(CheckpointCorruptError, match="not valid JSON"):
-        _load_checkpoint(path, "fp")
+    root, manifest = _committed_store(tmp_path)
+    manifest.write_text(manifest.read_text()[:50])
+    loaded, recovery = ShardStore(root, "fp").load()
+    assert loaded == {}
+    assert recovery.manifest_quarantined == f"{manifest}.corrupt"
+    assert "not valid JSON" in recovery.manifest_error
 
 
 def test_load_checkpoint_rejects_missing_keys(tmp_path):
-    path = tmp_path / "ck.json"
-    path.write_text(json.dumps({"fingerprint": "fp"}))
-    with pytest.raises(CheckpointCorruptError, match="missing required keys"):
-        _load_checkpoint(path, "fp")
-
-
-def test_load_checkpoint_rejects_tampering(tmp_path):
-    path = tmp_path / "ck.json"
-    _write_checkpoint(path, "fp", _dummy_payloads())
-    payload = json.loads(path.read_text())
-    payload["drives"]["0"]["distance_km"] = 4000.0
-    path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointCorruptError, match="digest"):
-        _load_checkpoint(path, "fp")
+    root, manifest = _committed_store(tmp_path)
+    manifest.write_text(json.dumps({"fingerprint": "fp"}))
+    loaded, recovery = ShardStore(root, "fp").load()
+    assert loaded == {}
+    assert recovery.manifest_quarantined == f"{manifest}.corrupt"
+    assert "missing required keys" in recovery.manifest_error
 
 
 def test_load_checkpoint_version_and_fingerprint_still_value_errors(tmp_path):
     """Operator error (old version, wrong config) must not be mistaken
-    for corruption — salvage would paper over it."""
-    path = tmp_path / "ck.json"
-    path.write_text(json.dumps({"version": 99, "fingerprint": "x", "drives": {}}))
+    for corruption: it raises, and the manifest stays where it is."""
+    root, manifest = _committed_store(tmp_path)
+    raw = json.loads(manifest.read_text())
+    raw.pop("digest")
+    raw["version"] = 99
+    manifest.write_text(json.dumps(embed_digest(raw)))
     with pytest.raises(ValueError, match="version") as excinfo:
-        _load_checkpoint(path, "x")
-    assert not isinstance(excinfo.value, CheckpointCorruptError)
+        ShardStore(root, "fp").load()
+    assert not isinstance(excinfo.value, ArtifactCorruptError)
+    assert manifest.exists()
 
-    _write_checkpoint(path, "fp-a", _dummy_payloads())
+    root, manifest = _committed_store(tmp_path / "other", fingerprint="fp-a")
     with pytest.raises(ValueError, match="different") as excinfo:
-        _load_checkpoint(path, "fp-b")
-    assert not isinstance(excinfo.value, CheckpointCorruptError)
-
-
-def test_checkpoint_round_trip_verifies(tmp_path):
-    path = tmp_path / "ck.json"
-    _write_checkpoint(path, "fp", _dummy_payloads())
-    loaded = _load_checkpoint(path, "fp")
-    assert set(loaded) == {0}
-    assert loaded[0]["distance_km"] == 2.0
-    assert "digest" not in loaded[0]
+        ShardStore(root, "fp-b").load()
+    assert not isinstance(excinfo.value, ArtifactCorruptError)
+    assert manifest.exists()
 
 
 def test_dataset_and_manifest_digests(tmp_path):
     recorder = ObsRecorder()
     campaign = Campaign(_config(drives=1), recorder=recorder)
-    ckpt = tmp_path / "ck.json"
+    ckpt = tmp_path / "ck"
     dataset = campaign.run(checkpoint_path=ckpt)
 
     data = tmp_path / "d.json"
@@ -311,7 +265,7 @@ def test_dataset_and_manifest_digests(tmp_path):
 
     from repro.obs import RunManifest
 
-    manifest_path = tmp_path / "ck.json.manifest.json"
+    manifest_path = tmp_path / "ck.manifest.json"
     assert manifest_path.exists()
     RunManifest.load_json(manifest_path)  # digest verifies
     raw = json.loads(manifest_path.read_text())
@@ -448,7 +402,7 @@ def test_sigterm_checkpoints_then_aborts_and_resumes(tmp_path):
             os.kill(os.getpid(), signal.SIGTERM)
         return payload
 
-    ckpt = tmp_path / "ck.json"
+    ckpt = tmp_path / "ck"
     campaign = Campaign(_config())
     Campaign._simulate_drive = signalling
     try:
@@ -458,7 +412,8 @@ def test_sigterm_checkpoints_then_aborts_and_resumes(tmp_path):
         Campaign._simulate_drive = original
 
     # Drive 0 survived to the checkpoint; the handler was uninstalled.
-    assert set(_load_checkpoint(ckpt, _config().fingerprint())) == {0}
+    loaded, _ = ShardStore(ckpt, _config().fingerprint()).load()
+    assert set(loaded) == {0}
     assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
 
     resumed = Campaign(_config())
@@ -472,20 +427,21 @@ def test_sigterm_checkpoints_then_aborts_and_resumes(tmp_path):
 
 
 def test_corrupt_checkpoint_quarantined_salvaged_resumed(tmp_path):
-    # Instrumented on both sides: checkpoint entries carry per-drive
+    # Instrumented on both sides: the store manifest carries per-drive
     # metric snapshots, and salvage must restore them byte-for-byte.
     config = _config(drives=3)
     ref = tmp_path / "ref.json"
-    ref_ckpt = tmp_path / "ref.ck.json"
+    ref_ckpt = tmp_path / "ref.ck"
     Campaign(config, recorder=ObsRecorder()).run(
         checkpoint_path=ref_ckpt
     ).save_json(ref)
 
-    # Truncate a copy mid-way through the last drive: drives 0-1 stay
-    # digest-valid, drive 2 is cut through.
-    ckpt = tmp_path / "ck.json"
-    text = ref_ckpt.read_text()
-    ckpt.write_text(text[: text.rindex('"2"') + 40])
+    # Truncate drive 2's shard in a copy: drives 0-1 stay intact.
+    ckpt = tmp_path / "ck"
+    shutil.copytree(ref_ckpt, ckpt)
+    victim = ckpt / shard_name(2)
+    torn = victim.read_bytes()[:-40]
+    victim.write_bytes(torn)
 
     recorder = ObsRecorder()
     campaign = Campaign(config, recorder=recorder)
@@ -493,18 +449,15 @@ def test_corrupt_checkpoint_quarantined_salvaged_resumed(tmp_path):
     campaign.run(checkpoint_path=ckpt).save_json(out)
 
     assert out.read_bytes() == ref.read_bytes()
-    assert ckpt.read_bytes() == ref_ckpt.read_bytes()  # rewritten clean
-    assert (tmp_path / "ck.json.corrupt").exists()
+    healed = store_bytes(ckpt)  # rewritten clean, damage kept aside
+    assert healed.pop(shard_name(2) + ".corrupt") == torn
+    assert healed == store_bytes(ref_ckpt)
     res = campaign.report.resilience
     assert res["integrity_failures"] == 1
     assert res["drives_salvaged"] == 2
-    assert res["checkpoint_quarantined"] == str(ckpt) + ".corrupt"
-    assert "not valid JSON" in res["checkpoint_error"]
     assert campaign.report.drives_resumed == 2
     assert (
-        recorder.registry.value(
-            "resilience.integrity_failures", artifact="checkpoint"
-        )
+        recorder.registry.value("resilience.integrity_failures", artifact="shard")
         == 1
     )
     assert recorder.registry.value("resilience.drives_salvaged") == 2
@@ -525,15 +478,18 @@ def test_adversity_run_byte_identical_to_clean(tmp_path, workers):
     # Clean serial reference.
     ref_rec = ObsRecorder()
     reference = Campaign(config, recorder=ref_rec)
-    ref_ckpt = tmp_path / "ref.ck.json"
+    ref_ckpt = tmp_path / "ref.ck"
     ref_data = tmp_path / "ref.json"
     reference.run(checkpoint_path=ref_ckpt).save_json(ref_data)
     ref_report = reference.report.to_dict()
 
-    # Seed a corrupted checkpoint: drive 0 salvageable, the rest cut.
-    ckpt = tmp_path / "adv.ck.json"
-    text = ref_ckpt.read_text()
-    ckpt.write_text(text[: text.rindex('"1"') + 30])
+    # Seed a corrupted checkpoint: drive 0 salvageable, drive 1's
+    # shard torn, drive 2's shard lost.
+    ckpt = tmp_path / "adv.ck"
+    shutil.copytree(ref_ckpt, ckpt)
+    torn = ckpt / shard_name(1)
+    torn.write_bytes(torn.read_bytes()[:200])
+    (ckpt / shard_name(2)).unlink()
 
     adv_config = _config(
         drives=3,
@@ -560,7 +516,9 @@ def test_adversity_run_byte_identical_to_clean(tmp_path, workers):
 
     # Artifacts: byte-identical to the clean run.
     assert adv_data.read_bytes() == ref_data.read_bytes()
-    assert ckpt.read_bytes() == ref_ckpt.read_bytes()
+    adv_store = store_bytes(ckpt)
+    assert adv_store.pop(shard_name(1) + ".corrupt")
+    assert adv_store == store_bytes(ref_ckpt)
     assert (
         campaign.manifest.deterministic_blob()
         == reference.manifest.deterministic_blob()

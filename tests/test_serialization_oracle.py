@@ -422,7 +422,6 @@ def _tiny_campaign(tmp_path) -> DriveDataset:
         max_drive_seconds=120.0,
         test_duration_s=20.0,
         window_period_s=25.0,
-        artifact_format="jsonl",
     )
     return Campaign(config).run(checkpoint_path=str(tmp_path / "ckpt"))
 

@@ -49,6 +49,7 @@ from repro.serve import (
 from repro.serve import service as service_module
 from repro.serve.journal import JOURNAL_NAME
 from repro.store import commit
+from tests.helpers import store_bytes
 
 #: Minimum number of seeded SIGKILL points (the journal alone exposes
 #: ten distinct boundary labels in even a two-job run).
@@ -168,19 +169,12 @@ def _read(path) -> bytes:
         return handle.read()
 
 
-def _store_bytes(root) -> dict[str, bytes]:
-    return {
-        name: _read(os.path.join(root, name))
-        for name in sorted(os.listdir(root))
-    }
-
-
 def _job_artifacts(root, job_id):
     """(dataset bytes, store bytes, deterministic manifest blob)."""
     job_dir = os.path.join(str(root), "jobs", job_id)
     return (
         _read(os.path.join(job_dir, "dataset.json")),
-        _store_bytes(os.path.join(job_dir, "store")),
+        store_bytes(os.path.join(job_dir, "store")),
         RunManifest.load_json(
             os.path.join(job_dir, "manifest.json")
         ).deterministic_blob(),

@@ -4,7 +4,7 @@ The contract under test: artifacts are pure functions of content.  A
 digest-chained shard detects *any* single-byte change (property-tested
 below); the shard store recovers per drive, never all-or-nothing; the
 content-addressed cache can only save work, never corrupt a dataset;
-and every layout — monolithic, sharded, cached, resumed, parallel —
+and every execution shape — sharded, cached, resumed, parallel —
 produces byte-identical datasets.
 """
 
@@ -14,9 +14,8 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.campaign import Campaign, CampaignConfig, _load_checkpoint
+from repro.core.campaign import Campaign, CampaignConfig
 from repro.obs import ObsRecorder
-from repro.resilience import CheckpointCorruptError
 from repro.store import (
     DriveCache,
     MANIFEST_NAME,
@@ -29,6 +28,7 @@ from repro.store import (
     shard_name,
     verify_shard,
 )
+from tests.helpers import store_bytes
 
 
 def _config(seed=5, drives=2, **overrides):
@@ -42,14 +42,6 @@ def _config(seed=5, drives=2, **overrides):
     )
     base.update(overrides)
     return CampaignConfig(**base)
-
-
-def _dir_bytes(root) -> dict[str, bytes]:
-    out = {}
-    for name in sorted(os.listdir(root)):
-        with open(os.path.join(root, name), "rb") as handle:
-            out[name] = handle.read()
-    return out
 
 
 def _dataset_bytes(dataset, path) -> bytes:
@@ -166,25 +158,42 @@ def test_salvage_complete_shard(tmp_path):
     assert out.meta == _META
 
 
-def test_zero_byte_monolithic_checkpoint_detected(tmp_path):
-    path = tmp_path / "ck.json"
-    path.write_bytes(b"")
-    with pytest.raises(CheckpointCorruptError, match="not valid JSON"):
-        _load_checkpoint(path, "fp")
-
-
 def test_campaign_survives_zero_byte_checkpoint(tmp_path):
-    ck = tmp_path / "ck.json"
-    ck.write_bytes(b"")
-    campaign = Campaign(_config(drives=1))
+    """A store whose MANIFEST.json was truncated to zero bytes: the
+    manifest is quarantined, the intact shards are adopted, and the run
+    ends with the clean run's dataset and store bytes."""
+    ck = tmp_path / "ck"
+    clean = Campaign(_config()).run(checkpoint_path=ck)
+    clean_store = store_bytes(ck)
+    (ck / MANIFEST_NAME).write_bytes(b"")
+
+    campaign = Campaign(_config())
     dataset = campaign.run(checkpoint_path=ck)
-    assert campaign.report.resilience["integrity_failures"] == 1
-    assert campaign.report.resilience["drives_salvaged"] == 0
-    assert (tmp_path / "ck.json.corrupt").exists()
-    clean = Campaign(_config(drives=1)).run()
+    res = campaign.report.resilience
+    assert res["integrity_failures"] == 1
+    assert res["drives_salvaged"] == 2  # both shards adopted, none rerun
+    assert res["checkpoint_quarantined"] == str(ck / MANIFEST_NAME) + ".corrupt"
+    assert campaign.report.drives_resumed == 2
     assert _dataset_bytes(dataset, tmp_path / "a.json") == _dataset_bytes(
         clean, tmp_path / "b.json"
     )
+    healed = store_bytes(ck)
+    assert healed.pop(MANIFEST_NAME + ".corrupt") == b""
+    assert healed == clean_store
+
+
+@pytest.mark.parametrize(
+    "leftover", [b"", b'{"version": 2, "fingerprint": "x", "drives": {}}']
+)
+def test_regular_file_at_checkpoint_path_rejected_untouched(tmp_path, leftover):
+    """A file where the store directory goes is refused with a typed
+    error before anything is written, and the file keeps its bytes."""
+    ck = tmp_path / "ck.json"
+    ck.write_bytes(leftover)
+    with pytest.raises(ValueError, match="not a shard store"):
+        Campaign(_config(drives=1), recorder=ObsRecorder()).run(checkpoint_path=ck)
+    assert ck.read_bytes() == leftover
+    assert sorted(os.listdir(tmp_path)) == ["ck.json"]
 
 
 # -- property: any single-byte flip is detected --------------------------
@@ -298,13 +307,13 @@ def test_store_sweeps_and_salvages_leftover_wal(tmp_path):
 def test_jsonl_store_byte_identical_serial_vs_parallel(tmp_path):
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"
-    ds_serial = Campaign(_config(artifact_format="jsonl")).run(
+    ds_serial = Campaign(_config()).run(
         checkpoint_path=serial_dir
     )
-    ds_parallel = Campaign(_config(artifact_format="jsonl", workers=2)).run(
+    ds_parallel = Campaign(_config(workers=2)).run(
         checkpoint_path=parallel_dir
     )
-    assert _dir_bytes(serial_dir) == _dir_bytes(parallel_dir)
+    assert store_bytes(serial_dir) == store_bytes(parallel_dir)
     assert _dataset_bytes(ds_serial, tmp_path / "a.json") == _dataset_bytes(
         ds_parallel, tmp_path / "b.json"
     )
@@ -319,7 +328,7 @@ def test_commit_rewrites_tampered_worker_shard(tmp_path, monkeypatch):
     and rewrites the shard.
     """
     serial_dir = tmp_path / "serial"
-    ds_serial = Campaign(_config(artifact_format="jsonl")).run(
+    ds_serial = Campaign(_config()).run(
         checkpoint_path=serial_dir
     )
 
@@ -344,11 +353,11 @@ def test_commit_rewrites_tampered_worker_shard(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ShardWriter, "finish", finish_then_forge)
     parallel_dir = tmp_path / "parallel"
-    ds_parallel = Campaign(_config(artifact_format="jsonl", workers=2)).run(
+    ds_parallel = Campaign(_config(workers=2)).run(
         checkpoint_path=parallel_dir
     )
     assert sorted(os.listdir(marks)) == ["0", "1"]
-    assert _dir_bytes(serial_dir) == _dir_bytes(parallel_dir)
+    assert store_bytes(serial_dir) == store_bytes(parallel_dir)
     assert _dataset_bytes(ds_serial, tmp_path / "a.json") == _dataset_bytes(
         ds_parallel, tmp_path / "b.json"
     )
@@ -356,7 +365,7 @@ def test_commit_rewrites_tampered_worker_shard(tmp_path, monkeypatch):
 
 def test_jsonl_resume_converges_byte_identically(tmp_path, monkeypatch):
     clean_dir = tmp_path / "clean"
-    ds_clean = Campaign(_config(artifact_format="jsonl")).run(
+    ds_clean = Campaign(_config()).run(
         checkpoint_path=clean_dir
     )
 
@@ -369,49 +378,24 @@ def test_jsonl_resume_converges_byte_identically(tmp_path, monkeypatch):
         return original(self, drive_id, route)
 
     monkeypatch.setattr(Campaign, "_simulate_drive", sabotage)
-    first = Campaign(_config(artifact_format="jsonl"))
+    first = Campaign(_config())
     first.run(checkpoint_path=broken_dir)
     assert first.report.drives_failed == 1
 
     monkeypatch.setattr(Campaign, "_simulate_drive", original)
-    second = Campaign(_config(artifact_format="jsonl"))
+    second = Campaign(_config())
     ds_resumed = second.run(checkpoint_path=broken_dir)
     assert second.report.drives_resumed == 1
-    assert _dir_bytes(clean_dir) == _dir_bytes(broken_dir)
+    assert store_bytes(clean_dir) == store_bytes(broken_dir)
     assert _dataset_bytes(ds_clean, tmp_path / "a.json") == _dataset_bytes(
         ds_resumed, tmp_path / "b.json"
     )
 
 
-def test_legacy_monolithic_checkpoint_migrates_to_store(tmp_path):
-    ck = tmp_path / "ck.json"
-    ds_legacy = Campaign(_config()).run(checkpoint_path=ck)
-    assert ck.is_file()
-
-    migrated = Campaign(_config(artifact_format="jsonl"))
-    ds_migrated = migrated.run(checkpoint_path=ck)
-    assert migrated.report.drives_resumed == 2  # nothing recomputed
-    assert ck.is_dir()
-    assert (ck / MANIFEST_NAME).exists()
-    assert (tmp_path / "ck.json.legacy.json").exists()
-    assert _dataset_bytes(ds_legacy, tmp_path / "a.json") == _dataset_bytes(
-        ds_migrated, tmp_path / "b.json"
-    )
-
-
-def test_store_directory_resumes_even_under_json_format(tmp_path):
-    ck = tmp_path / "ck"
-    Campaign(_config(artifact_format="jsonl")).run(checkpoint_path=ck)
-    # A store, once sharded, stays readable whatever the config says.
-    resumed = Campaign(_config(artifact_format="json"))
-    resumed.run(checkpoint_path=ck)
-    assert resumed.report.drives_resumed == 2
-
-
 def test_run_manifest_carries_shard_digests(tmp_path):
     ck = tmp_path / "ck"
     campaign = Campaign(
-        _config(drives=1, artifact_format="jsonl"), recorder=ObsRecorder()
+        _config(drives=1), recorder=ObsRecorder()
     )
     campaign.run(checkpoint_path=ck)
     artifacts = campaign.manifest.artifacts

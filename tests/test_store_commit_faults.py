@@ -115,7 +115,6 @@ def test_campaign_faults_never_leak_tmp_files(tmp_path):
         max_drive_seconds=120.0,
         test_duration_s=30.0,
         window_period_s=50.0,
-        artifact_format="jsonl",
     )
 
     def run(checkpoint_root):

@@ -19,7 +19,6 @@ The seed is printed on every run and can be pinned with
 ``REPRO_CRASH_SEED`` to replay a failure.
 """
 
-import json
 import multiprocessing
 import os
 import random
@@ -31,6 +30,7 @@ from repro.core.campaign import Campaign, CampaignConfig
 from repro.obs import ObsRecorder
 from repro.obs.manifest import RunManifest
 from repro.store import commit
+from tests.helpers import store_bytes
 
 #: Minimum number of seeded SIGKILL points per scenario (the sharded
 #: store exposes well over this many boundaries in even a tiny run).
@@ -48,7 +48,7 @@ def _crash_seed() -> int:
     return int(os.environ.get("REPRO_CRASH_SEED", DEFAULT_SEED))
 
 
-def _config(artifact_format="jsonl"):
+def _config():
     return CampaignConfig(
         seed=13,
         num_interstate_drives=2,
@@ -56,19 +56,18 @@ def _config(artifact_format="jsonl"):
         max_drive_seconds=120.0,
         test_duration_s=30.0,
         window_period_s=50.0,
-        artifact_format=artifact_format,
     )
 
 
-def _run_campaign(artifact_format, checkpoint, dataset_path, manifest_path):
-    campaign = Campaign(_config(artifact_format), recorder=ObsRecorder())
+def _run_campaign(checkpoint, dataset_path, manifest_path):
+    campaign = Campaign(_config(), recorder=ObsRecorder())
     dataset = campaign.run(
         checkpoint_path=checkpoint, manifest_path=manifest_path
     )
     dataset.save_json(dataset_path)
 
 
-def _child(artifact_format, checkpoint, dataset_path, manifest_path, kill_at):
+def _child(checkpoint, dataset_path, manifest_path, kill_at):
     """Run the campaign; SIGKILL self at global boundary index kill_at."""
     state = {"crossed": 0}
 
@@ -79,14 +78,14 @@ def _child(artifact_format, checkpoint, dataset_path, manifest_path, kill_at):
 
     if kill_at is not None:
         commit._CRASH_HOOK = hook
-    _run_campaign(artifact_format, checkpoint, dataset_path, manifest_path)
+    _run_campaign(checkpoint, dataset_path, manifest_path)
 
 
-def _spawn(artifact_format, checkpoint, dataset_path, manifest_path, kill_at):
+def _spawn(checkpoint, dataset_path, manifest_path, kill_at):
     ctx = multiprocessing.get_context("fork")
     proc = ctx.Process(
         target=_child,
-        args=(artifact_format, checkpoint, dataset_path, manifest_path, kill_at),
+        args=(checkpoint, dataset_path, manifest_path, kill_at),
     )
     proc.start()
     proc.join(timeout=300)
@@ -94,13 +93,12 @@ def _spawn(artifact_format, checkpoint, dataset_path, manifest_path, kill_at):
     return proc.exitcode
 
 
-def _boundary_sequence(artifact_format, tmp_path):
+def _boundary_sequence(tmp_path):
     """Ordered boundary labels of one clean run (plus its artifacts)."""
     sequence = []
     commit._CRASH_HOOK = sequence.append
     try:
         _run_campaign(
-            artifact_format,
             tmp_path / "clean-ck",
             tmp_path / "clean-dataset.json",
             tmp_path / "clean-manifest.json",
@@ -126,13 +124,6 @@ def _read(path) -> bytes:
         return handle.read()
 
 
-def _store_bytes(root) -> dict[str, bytes]:
-    return {
-        name: _read(os.path.join(root, name))
-        for name in sorted(os.listdir(root))
-    }
-
-
 def _deterministic_blob(manifest_path) -> bytes:
     return RunManifest.load_json(manifest_path).deterministic_blob()
 
@@ -142,7 +133,7 @@ def test_sharded_store_survives_sigkill_at_every_boundary(tmp_path):
     print(f"\ncrash-injection seed: {seed} (set REPRO_CRASH_SEED to replay)")
     rng = random.Random(seed)
 
-    sequence = _boundary_sequence("jsonl", tmp_path)
+    sequence = _boundary_sequence(tmp_path)
     labels = sorted(set(sequence))
     # The clean run crosses all four protocol steps for every artifact.
     for artifact in ("shard", "manifest", "dataset", "run_manifest"):
@@ -157,9 +148,18 @@ def test_sharded_store_survives_sigkill_at_every_boundary(tmp_path):
         "shard.dirsync",
     ):
         assert wal_label in labels, f"boundary {wal_label} never crossed"
+    # Likewise every step of the atomic commit protocol, through the
+    # store manifest's commits.
+    for commit_label in (
+        "manifest.tmp.write",
+        "manifest.tmp.fsync",
+        "manifest.rename",
+        "manifest.dirsync",
+    ):
+        assert commit_label in labels, f"boundary {commit_label} never crossed"
 
     clean_dataset = _read(tmp_path / "clean-dataset.json")
-    clean_store = _store_bytes(tmp_path / "clean-ck")
+    clean_store = store_bytes(tmp_path / "clean-ck")
     clean_blob = _deterministic_blob(tmp_path / "clean-manifest.json")
 
     plan = _kill_plan(sequence, rng)
@@ -172,12 +172,12 @@ def test_sharded_store_survives_sigkill_at_every_boundary(tmp_path):
         dataset_path = scenario / "dataset.json"
         manifest_path = scenario / "manifest.json"
 
-        exitcode = _spawn("jsonl", checkpoint, dataset_path, manifest_path, kill_at)
+        exitcode = _spawn(checkpoint, dataset_path, manifest_path, kill_at)
         assert exitcode == -signal.SIGKILL, (
             f"kill at boundary {kill_at} ({sequence[kill_at]}): "
             f"child exited {exitcode} instead of being SIGKILLed"
         )
-        exitcode = _spawn("jsonl", checkpoint, dataset_path, manifest_path, None)
+        exitcode = _spawn(checkpoint, dataset_path, manifest_path, None)
         assert exitcode == 0, (
             f"resume after kill at {sequence[kill_at]} (boundary {kill_at}) "
             f"failed with exit code {exitcode}"
@@ -186,7 +186,7 @@ def test_sharded_store_survives_sigkill_at_every_boundary(tmp_path):
         label = sequence[kill_at]
         context = f"after SIGKILL at {label} (boundary {kill_at})"
         assert _read(dataset_path) == clean_dataset, f"dataset differs {context}"
-        assert _store_bytes(checkpoint) == clean_store, f"store differs {context}"
+        assert store_bytes(checkpoint) == clean_store, f"store differs {context}"
         assert _deterministic_blob(manifest_path) == clean_blob, (
             f"deterministic manifest differs {context}"
         )
@@ -198,50 +198,3 @@ def test_sharded_store_survives_sigkill_at_every_boundary(tmp_path):
     )
     assert survived_labels == set(labels)
 
-
-def test_monolithic_checkpoint_survives_sigkill_at_every_boundary(tmp_path):
-    seed = _crash_seed()
-    print(f"\ncrash-injection seed: {seed} (set REPRO_CRASH_SEED to replay)")
-    rng = random.Random(seed)
-
-    sequence = _boundary_sequence("json", tmp_path)
-    checkpoint_boundaries = sorted(
-        {label for label in sequence if label.startswith("checkpoint.")}
-    )
-    assert checkpoint_boundaries == [
-        "checkpoint.dirsync",
-        "checkpoint.rename",
-        "checkpoint.tmp.fsync",
-        "checkpoint.tmp.write",
-    ]
-
-    clean_dataset = _read(tmp_path / "clean-dataset.json")
-    clean_checkpoint = _read(tmp_path / "clean-ck")
-    clean_blob = _deterministic_blob(tmp_path / "clean-manifest.json")
-
-    by_label = {}
-    for index, label in enumerate(sequence):
-        if label.startswith("checkpoint."):
-            by_label.setdefault(label, []).append(index)
-    plan = sorted(rng.choice(indices) for indices in by_label.values())
-
-    for kill_at in plan:
-        scenario = tmp_path / f"kill-{kill_at:04d}"
-        scenario.mkdir()
-        checkpoint = scenario / "ck"
-        dataset_path = scenario / "dataset.json"
-        manifest_path = scenario / "manifest.json"
-
-        exitcode = _spawn("json", checkpoint, dataset_path, manifest_path, kill_at)
-        assert exitcode == -signal.SIGKILL
-        exitcode = _spawn("json", checkpoint, dataset_path, manifest_path, None)
-        assert exitcode == 0
-
-        context = f"after SIGKILL at {sequence[kill_at]} (boundary {kill_at})"
-        assert _read(dataset_path) == clean_dataset, f"dataset differs {context}"
-        assert _read(checkpoint) == clean_checkpoint, (
-            f"checkpoint differs {context}"
-        )
-        assert _deterministic_blob(manifest_path) == clean_blob, (
-            f"deterministic manifest differs {context}"
-        )
