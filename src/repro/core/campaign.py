@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import time
 import traceback as traceback_module
@@ -117,6 +118,13 @@ DEFAULT_CYCLE = (
 )
 
 
+#: :class:`CampaignConfig` fields that must hold integers.
+_INTEGER_FIELDS = (
+    "seed", "num_interstate_drives", "num_city_drives", "num_ring_drives",
+    "city_loop_segments",
+)
+
+
 @dataclass
 class CampaignConfig:
     """Knobs for one campaign."""
@@ -168,6 +176,14 @@ class CampaignConfig:
     fastpath: bool = True
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            # ``bool`` is an ``int`` to Python but never a count or a
+            # seed; numpy integers are normalized to ``int`` so the
+            # fingerprint stays JSON-encodable.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("num_interstate_drives", "num_city_drives", "num_ring_drives"):

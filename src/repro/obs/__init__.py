@@ -27,7 +27,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_snapshots,
 )
 from repro.obs.recorder import (
     NULL_RECORDER,
@@ -53,7 +52,6 @@ __all__ = [
     "SpanTracer",
     "WALL_CLOCK_METRICS",
     "get_recorder",
-    "merge_snapshots",
     "parse_prometheus_text",
     "read_jsonl",
     "set_recorder",

@@ -35,8 +35,10 @@ WALL_CLOCK_METRICS = frozenset(
 #: checkpoint resume counts vary with crashes, retries, watchdog kills,
 #: and queue pressure while the dataset stays byte-identical, so the
 #: deterministic view drops them the same way it drops wall-clock
-#: series.  detlint rule INV102 enforces that every series the service
-#: registers is covered here.
+#: series.  detlint reads these constants live: rule INV102 enforces
+#: that every series the service registers is covered here, and the
+#: taint pass treats a series that is not as a deterministic-manifest
+#: sink (DF101–DF106).
 EXECUTION_METRICS = frozenset({"campaign.drives_resumed"})
 EXECUTION_METRIC_PREFIXES = ("resilience.", "store.", "serve.")
 

@@ -278,17 +278,3 @@ class MetricsRegistry:
     def by_name(self, name: str) -> list[Metric]:
         """Every labelled series of one metric name."""
         return [m for m in self._metrics.values() if m.name == name]
-
-
-def merge_snapshots(*snapshots: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Merge :meth:`MetricsRegistry.snapshot` lists into one snapshot.
-
-    Pure function over snapshots: counters/histograms add, gauges take
-    the last written value in application order.  Associative (with
-    exact-in-float values such as integer counts), which is what lets
-    the parallel campaign merge worker snapshots incrementally.
-    """
-    registry = MetricsRegistry()
-    for snapshot in snapshots:
-        registry.merge(snapshot)
-    return registry.snapshot()

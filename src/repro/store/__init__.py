@@ -41,7 +41,6 @@ from repro.store.shard import (
     chain_digest,
     read_shard,
     salvage_shard,
-    verify_shard,
 )
 
 __all__ = [
@@ -68,5 +67,4 @@ __all__ = [
     "read_shard",
     "salvage_shard",
     "shard_name",
-    "verify_shard",
 ]

@@ -375,21 +375,6 @@ def read_shard(
     return data
 
 
-def verify_shard(
-    path: str | os.PathLike[str],
-    fingerprint: str | None = None,
-    drive_id: int | None = None,
-) -> bool:
-    """True when strict verification passes (config mismatch still raises)."""
-    try:
-        read_shard(path, fingerprint=fingerprint, drive_id=drive_id)
-    except ShardCorruptError:
-        return False
-    except OSError:
-        return False
-    return True
-
-
 def salvage_shard(path: str | os.PathLike[str]) -> ShardSalvage:
     """Best-effort scan: every complete, chain-valid record before the tear.
 

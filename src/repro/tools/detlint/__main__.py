@@ -11,7 +11,7 @@ import json
 import sys
 from typing import Sequence
 
-from repro.tools.detlint.engine import Finding, RULES, rule_codes, run_paths
+from repro.tools.detlint.engine import Finding, RULES, run_paths
 from repro.tools.sarif import render_sarif
 
 
@@ -23,13 +23,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.tools.detlint",
         description=(
-            "Determinism & invariant linter for this repository "
-            "(see docs/STATIC_ANALYSIS.md)."
+            "Determinism & invariant analyzer for this repository: local "
+            "pattern rules plus whole-program taint, crash-boundary and "
+            "fork-safety checks (see docs/STATIC_ANALYSIS.md)."
         ),
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
+        help="files or directories to analyze (default: src)",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -76,13 +77,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        # Import for side effect: rule registration.
-        from repro.tools.detlint import rules as _rules  # noqa: F401
-
         for info in RULES.values():
-            scope = "project" if info.project else "file"
-            print(f"{info.code:<8} [{scope:>7}] {info.summary}")
-        print(f"{'SUP001':<8} [{'file':>7}] unused # detlint: ignore[...] suppression")
+            print(f"{info.code:<8} [{info.scope:>7}] {info.summary}")
         return 0
 
     try:
@@ -98,13 +94,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.format == "json":
         print(_render_json(findings))
     elif args.format == "sarif":
-        # Import for side effect: rule registration (fills the registry
-        # even when run_paths saw no files).
-        from repro.tools.detlint import rules as _rules  # noqa: F401
-
         summaries = {info.code: info.summary for info in RULES.values()}
-        summaries["SUP001"] = "unused # detlint: ignore[...] suppression"
-        summaries["SYN001"] = "file failed to parse"
         print(render_sarif("detlint", findings, summaries))
     elif findings:
         print(_render_text(findings))

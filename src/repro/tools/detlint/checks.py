@@ -31,8 +31,9 @@ import ast
 import fnmatch
 import os
 
-from repro.tools.detflow.graph import ProjectGraph, _dotted
-from repro.tools.detlint.engine import FileContext, Finding, load_context
+from repro.tools.detlint.engine import FileContext, Finding, _dotted, load_context
+from repro.tools.detlint.graph import ProjectGraph
+from repro.tools.detlint.rules import _in_packages
 
 BOUNDARY_UNCOVERED_CODE = "DF201"
 BOUNDARY_INFRA_CODE = "DF202"
@@ -57,13 +58,6 @@ FORK_CALL_LEAVES = frozenset({"Process", "ProcessPoolExecutor"})
 
 
 # -- boundary extraction -------------------------------------------------
-
-def _in_boundary_packages(module: str) -> bool:
-    return any(
-        module == pkg or module.startswith(pkg + ".")
-        for pkg in BOUNDARY_PACKAGES
-    )
-
 
 def _label_pattern(node: ast.expr) -> str | None:
     """A boundary-label expression as an fnmatch pattern, or ``None``
@@ -90,9 +84,9 @@ def declared_boundaries(
     declarations: list[tuple[FileContext, ast.Call, str]] = []
     findings: list[Finding] = []
     for ctx in contexts:
-        if not _in_boundary_packages(ctx.module):
+        if not _in_packages(ctx.module, BOUNDARY_PACKAGES):
             continue
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = _dotted(node.func)
@@ -104,7 +98,7 @@ def declared_boundaries(
             if pattern is None:
                 findings.append(ctx.finding(node, BOUNDARY_INFRA_CODE, (
                     "checkpoint_boundary() label is not a constant or "
-                    "f-string — detflow cannot match it against crash "
+                    "f-string — detlint cannot match it against crash "
                     "tests; use a literal or f-string label"
                 )))
                 continue
@@ -178,8 +172,9 @@ def check_boundary_coverage(
         ctx, node, _ = declarations[0]
         findings.append(ctx.finding(node, BOUNDARY_INFRA_CODE, (
             "crash-boundary declarations found but no crash-test "
-            "directory was located (looked for tests/ containing "
-            f"{', '.join(CRASH_TEST_FILES)}); pass --tests-dir"
+            "directory was located (looked for a tests/ directory "
+            "above the scanned paths or in the working directory "
+            f"containing {', '.join(CRASH_TEST_FILES)})"
         )))
         return findings
     refs, missing = _reference_strings(tests_dir)
@@ -210,7 +205,8 @@ def _is_fork_call(node: ast.Call) -> bool:
     return dotted.rpartition(".")[2] in FORK_CALL_LEAVES
 
 
-def check_fork_safety(contexts: list[FileContext], graph: ProjectGraph) -> list[Finding]:
+def check_fork_safety(graph: ProjectGraph) -> list[Finding]:
+    """Live captures at every fork site, then thread-and-fork mixes."""
     findings: list[Finding] = []
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
@@ -222,9 +218,9 @@ def check_fork_safety(contexts: list[FileContext], graph: ProjectGraph) -> list[
             if not isinstance(node, ast.Call) or not _is_fork_call(node):
                 continue
             findings.extend(
-                _inspect_fork_site(ctx, qualname, node, types, open_handles, graph)
+                _inspect_fork_site(ctx, qualname, node, types, open_handles)
             )
-    return findings
+    return findings + _check_fork_thread_mix(graph)
 
 
 def _open_handles(fn_node: ast.AST) -> set[str]:
@@ -276,7 +272,6 @@ def _inspect_fork_site(
     node: ast.Call,
     types: dict[str, str],
     open_handles: set[str],
-    graph: ProjectGraph,
 ) -> list[Finding]:
     findings: list[Finding] = []
     for expr, is_callable_slot in _capture_args(node):
@@ -311,13 +306,12 @@ def _inspect_fork_site(
                 "captures the whole live object (fds, locks, recorder "
                 "state); use a module-level function taking plain args"
             )))
-    # Threads started in the same function that forks are suspect:
-    # the child inherits the lock state of a thread that no longer runs.
     return findings
 
 
-def check_fork_thread_mix(contexts: list[FileContext], graph: ProjectGraph) -> list[Finding]:
-    """Flag functions that both start a thread and fork."""
+def _check_fork_thread_mix(graph: ProjectGraph) -> list[Finding]:
+    """Flag functions that both start a thread and fork: the child
+    inherits the lock state of a thread that no longer runs."""
     findings: list[Finding] = []
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]

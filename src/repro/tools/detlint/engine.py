@@ -1,4 +1,5 @@
-"""The detlint engine: findings, the rule registry, and suppressions.
+"""The detlint engine: findings, the rule registry, suppressions, and
+the one pass that runs every check.
 
 detlint is a purpose-built static analyzer for *this* repository's
 determinism contract (see ``docs/STATIC_ANALYSIS.md``).  General linters
@@ -14,10 +15,15 @@ Architecture:
 * :class:`FileContext` — a parsed module plus everything rules need
   (dotted module name, raw lines, per-line suppressions) and a scratch
   area where file rules leave data for project rules.
-* file rules (:func:`rule`) run per module; project rules
-  (:func:`project_rule`) run once over all parsed modules and check
-  cross-file invariants (e.g. that the manifest's metric exclusions
-  still name real series).
+* :data:`RULES` — every code the analyzer can emit, listed once.  Its
+  ``scope`` says which layer emits it: ``local`` codes come from file
+  rules (:func:`rule`) and cross-file project rules
+  (``rule(code, project=True)``) in :mod:`~repro.tools.detlint.rules`;
+  ``program`` codes come from the whole-program layer — the symbol and
+  call graph (:mod:`~repro.tools.detlint.graph`), interprocedural taint
+  (:mod:`~repro.tools.detlint.taint`) and the crash-boundary and
+  fork-safety checks (:mod:`~repro.tools.detlint.checks`); ``engine``
+  codes come from this module.
 * suppressions — ``# detlint: ignore[CODE]`` on the offending line
   silences that code there; a suppression that silences nothing is
   itself reported (:data:`UNUSED_SUPPRESSION_CODE`), so stale ignores
@@ -33,6 +39,7 @@ fixtures that live outside the package tree can claim a module with a
 from __future__ import annotations
 
 import ast
+import functools
 import os
 import re
 from dataclasses import dataclass, field
@@ -45,19 +52,8 @@ UNUSED_SUPPRESSION_CODE = "SUP001"
 #: Code attached to files that fail to parse.
 PARSE_ERROR_CODE = "SYN001"
 
-#: Suppression/module-override comments are tagged with the tool name
-#: (``detlint`` here, ``detflow`` for the whole-program analyzer), so a
-#: suppression aimed at one tool never silences the other.
-def _suppression_re(tag: str) -> re.Pattern[str]:
-    return re.compile(rf"#\s*{tag}:\s*ignore\[([A-Za-z0-9_,\s]+)\]")
-
-
-def _module_override_re(tag: str) -> re.Pattern[str]:
-    return re.compile(rf"^#\s*{tag}-module:\s*([A-Za-z0-9_.]+)\s*$")
-
-
-_SUPPRESSION_RE = _suppression_re("detlint")
-_MODULE_OVERRIDE_RE = _module_override_re("detlint")
+_SUPPRESSION_RE = re.compile(r"#\s*detlint:\s*ignore\[([A-Za-z0-9_,\s]+)\]")
+_MODULE_OVERRIDE_RE = re.compile(r"^#\s*detlint-module:\s*([A-Za-z0-9_.]+)\s*$")
 
 
 @dataclass(frozen=True, order=True)
@@ -97,6 +93,12 @@ class FileContext:
     #: INV101 leaves every registered metric-series name).
     shared: dict[str, Any] = field(default_factory=dict)
 
+    @functools.cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order, walked once for
+        all the file rules."""
+        return list(ast.walk(self.tree))
+
     def finding(self, node: ast.AST, code: str, message: str) -> Finding:
         return Finding(
             path=self.path,
@@ -109,73 +111,94 @@ class FileContext:
 
 @dataclass(frozen=True)
 class RuleInfo:
-    """Registry entry: code, one-line summary, and the check callable."""
+    """Registry entry: code, the layer that emits it, one-line summary."""
 
     code: str
+    #: ``local`` (file/project pattern rules), ``program`` (the
+    #: whole-program graph, taint and checks) or ``engine``.
+    scope: str
     summary: str
-    check: Callable[..., Iterable[Finding]]
-    project: bool = False
 
 
-#: All registered rules, keyed by code (insertion order = doc order).
-RULES: dict[str, RuleInfo] = {}
+#: Every code the analyzer emits, once each, in documentation order.
+RULES: dict[str, RuleInfo] = {
+    info.code: info
+    for info in (
+        RuleInfo("DET001", "local", "no random/numpy.random global RNG outside repro.rng"),
+        RuleInfo("DET002", "local", "no wall-clock reads in simulation packages"),
+        RuleInfo("DET003", "local", "no iteration over sets feeding ordered output"),
+        RuleInfo("DET004", "local", "no os.urandom/uuid/hash() entropy in artifact code"),
+        RuleInfo("DET005", "local", "no mutation of CampaignConfig fingerprint fields"),
+        RuleInfo("DET006", "local", "no bare open()+json.dump writes outside repro.store"),
+        RuleInfo("DET007", "local", "no per-sample loops over LinkConditions traces in hot packages"),
+        RuleInfo("DET008", "local", "no unsorted directory listings feeding ordered output"),
+        RuleInfo("INV101", "local", "series names match subsystem.metric; manifest exclusions name registered series"),
+        RuleInfo("INV102", "local", "serve metrics must be excluded from the deterministic manifest"),
+        RuleInfo("DF001", "program", "star imports defeat whole-program name resolution"),
+        RuleInfo("DF101", "program", "wall-clock time reaches a byte-identity sink"),
+        RuleInfo("DF102", "program", "os.environ/pid reaches a byte-identity sink"),
+        RuleInfo("DF103", "program", "unsorted directory listing reaches a byte-identity sink"),
+        RuleInfo("DF104", "program", "set/dict-ordering iteration reaches a byte-identity sink"),
+        RuleInfo("DF105", "program", "global RNG state reaches a byte-identity sink"),
+        RuleInfo("DF106", "program", "float reduction over an unordered collection reaches a sink"),
+        RuleInfo("DF201", "program", "crash boundary not referenced by any crash test"),
+        RuleInfo("DF202", "program", "crash-boundary coverage could not be verified (fails closed)"),
+        RuleInfo("DF301", "program", "live state captured across a fork boundary"),
+        RuleInfo(UNUSED_SUPPRESSION_CODE, "engine", "unused # detlint: ignore[...] suppression"),
+        RuleInfo(PARSE_ERROR_CODE, "engine", "file failed to parse"),
+    )
+}
+
+#: Per-file checks (``check(ctx)``) and cross-file checks
+#: (``check(contexts)``), keyed by the code they emit.
+FILE_CHECKS: dict[str, Callable[[FileContext], Iterable[Finding]]] = {}
+PROJECT_CHECKS: dict[str, Callable[[list[FileContext]], Iterable[Finding]]] = {}
 
 
-def rule(code: str, summary: str) -> Callable[[Callable[[FileContext], Iterable[Finding]]], Callable[[FileContext], Iterable[Finding]]]:
-    """Register a per-file rule (``check(ctx) -> findings``)."""
+def rule(code: str, project: bool = False) -> Callable[[Callable[..., Iterable[Finding]]], Callable[..., Iterable[Finding]]]:
+    """Attach a check to a registered ``local`` code.
 
-    def wrap(fn: Callable[[FileContext], Iterable[Finding]]) -> Callable[[FileContext], Iterable[Finding]]:
-        if code in RULES:
-            raise ValueError(f"duplicate rule code {code!r}")
-        RULES[code] = RuleInfo(code=code, summary=summary, check=fn)
-        return fn
-
-    return wrap
-
-
-def project_rule(code: str, summary: str) -> Callable[[Callable[[list[FileContext]], Iterable[Finding]]], Callable[[list[FileContext]], Iterable[Finding]]]:
-    """Register a cross-file rule (``check(contexts) -> findings``).
-
-    A project rule may share a code with a per-file rule (both halves of
-    one documented invariant); it is stored under ``<code>/project``.
+    A file check takes one :class:`FileContext`; a project check
+    (``project=True``) takes every context and judges cross-file
+    invariants.  One code may have one of each (INV101 does).
     """
+    checks: dict[str, Callable[..., Iterable[Finding]]] = (
+        PROJECT_CHECKS if project else FILE_CHECKS
+    )
 
-    def wrap(fn: Callable[[list[FileContext]], Iterable[Finding]]) -> Callable[[list[FileContext]], Iterable[Finding]]:
-        key = f"{code}/project"
-        if key in RULES:
-            raise ValueError(f"duplicate project rule code {code!r}")
-        RULES[key] = RuleInfo(code=code, summary=summary, check=fn, project=True)
+    def wrap(fn: Callable[..., Iterable[Finding]]) -> Callable[..., Iterable[Finding]]:
+        if code not in RULES or code in checks:
+            raise ValueError(f"unregistered or duplicate rule code {code!r}")
+        checks[code] = fn
         return fn
 
     return wrap
 
 
-def rule_codes() -> list[str]:
-    """Every selectable rule code (deduplicated, registry order)."""
-    seen: list[str] = []
-    for info in RULES.values():
-        if info.code not in seen:
-            seen.append(info.code)
-    if UNUSED_SUPPRESSION_CODE not in seen:
-        seen.append(UNUSED_SUPPRESSION_CODE)
-    return seen
+def _dotted(node: ast.expr) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 # -- module discovery ----------------------------------------------------
 
 
-def module_name_for(path: str, first_line: str = "", tag: str = "detlint") -> str:
+def module_name_for(path: str, first_line: str = "") -> str:
     """Dotted module name for a file path.
 
-    A ``# <tag>-module: x.y.z`` header comment wins (fixtures);
+    A ``# detlint-module: x.y.z`` header comment wins (fixtures);
     otherwise the name is the path from the last ``repro`` directory
     down (how the repo lays out ``src/repro/...``); otherwise the bare
     stem.
     """
-    override_re = (
-        _MODULE_OVERRIDE_RE if tag == "detlint" else _module_override_re(tag)
-    )
-    match = override_re.match(first_line.strip())
+    match = _MODULE_OVERRIDE_RE.match(first_line.strip())
     if match:
         return match.group(1)
     parts = list(os.path.normpath(path).split(os.sep))
@@ -190,14 +213,11 @@ def module_name_for(path: str, first_line: str = "", tag: str = "detlint") -> st
     return ".".join(parts)
 
 
-def parse_suppressions(lines: list[str], tag: str = "detlint") -> dict[int, set[str]]:
-    """``{line_number: {codes}}`` for every ``<tag>: ignore`` comment."""
-    suppression_re = (
-        _SUPPRESSION_RE if tag == "detlint" else _suppression_re(tag)
-    )
+def parse_suppressions(lines: list[str]) -> dict[int, set[str]]:
+    """``{line_number: {codes}}`` for every ``detlint: ignore`` comment."""
     out: dict[int, set[str]] = {}
     for lineno, line in enumerate(lines, start=1):
-        match = suppression_re.search(line)
+        match = _SUPPRESSION_RE.search(line)
         if match:
             codes = {c.strip() for c in match.group(1).split(",") if c.strip()}
             if codes:
@@ -230,7 +250,7 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
                         yield full
 
 
-def load_context(path: str, tag: str = "detlint") -> FileContext | Finding:
+def load_context(path: str) -> FileContext | Finding:
     """Parse one file into a :class:`FileContext` (or a parse Finding)."""
     try:
         with open(path, encoding="utf-8") as handle:
@@ -246,26 +266,23 @@ def load_context(path: str, tag: str = "detlint") -> FileContext | Finding:
     lines = text.splitlines()
     return FileContext(
         path=path,
-        module=module_name_for(path, lines[0] if lines else "", tag),
+        module=module_name_for(path, lines[0] if lines else ""),
         tree=tree,
         lines=lines,
-        suppressions=parse_suppressions(lines, tag),
+        suppressions=parse_suppressions(lines),
     )
 
 
 def active_codes(select: Iterable[str] | None, ignore: Iterable[str] | None) -> set[str]:
     """Resolve ``--select``/``--ignore`` into the set of codes to run."""
-    codes = set(rule_codes())
+    codes = set(RULES)
+    for requested in (select, ignore):
+        unknown = set(requested or ()) - set(RULES)
+        if unknown:
+            raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
     if select:
-        wanted = set(select)
-        unknown = wanted - codes
-        if unknown:
-            raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-        codes = wanted
+        codes = set(select)
     if ignore:
-        unknown = set(ignore) - set(rule_codes())
-        if unknown:
-            raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
         codes -= set(ignore)
     return codes
 
@@ -274,22 +291,34 @@ def run_paths(
     paths: Iterable[str],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
+    tests_dir: str | None = None,
 ) -> list[Finding]:
-    """Lint every Python file under ``paths``; return sorted findings.
+    """Analyze every Python file under ``paths``; return sorted findings.
 
-    Suppressed findings are dropped; suppressions that matched nothing
-    become :data:`UNUSED_SUPPRESSION_CODE` findings (unless that code
-    is itself deselected).  Parse failures surface as
-    :data:`PARSE_ERROR_CODE` findings — a file detlint cannot read is
-    a file whose invariants nobody checked.
+    Each file is parsed once.  The file rules run over every module,
+    then the project rules over all of them, then — only when one of
+    their codes is selected — the whole-program passes: the project
+    graph (DF001), taint (DF101–DF106), crash-boundary coverage
+    (DF201/DF202, against the crash tests in ``tests_dir``, else a
+    ``tests/`` directory found near ``paths``) and fork safety (DF301).
+
+    Findings of unselected codes, then suppressed findings, are
+    dropped; suppressions that matched nothing become
+    :data:`UNUSED_SUPPRESSION_CODE` findings (unless that code is itself
+    deselected).  Parse failures surface as :data:`PARSE_ERROR_CODE`
+    findings — a file detlint cannot read is a file whose invariants
+    nobody checked.
     """
-    # Import for side effect: rule registration.
-    from repro.tools.detlint import rules as _rules  # noqa: F401
+    # The rule modules import this one; importing ``rules`` also
+    # attaches the local checks to FILE_CHECKS/PROJECT_CHECKS.
+    from repro.tools.detlint import checks, rules as _rules, taint  # noqa: F401
+    from repro.tools.detlint.graph import IMPORT_STAR_CODE, ProjectGraph
 
     codes = active_codes(select, ignore)
+    path_list = list(paths)
     contexts: list[FileContext] = []
     raw: list[Finding] = []
-    for path in iter_python_files(paths):
+    for path in iter_python_files(path_list):
         loaded = load_context(path)
         if isinstance(loaded, Finding):
             raw.append(loaded)
@@ -297,18 +326,32 @@ def run_paths(
         contexts.append(loaded)
 
     for ctx in contexts:
-        for info in RULES.values():
-            if info.project or info.code not in codes:
-                continue
-            raw.extend(info.check(ctx))
-    for info in RULES.values():
-        if info.project and info.code in codes:
-            raw.extend(info.check(contexts))
+        for code, check in FILE_CHECKS.items():
+            if code in codes:
+                raw.extend(check(ctx))
+    for code, check in PROJECT_CHECKS.items():
+        if code in codes:
+            raw.extend(check(contexts))
+
+    taint_codes = set(taint.CATEGORY_CODES.values())
+    if codes & (taint_codes | {IMPORT_STAR_CODE, checks.FORK_CAPTURE_CODE}):
+        graph = ProjectGraph.build(contexts)
+        raw.extend(graph.findings)
+        if codes & taint_codes:
+            raw.extend(taint.analyze(graph))
+        if checks.FORK_CAPTURE_CODE in codes:
+            raw.extend(checks.check_fork_safety(graph))
+    if codes & {checks.BOUNDARY_UNCOVERED_CODE, checks.BOUNDARY_INFRA_CODE}:
+        if tests_dir is None:
+            tests_dir = checks.find_tests_dir(path_list)
+        raw.extend(checks.check_boundary_coverage(contexts, tests_dir))
 
     findings: list[Finding] = []
     used: dict[tuple[str, int], set[str]] = {}
     by_path = {ctx.path: ctx for ctx in contexts}
     for finding in raw:
+        if finding.code not in codes:
+            continue
         ctx = by_path.get(finding.path)
         suppressed = ctx is not None and finding.code in ctx.suppressions.get(
             finding.line, set()

@@ -1,6 +1,7 @@
 """Project-wide symbol table and import/call graph (stdlib ``ast`` only).
 
-detflow's whole-program checks all stand on the structures built here:
+detlint's whole-program passes (taint, fork safety) stand on the
+structures built here:
 
 * :class:`ModuleInfo` — one parsed module: its import bindings (local
   name -> dotted target), top-level functions, classes and methods, and
@@ -31,9 +32,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.tools.detlint.engine import FileContext, Finding
+from repro.tools.detlint.engine import FileContext, Finding, _dotted
 
-#: Star imports make resolution unsound; detflow refuses to guess.
+#: Star imports make resolution unsound; the graph refuses to guess.
 IMPORT_STAR_CODE = "DF001"
 
 
@@ -75,8 +76,8 @@ class ClassInfo:
     #: method name -> FunctionInfo qualname
     methods: dict[str, str] = field(default_factory=dict)
     #: ``self.attr = SomeClass(...)`` bindings seen anywhere in the
-    #: class body: attr name -> class qualname.
-    attr_types: dict[str, str] = field(default_factory=dict)
+    #: class body: attr name -> class qualname (``None`` until computed).
+    attr_types: dict[str, str] | None = None
 
 
 @dataclass
@@ -129,18 +130,6 @@ def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     return [a.arg for a in (*args.posonlyargs, *args.args)]
 
 
-def _dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 class ProjectGraph:
     """Symbol table + call graph over a set of parsed modules."""
 
@@ -151,6 +140,8 @@ class ProjectGraph:
         #: caller qualname -> resolved call sites (in source order)
         self.calls: dict[str, list[CallSite]] = {}
         self.findings: list[Finding] = []
+        #: function qualname -> :meth:`local_types` (pure once built).
+        self._local_types: dict[str, dict[str, str]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -175,7 +166,7 @@ class ProjectGraph:
         for star in stars:
             self.findings.append(ctx.finding(star, IMPORT_STAR_CODE, (
                 f"'from {star.module} import *' defeats whole-program name "
-                "resolution (detflow cannot tell which names this module "
+                "resolution (detlint cannot tell which names this module "
                 "now binds); import the needed names explicitly"
             )))
         for node in ctx.tree.body:
@@ -283,7 +274,10 @@ class ProjectGraph:
         self, module: ModuleInfo, fn: FunctionInfo
     ) -> dict[str, str]:
         """``{local_name: class_qualname}`` for constructor assignments
-        inside ``fn`` (plus ``self`` for methods)."""
+        inside ``fn`` (plus ``self`` for methods); read-only, cached."""
+        cached = self._local_types.get(fn.qualname)
+        if cached is not None:
+            return cached
         types: dict[str, str] = {}
         if fn.is_method:
             types["self"] = f"{fn.module}.{fn.owner}"
@@ -301,6 +295,7 @@ class ProjectGraph:
                     and target.value.id == "self"
                 ):
                     types[f"self.{target.attr}"] = cls
+        self._local_types[fn.qualname] = types
         return types
 
     def class_attr_types(self, class_qual: str) -> dict[str, str]:
@@ -308,7 +303,7 @@ class ProjectGraph:
         info = self.classes.get(class_qual)
         if info is None:
             return {}
-        if info.attr_types:
+        if info.attr_types is not None:
             return info.attr_types
         module = self.modules[info.module]
         out: dict[str, str] = {}
@@ -377,13 +372,6 @@ class ProjectGraph:
             self.calls[qualname] = sites
 
     # -- queries ----------------------------------------------------------
-
-    def function_for_module(self, module: str) -> list[FunctionInfo]:
-        return [
-            self.functions[q]
-            for q in sorted(self.functions)
-            if self.functions[q].module == module
-        ]
 
     def edge_set(self) -> set[tuple[str, str]]:
         """``{(caller, callee)}`` over resolved project-internal edges."""

@@ -1,10 +1,12 @@
-"""The detlint rule set: DET001–DET007, INV101, and INV102.
+"""detlint's local rules: DET001–DET008, INV101 and INV102.
 
 Each rule enforces one determinism or observability invariant that the
 keystone byte-identity tests (``tests/test_parallel_campaign.py``,
-``tests/test_resilience.py``) rely on.  Rules are documented with
-rationale and examples in ``docs/STATIC_ANALYSIS.md``; keep the two in
-sync when adding rules.
+``tests/test_resilience.py``) rely on, by a pattern visible in one file
+(INV101 also has a cross-file half).  The whole-program rules live in
+:mod:`~repro.tools.detlint.taint` and :mod:`~repro.tools.detlint.checks`.
+Rules are documented with rationale and examples in
+``docs/STATIC_ANALYSIS.md``; keep the two in sync when adding rules.
 
 All checks are AST-based and deliberately conservative: a rule that can
 fire falsely trains people to sprinkle ignores, which defeats the
@@ -17,33 +19,17 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from repro.tools.detlint.engine import FileContext, Finding, project_rule, rule
+from repro.tools.detlint.engine import FileContext, Finding, _dotted, rule
 
 # -- shared helpers ------------------------------------------------------
 
 
-def _walk(tree: ast.AST) -> Iterator[ast.AST]:
-    return ast.walk(tree)
-
-
-def _dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _module_aliases(tree: ast.Module, module: str) -> set[str]:
+def _module_aliases(nodes: list[ast.AST], module: str) -> set[str]:
     """Local names bound to ``module`` via ``import``/``import as``."""
     aliases: set[str] = set()
-    for node in _walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == module:
@@ -60,10 +46,10 @@ def _module_aliases(tree: ast.Module, module: str) -> set[str]:
     return aliases
 
 
-def _from_imports(tree: ast.Module, module: str) -> dict[str, ast.ImportFrom]:
+def _from_imports(nodes: list[ast.AST], module: str) -> dict[str, ast.ImportFrom]:
     """``{imported_name: node}`` for ``from module import name`` bindings."""
     found: dict[str, ast.ImportFrom] = {}
-    for node in _walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.module == module:
             for alias in node.names:
                 found[alias.name] = node
@@ -92,7 +78,7 @@ NUMPY_GLOBAL_RNG_FNS = frozenset({
 RNG_HOME = "repro.rng"
 
 
-@rule("DET001", "no random/numpy.random global RNG outside repro.rng")
+@rule("DET001")
 def det001(ctx: FileContext) -> Iterable[Finding]:
     if ctx.module == RNG_HOME:
         return []
@@ -101,7 +87,7 @@ def det001(ctx: FileContext) -> Iterable[Finding]:
         "draws from {src} bypass the seeded substream discipline; "
         "take an rng from repro.rng.RngStreams instead"
     )
-    for node in _walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "random" or alias.name.startswith("random."):
@@ -116,9 +102,9 @@ def det001(ctx: FileContext) -> Iterable[Finding]:
                     if alias.name in NUMPY_GLOBAL_RNG_FNS:
                         findings.append(ctx.finding(node, "DET001", msg.format(
                             src=f"numpy.random.{alias.name}")))
-    numpy_aliases = _module_aliases(ctx.tree, "numpy")
-    npr_aliases = _module_aliases(ctx.tree, "numpy.random")
-    for node in _walk(ctx.tree):
+    numpy_aliases = _module_aliases(ctx.nodes, "numpy")
+    npr_aliases = _module_aliases(ctx.nodes, "numpy.random")
+    for node in ctx.nodes:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         fn = node.func.attr
@@ -161,27 +147,27 @@ WALL_CLOCK_TIME_FNS = frozenset({
 WALL_CLOCK_DATETIME_FNS = frozenset({"now", "today", "utcnow"})
 
 
-@rule("DET002", "no wall-clock reads in simulation packages")
+@rule("DET002")
 def det002(ctx: FileContext) -> Iterable[Finding]:
     if not _in_packages(ctx.module, SIM_PACKAGES):
         return []
     findings: list[Finding] = []
-    time_aliases = _module_aliases(ctx.tree, "time")
-    datetime_mod_aliases = _module_aliases(ctx.tree, "datetime")
+    time_aliases = _module_aliases(ctx.nodes, "time")
+    datetime_mod_aliases = _module_aliases(ctx.nodes, "datetime")
     datetime_cls_aliases = {
         (alias.asname or alias.name)
-        for node in _walk(ctx.tree)
+        for node in ctx.nodes
         if isinstance(node, ast.ImportFrom) and node.module == "datetime"
         for alias in node.names
         if alias.name in ("datetime", "date")
     }
-    for name, node in _from_imports(ctx.tree, "time").items():
+    for name, node in _from_imports(ctx.nodes, "time").items():
         if name in WALL_CLOCK_TIME_FNS:
             findings.append(ctx.finding(node, "DET002", (
                 f"time.{name} imported in simulation code; simulated "
                 "drives must only see DES/simulated time"
             )))
-    for node in _walk(ctx.tree):
+    for node in ctx.nodes:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         fn = node.func.attr
@@ -229,14 +215,14 @@ def _is_setish(node: ast.expr) -> bool:
     return False
 
 
-@rule("DET003", "no iteration over sets feeding ordered output")
+@rule("DET003")
 def det003(ctx: FileContext) -> Iterable[Finding]:
     findings: list[Finding] = []
     msg = (
         "set iteration order varies across processes/runs; wrap in "
         "sorted(...) before it can reach ordered output"
     )
-    for node in _walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, (ast.For, ast.AsyncFor)) and _is_setish(node.iter):
             findings.append(ctx.finding(node.iter, "DET003", msg))
         elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
@@ -271,14 +257,14 @@ ENTROPY_SOURCES = {
 }
 
 
-@rule("DET004", "no os.urandom/uuid/hash() entropy in artifact code")
+@rule("DET004")
 def det004(ctx: FileContext) -> Iterable[Finding]:
     findings: list[Finding] = []
     aliases = {
-        mod: _module_aliases(ctx.tree, mod) for mod in ("os", "uuid", "secrets")
+        mod: _module_aliases(ctx.nodes, mod) for mod in ("os", "uuid", "secrets")
     }
     froms = {
-        mod: _from_imports(ctx.tree, mod) for mod in ("os", "uuid", "secrets")
+        mod: _from_imports(ctx.nodes, mod) for mod in ("os", "uuid", "secrets")
     }
     for mod, fn in ENTROPY_SOURCES:
         if fn in froms[mod]:
@@ -288,7 +274,7 @@ def det004(ctx: FileContext) -> Iterable[Finding]:
             )))
     if aliases["secrets"] or froms["secrets"]:
         node = next(
-            n for n in _walk(ctx.tree)
+            n for n in ctx.nodes
             if isinstance(n, (ast.Import, ast.ImportFrom))
             and (getattr(n, "module", None) == "secrets"
                  or any(a.name.split(".")[0] == "secrets" for a in n.names))
@@ -297,7 +283,7 @@ def det004(ctx: FileContext) -> Iterable[Finding]:
             "the secrets module is entropy by design; nothing in a "
             "deterministic reproduction should need it"
         )))
-    for node in _walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         if isinstance(node.func, ast.Name) and node.func.id == "hash" and node.args:
@@ -342,7 +328,7 @@ def _is_config_receiver(node: ast.expr) -> bool:
     return False
 
 
-@rule("DET005", "no mutation of CampaignConfig fingerprint fields")
+@rule("DET005")
 def det005(ctx: FileContext) -> Iterable[Finding]:
     findings: list[Finding] = []
     msg = (
@@ -350,7 +336,7 @@ def det005(ctx: FileContext) -> Iterable[Finding]:
         "desyncs the config from its checkpoint fingerprint; build a "
         "new CampaignConfig instead"
     )
-    for node in _walk(ctx.tree):
+    for node in ctx.nodes:
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -406,14 +392,14 @@ def _open_write_call(node: ast.expr) -> bool:
     return isinstance(mode, str) and any(c in mode for c in "wa+")
 
 
-@rule("DET006", "no bare open()+json.dump writes outside repro.store")
+@rule("DET006")
 def det006(ctx: FileContext) -> Iterable[Finding]:
     if _in_packages(ctx.module, (STORE_PACKAGE,)):
         return []
-    json_aliases = _module_aliases(ctx.tree, "json")
+    json_aliases = _module_aliases(ctx.nodes, "json")
     dump_names = {
         alias.asname or alias.name
-        for node in _walk(ctx.tree)
+        for node in ctx.nodes
         if isinstance(node, ast.ImportFrom) and node.module == "json"
         for alias in node.names
         if alias.name == "dump"
@@ -431,7 +417,7 @@ def det006(ctx: FileContext) -> Iterable[Finding]:
         "place); write through repro.store.commit.atomic_write_json"
     )
     findings: list[Finding] = []
-    for node in _walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, (ast.With, ast.AsyncWith)):
             handles = {
                 item.optional_vars.id
@@ -441,7 +427,7 @@ def det006(ctx: FileContext) -> Iterable[Finding]:
             }
             if not handles:
                 continue
-            for inner in _walk(node):
+            for inner in ast.walk(node):
                 if (
                     isinstance(inner, ast.Call)
                     and is_json_dump(inner)
@@ -477,7 +463,7 @@ TRACE_REFERENCE_MODULES = ("repro.core.fluid", "repro.core.fastpath.fluid")
 LINK_SAMPLE_METHODS = frozenset({"capacity_mbps"})
 
 
-@rule("DET007", "no per-sample loops over LinkConditions traces in hot packages")
+@rule("DET007")
 def det007(ctx: FileContext) -> Iterable[Finding]:
     if not _in_packages(ctx.module, TRACE_PACKAGES):
         return []
@@ -502,7 +488,7 @@ def det007(ctx: FileContext) -> Iterable[Finding]:
     def per_sample_call(names: set[str], bodies: list[ast.AST]) -> ast.AST | None:
         """First call consuming a loop variable as a LinkConditions."""
         for body in bodies:
-            for node in _walk(body):
+            for node in ast.walk(body):
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -525,7 +511,7 @@ def det007(ctx: FileContext) -> Iterable[Finding]:
         return None
 
     findings: list[Finding] = []
-    for node in _walk(ctx.tree):
+    for node in ctx.nodes:
         hit: ast.AST | None = None
         if isinstance(node, (ast.For, ast.AsyncFor)):
             hit = per_sample_call(loop_names(node.target), list(node.body))
@@ -578,7 +564,7 @@ def _writes_ordered_output(bodies: list[ast.AST]) -> ast.AST | None:
     preserves the (unsorted) listing order.  Aggregations (counts,
     max/min, membership) never observe the order and stay clean."""
     for body in bodies:
-        for node in _walk(body):
+        for node in ast.walk(body):
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 return node
             if (
@@ -590,10 +576,10 @@ def _writes_ordered_output(bodies: list[ast.AST]) -> ast.AST | None:
     return None
 
 
-@rule("DET008", "no unsorted directory listings feeding ordered output")
+@rule("DET008")
 def det008(ctx: FileContext) -> Iterable[Finding]:
     aliases: dict[str, str] = {}
-    for node in _walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -606,7 +592,7 @@ def det008(ctx: FileContext) -> Iterable[Finding]:
     )
 
     findings: list[Finding] = []
-    for node in _walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, (ast.For, ast.AsyncFor)) and _is_listing_call(
             node.iter, aliases
         ):
@@ -646,11 +632,11 @@ MANIFEST_MODULE = "repro.obs.manifest"
 CAMPAIGN_MODULE = "repro.core.campaign"
 
 
-@rule("INV101", "MetricsRegistry series names match subsystem.metric")
+@rule("INV101")
 def inv101_names(ctx: FileContext) -> Iterable[Finding]:
     findings: list[Finding] = []
     names = ctx.shared.setdefault("metric_names", set())
-    for node in _walk(ctx.tree):
+    for node in ctx.nodes:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         if node.func.attr not in REGISTRY_FACTORIES:
@@ -691,7 +677,7 @@ def _manifest_exclusions(tree: ast.Module) -> dict[str, tuple[ast.AST, list[str]
     return out
 
 
-@project_rule("INV101", "manifest metric exclusions stay consistent with src")
+@rule("INV101", project=True)
 def inv101_manifest(contexts: list[FileContext]) -> Iterable[Finding]:
     by_module = {ctx.module: ctx for ctx in contexts}
     manifest = by_module.get(MANIFEST_MODULE)
@@ -738,12 +724,13 @@ def inv101_manifest(contexts: list[FileContext]) -> Iterable[Finding]:
 SERVE_PACKAGE = "repro.serve"
 
 
-def _excluded_from_deterministic_manifest(name: str) -> bool:
+def excluded_from_deterministic_manifest(name: str) -> bool:
     """Is ``name`` dropped by ``RunManifest.deterministic_dict``?
 
     Checks the *live* exclusion constants — the manifest module is
-    stdlib-only and always importable wherever detlint runs — so the
-    rule can never drift from the code it guards.
+    stdlib-only and always importable wherever detlint runs — so INV102
+    and the taint pass's metric sinks can never drift from the code
+    they guard.
     """
     from repro.obs.manifest import (
         EXECUTION_METRIC_PREFIXES,
@@ -756,12 +743,12 @@ def _excluded_from_deterministic_manifest(name: str) -> bool:
     return any(name.startswith(prefix) for prefix in EXECUTION_METRIC_PREFIXES)
 
 
-@rule("INV102", "serve metrics must be excluded from the deterministic manifest")
+@rule("INV102")
 def inv102_serve_metrics(ctx: FileContext) -> Iterable[Finding]:
     if not _in_packages(ctx.module, (SERVE_PACKAGE,)):
         return []
     findings: list[Finding] = []
-    for node in _walk(ctx.tree):
+    for node in ctx.nodes:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         if node.func.attr not in REGISTRY_FACTORIES:
@@ -771,7 +758,7 @@ def inv102_serve_metrics(ctx: FileContext) -> Iterable[Finding]:
         value = node.args[0].value
         if not isinstance(value, str) or not SERIES_NAME_RE.match(value):
             continue  # shape problems are INV101's report
-        if not _excluded_from_deterministic_manifest(value):
+        if not excluded_from_deterministic_manifest(value):
             findings.append(ctx.finding(node.args[0], "INV102", (
                 f"series {value!r} is registered by the service but not "
                 "excluded from the deterministic manifest; add it to "

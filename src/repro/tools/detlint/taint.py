@@ -12,7 +12,7 @@ manifest exclusion lists) is a finding, reported with the full call
 chain so the fix site is obvious.
 
 Mechanics: summary-based fixpoint over the
-:class:`~repro.tools.detflow.graph.ProjectGraph`.  Each function gets a
+:class:`~repro.tools.detlint.graph.ProjectGraph`.  Each function gets a
 :class:`FunctionSummary` — which sources its return value carries,
 which parameters flow to its return, and which parameters flow into
 sinks it (transitively) reaches.  Summaries are recomputed until
@@ -30,7 +30,7 @@ Precision choices (all deliberate, all documented in
 * **Comparisons drop taint** — ``now > deadline`` yields an untainted
   bool.  Implicit flows (branching on tainted data) are out of scope;
   timeouts/deadlines are ubiquitous and legitimate.
-* **Unresolved calls propagate argument taint** — a call detflow
+* **Unresolved calls propagate argument taint** — a call the graph
   cannot resolve is assumed to pass its inputs through (conservative
   for data, silent for new sources, which only specs introduce).
 * **Per-category sanitizers** — ``sorted()`` cancels *ordering* taints
@@ -43,8 +43,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 
-from repro.tools.detflow.graph import FunctionInfo, ModuleInfo, ProjectGraph, _dotted
-from repro.tools.detlint.engine import Finding
+from repro.tools.detlint.engine import Finding, _dotted
+from repro.tools.detlint.graph import FunctionInfo, ModuleInfo, ProjectGraph
+from repro.tools.detlint.rules import (
+    LISTING_METHODS,
+    excluded_from_deterministic_manifest,
+)
 
 # -- taint categories ----------------------------------------------------
 
@@ -225,9 +229,6 @@ SOURCE_CALLS: dict[str, str] = {
     "numpy.random.random": GLOBALRNG,
 }
 
-#: Method names that are LISTING sources on any receiver (Path API).
-LISTING_METHODS = frozenset({"iterdir", "glob", "rglob"})
-
 #: ``sum()``/``math.fsum`` over these producers is a FLOATSUM source
 #: when the iterable is a set or ``dict.values()``.
 FLOAT_REDUCERS = frozenset({"sum", "max", "min"})
@@ -290,17 +291,6 @@ SANITIZER_CALLS: dict[str, frozenset[str]] = {
     "sorted": ORDER_CATEGORIES,
     "math.fsum": frozenset({FLOATSUM}),
 }
-
-
-def _is_metric_excluded(name: str) -> bool:
-    """Live check against the manifest exclusion lists (like INV102)."""
-    try:
-        from repro.obs import manifest as m
-    except Exception:  # pragma: no cover - manifest import always works in-repo
-        return False
-    if name in m.WALL_CLOCK_METRICS or name in m.EXECUTION_METRICS:
-        return True
-    return any(name.startswith(p) for p in m.EXECUTION_METRIC_PREFIXES)
 
 
 # -- the analyzer --------------------------------------------------------
@@ -856,7 +846,7 @@ class _FunctionWalker:
         if not inner.args or not isinstance(inner.args[0], ast.Constant):
             return
         series = inner.args[0].value
-        if not isinstance(series, str) or _is_metric_excluded(series):
+        if not isinstance(series, str) or excluded_from_deterministic_manifest(series):
             return
         origin = f"{self.module.ctx.path}:{node.lineno}"
         for value in (*arg_values, *kw_values):

@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 serialization shared by detlint and detflow.
+"""SARIF 2.1.0 serialization for detlint's findings.
 
 SARIF (Static Analysis Results Interchange Format) is what code hosts
 ingest to annotate findings inline on PRs.  One function turns a list

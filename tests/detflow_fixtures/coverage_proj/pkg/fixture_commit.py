@@ -1,4 +1,4 @@
-# detflow-module: repro.store.fixture_commit
+# detlint-module: repro.store.fixture_commit
 # Fixture: crash-boundary coverage.  Declares three boundaries; the
 # sibling tests/ dir references "fixture.step.write" and the f-string
 # pattern "fixture.*.sync" — "fixture.step.orphan" is deliberately

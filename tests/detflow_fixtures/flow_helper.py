@@ -1,5 +1,5 @@
 # Fixture (interprocedural): the source lives here; the sink lives in
-# flow_main.py.  detflow must carry the taint across the module edge
+# flow_main.py.  detlint must carry the taint across the module edge
 # and name both functions in the reported call chain.
 import time
 

@@ -18,4 +18,4 @@ def env_in_identity():
 
 def env_acknowledged():
     spec = {"home": os.environ.get("HOME", "")}
-    return fingerprint(spec)  # detflow: ignore[DF102]
+    return fingerprint(spec)  # detlint: ignore[DF102]

@@ -1,11 +1,14 @@
-"""detflow: every taint class fires on its seeded fixture and is
-correctly sanitizer-suppressed, taint crosses module boundaries with
-the full call chain reported, crash-boundary coverage fails closed,
-fork-safety flags live captures, and the self-scan of src/repro is
-clean.
+"""detlint's whole-program rules (DF*): every taint class fires on its
+seeded fixture and is correctly sanitizer-suppressed, taint crosses
+module boundaries with the full call chain reported, crash-boundary
+coverage fails closed, and fork-safety flags live captures.
 
 The fixtures in ``tests/detflow_fixtures/`` each contain exactly the
-flows their comments name, at pinned line numbers.
+flows their comments name, at pinned line numbers.  ``scan`` selects
+the whole-program codes (``PROGRAM_CODES``) so each fixture pins its
+own family; ``test_full_run_over_detflow_fixtures`` runs every rule.
+The self-scan of src/repro is ``tests/test_detlint.py``'s
+``test_module_entrypoint_runs_clean_on_src``.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.tools.detflow import run_paths
-from repro.tools.detflow.__main__ import main
-from repro.tools.detlint.engine import Finding
+from repro.tools.detlint import RULES, Finding, run_paths
+from repro.tools.detlint.__main__ import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
@@ -26,16 +28,19 @@ TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS / "detflow_fixtures"
 COVERAGE_PROJ = FIXTURES / "coverage_proj"
 
+#: The whole-program rules, plus the suppression audit.
+PROGRAM_CODES = [c for c, info in RULES.items() if info.scope == "program"] + ["SUP001"]
+
 
 def codes_and_lines(findings: list[Finding]) -> set[tuple[str, int]]:
     return {(f.code, f.line) for f in findings}
 
 
-def scan(*paths: Path, tests_dir: Path | None = TESTS, **kwargs) -> list[Finding]:
+def scan(*paths: Path, tests_dir: Path | None = TESTS) -> list[Finding]:
     return run_paths(
         [str(p) for p in paths],
+        select=PROGRAM_CODES,
         tests_dir=str(tests_dir) if tests_dir else None,
-        **kwargs,
     )
 
 
@@ -51,7 +56,7 @@ def scan(*paths: Path, tests_dir: Path | None = TESTS, **kwargs) -> list[Finding
         # WALL_CLOCK_METRICS-excluded observe() and the field-sensitive
         # clean-payload sink stay silent.
         ("taint_wallclock.py", {("DF101", 11), ("DF101", 23)}),
-        # pid/environ -> fingerprint; the detflow: ignore[DF102] line
+        # pid/environ -> fingerprint; the detlint: ignore[DF102] line
         # stays silent (and its suppression counts as used).
         ("taint_environ.py", {("DF102", 11), ("DF102", 16)}),
         # unsorted listdir/iterdir -> shard; sorted() variant silent.
@@ -71,6 +76,44 @@ def scan(*paths: Path, tests_dir: Path | None = TESTS, **kwargs) -> list[Finding
 def test_taint_class_fires_and_sanitizer_suppresses(fixture: str, expected):
     findings = scan(FIXTURES / fixture)
     assert codes_and_lines(findings) == expected
+
+
+def test_full_run_over_detflow_fixtures():
+    # Every rule over the whole corpus: the whole-program findings plus
+    # four local ones on the same flows — DET008 on the unsorted
+    # listings, DET001 on the stdlib random import, DET003 on the
+    # list(set) call.  Against the repo's tests/, coverage_proj's
+    # fixture.* boundaries are all uncovered.
+    findings = run_paths([str(FIXTURES)], tests_dir=str(TESTS))
+    got = {
+        (Path(f.path).relative_to(FIXTURES).as_posix(), f.code, f.line)
+        for f in findings
+    }
+    assert got == {
+        ("coverage_proj/pkg/fixture_commit.py", "DF201", 13),
+        ("coverage_proj/pkg/fixture_commit.py", "DF201", 14),
+        ("coverage_proj/pkg/fixture_commit.py", "DF201", 15),
+        ("flow_main.py", "DF101", 10),
+        ("fork_capture.py", "DF301", 22),
+        ("fork_capture.py", "DF301", 29),
+        ("fork_capture.py", "DF301", 36),
+        ("fork_capture.py", "DF301", 44),
+        ("import_star.py", "DF001", 2),
+        ("taint_environ.py", "DF102", 11),
+        ("taint_environ.py", "DF102", 16),
+        ("taint_floatsum.py", "DF106", 10),
+        ("taint_listing.py", "DET008", 10),
+        ("taint_listing.py", "DET008", 22),
+        ("taint_listing.py", "DF103", 11),
+        ("taint_listing.py", "DF103", 23),
+        ("taint_rng.py", "DET001", 3),
+        ("taint_rng.py", "DF105", 12),
+        ("taint_setorder.py", "DET003", 23),
+        ("taint_setorder.py", "DF104", 10),
+        ("taint_setorder.py", "DF104", 24),
+        ("taint_wallclock.py", "DF101", 11),
+        ("taint_wallclock.py", "DF101", 23),
+    }
 
 
 def test_finding_messages_carry_source_and_sink():
@@ -108,10 +151,7 @@ def test_helper_alone_is_clean():
 
 
 def test_boundary_coverage_flags_only_the_orphan():
-    findings = run_paths(
-        [str(COVERAGE_PROJ / "pkg")],
-        tests_dir=str(COVERAGE_PROJ / "tests"),
-    )
+    findings = scan(COVERAGE_PROJ / "pkg", tests_dir=COVERAGE_PROJ / "tests")
     assert codes_and_lines(findings) == {("DF201", 15)}
     assert "fixture.step.orphan" in findings[0].message
 
@@ -124,7 +164,7 @@ def test_boundary_coverage_fails_closed_when_reference_deleted(tmp_path):
     crash_test = proj / "tests" / "test_store_crash.py"
     text = crash_test.read_text().replace('"fixture.step.write",\n', "")
     crash_test.write_text(text)
-    findings = run_paths([str(proj / "pkg")], tests_dir=str(proj / "tests"))
+    findings = scan(proj / "pkg", tests_dir=proj / "tests")
     assert ("DF201", 13) in codes_and_lines(findings)
     assert any("fixture.step.write" in f.message for f in findings)
 
@@ -133,7 +173,7 @@ def test_boundary_coverage_fails_closed_when_crash_test_missing(tmp_path):
     proj = tmp_path / "proj"
     shutil.copytree(COVERAGE_PROJ, proj)
     (proj / "tests" / "test_store_crash.py").unlink()
-    findings = run_paths([str(proj / "pkg")], tests_dir=str(proj / "tests"))
+    findings = scan(proj / "pkg", tests_dir=proj / "tests")
     codes = {f.code for f in findings}
     assert "DF202" in codes  # missing file: cannot verify == failure
     # The boundaries the deleted file referenced are now uncovered too.
@@ -141,7 +181,7 @@ def test_boundary_coverage_fails_closed_when_crash_test_missing(tmp_path):
 
 
 def test_boundary_coverage_fails_closed_when_no_tests_dir():
-    findings = run_paths([str(COVERAGE_PROJ / "pkg")], tests_dir=None)
+    findings = scan(COVERAGE_PROJ / "pkg", tests_dir=None)
     # Auto-discovery walks up from the fixture and finds the repo's own
     # tests/, which has no fixture.* references: everything uncovered —
     # either way the scan cannot silently pass.
@@ -152,10 +192,9 @@ def test_fstring_boundaries_match_fstring_references():
     # src's journal boundaries are f-strings (journal.{label}.append);
     # the serve crash test references them with f-strings too.  The
     # pattern matcher must connect the two — proven by the self-scan
-    # being free of DF201 for journal.* (see test_src_repro_is_clean).
-    findings = run_paths(
-        [str(SRC_REPRO / "serve" / "journal.py")], tests_dir=str(TESTS)
-    )
+    # being free of DF201 for journal.* (see test_detlint.py's
+    # test_module_entrypoint_runs_clean_on_src).
+    findings = scan(SRC_REPRO / "serve" / "journal.py")
     assert [f for f in findings if f.code in ("DF201", "DF202")] == []
 
 
@@ -180,45 +219,40 @@ def test_fork_safety_flags_live_captures():
 # -- suppressions ---------------------------------------------------------
 
 
-def test_detflow_suppression_uses_detflow_tag(tmp_path):
-    # detflow honors "# detflow: ignore[...]" and ignores detlint tags.
-    src = FIXTURES / "taint_rng.py"
-    suppressed = tmp_path / "suppressed.py"
-    text = src.read_text().replace(
-        "return fingerprint({\"jitter\": jitter})  # DF105: global RNG",
-        "return fingerprint({\"jitter\": jitter})  # detflow: ignore[DF105]",
+def test_df_codes_use_the_detlint_suppression_tag(tmp_path):
+    # One tag for every code: "# detlint: ignore[DF105]" silences the
+    # whole-program finding, and the retired per-tool tag is now an
+    # ordinary comment that silences nothing.
+    text = (FIXTURES / "taint_rng.py").read_text().replace(
+        "# DF105: global RNG", "# detlint: ignore[DF105]"
     )
+    suppressed = tmp_path / "suppressed.py"
     suppressed.write_text(text)
-    assert run_paths([str(suppressed)], tests_dir=str(TESTS)) == []
+    assert scan(suppressed) == []
 
-    wrong_tag = tmp_path / "wrong_tag.py"
-    wrong_tag.write_text(text.replace("detflow: ignore", "detlint: ignore"))
-    findings = run_paths([str(wrong_tag)], tests_dir=str(TESTS))
-    assert {f.code for f in findings} == {"DF105"}
+    leftover = tmp_path / "leftover.py"
+    leftover.write_text(text.replace("# detlint:", "# detflow:"))
+    assert codes_and_lines(scan(leftover)) == {("DF105", 12)}
 
 
 def test_unused_detflow_suppression_reported(tmp_path):
     path = tmp_path / "unused.py"
-    path.write_text("x = 1  # detflow: ignore[DF101]\n")
-    findings = run_paths([str(path)], tests_dir=str(TESTS))
-    assert codes_and_lines(findings) == {("SUP001", 1)}
+    path.write_text("x = 1  # detlint: ignore[DF101]\n")
+    assert codes_and_lines(scan(path)) == {("SUP001", 1)}
 
 
 # -- CLI ------------------------------------------------------------------
 
 
 def test_cli_exit_codes(capsys):
-    assert main([str(FIXTURES / "taint_rng.py"), "--tests-dir", str(TESTS)]) == 1
-    assert main([str(SRC_REPRO / "rng.py"), "--tests-dir", str(TESTS)]) == 0
+    assert main([str(FIXTURES / "taint_rng.py")]) == 1
+    assert main([str(SRC_REPRO / "rng.py")]) == 0
     assert main(["--select", "NOPE123", str(FIXTURES)]) == 2
     capsys.readouterr()
 
 
 def test_cli_select_narrows(capsys):
-    code = main([
-        str(FIXTURES / "fork_capture.py"),
-        "--select", "DF101", "--tests-dir", str(TESTS),
-    ])
+    code = main([str(FIXTURES / "fork_capture.py"), "--select", "DF101"])
     assert code == 0  # DF301 findings filtered out
     capsys.readouterr()
 
@@ -231,54 +265,37 @@ def test_cli_list_rules(capsys):
 
 
 def test_cli_json_format(capsys):
-    main([str(FIXTURES / "taint_rng.py"), "--format", "json",
-          "--tests-dir", str(TESTS)])
+    # One run reports both families: the import (DET001) and the flow
+    # into the fingerprint (DF105).
+    assert main([str(FIXTURES / "taint_rng.py"), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["count"] == 1
-    assert payload["findings"][0]["code"] == "DF105"
+    assert payload["count"] == 2
+    assert [f["code"] for f in payload["findings"]] == ["DET001", "DF105"]
 
 
 def test_cli_sarif_format(capsys):
-    main([str(FIXTURES / "taint_rng.py"), "--format", "sarif",
-          "--tests-dir", str(TESTS)])
+    main([str(FIXTURES / "taint_rng.py"), "--format", "sarif"])
     log = json.loads(capsys.readouterr().out)
     assert log["version"] == "2.1.0"
     run = log["runs"][0]
-    assert run["tool"]["driver"]["name"] == "detflow"
-    assert [r["ruleId"] for r in run["results"]] == ["DF105"]
-    region = run["results"][0]["locations"][0]["physicalLocation"]["region"]
+    assert run["tool"]["driver"]["name"] == "detlint"
+    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == sorted(RULES)
+    assert [r["ruleId"] for r in run["results"]] == ["DET001", "DF105"]
+    region = run["results"][1]["locations"][0]["physicalLocation"]["region"]
     assert region["startLine"] == 12
 
 
 def test_sarif_output_is_deterministic(capsys):
-    main([str(FIXTURES / "fork_capture.py"), "--format", "sarif",
-          "--tests-dir", str(TESTS)])
+    main([str(FIXTURES / "fork_capture.py"), "--format", "sarif"])
     first = capsys.readouterr().out
-    main([str(FIXTURES / "fork_capture.py"), "--format", "sarif",
-          "--tests-dir", str(TESTS)])
+    main([str(FIXTURES / "fork_capture.py"), "--format", "sarif"])
     assert capsys.readouterr().out == first
 
 
 def test_detlint_sarif_format(capsys):
-    from repro.tools.detlint.__main__ import main as detlint_main
-
     fixture = TESTS / "detlint_fixtures" / "det008_listing.py"
-    detlint_main([str(fixture), "--format", "sarif"])
+    main([str(fixture), "--format", "sarif"])
     log = json.loads(capsys.readouterr().out)
     run = log["runs"][0]
     assert run["tool"]["driver"]["name"] == "detlint"
     assert {r["ruleId"] for r in run["results"]} == {"DET008"}
-
-
-# -- the acceptance gate --------------------------------------------------
-
-
-def test_src_repro_is_clean():
-    """`python -m repro.tools.detflow src/repro` must exit 0.
-
-    Every taint class above is proven to fire on fixtures; this proves
-    the production tree carries none of them — and that every declared
-    crash boundary has a crash test and no live state crosses a fork.
-    """
-    findings = run_paths([str(SRC_REPRO)], tests_dir=str(TESTS))
-    assert findings == [], "\n".join(f.render() for f in findings)

@@ -1,11 +1,11 @@
-"""Property tests for detflow's symbol-table/call-graph builder.
+"""Property tests for detlint's symbol-table/call-graph builder.
 
-The graph is the foundation every detflow check stands on, so its two
+The graph is the foundation every whole-program check stands on, so its two
 structural guarantees get property coverage on generated module trees:
 
 1. **Permutation stability** — the graph is a pure function of the
    *set* of modules, never of file discovery order.  A graph that
-   changed shape with directory-listing order would make detflow's own
+   changed shape with directory-listing order would make detlint's own
    output nondeterministic (the exact sin it polices).
 2. **Resolution soundness on known shapes** — aliased imports, import
    cycles, re-export hops, and method-vs-function shadowing resolve to
@@ -22,7 +22,7 @@ import ast
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tools.detflow.graph import IMPORT_STAR_CODE, ProjectGraph
+from repro.tools.detlint.graph import IMPORT_STAR_CODE, ProjectGraph
 from repro.tools.detlint.engine import FileContext
 
 

@@ -1,9 +1,13 @@
-"""detlint: every rule fires on its seeded fixture, suppressions work,
-unused suppressions are reported, and src/ itself is clean.
+"""detlint's local rules: every rule fires on its seeded fixture,
+suppressions work, unused suppressions are reported, the registry lists
+every code once, and src/repro itself is clean under every rule.
 
 The fixtures in ``tests/detlint_fixtures/`` each contain exactly the
 violations their docstring names, at pinned line numbers — if a rule's
 detection logic regresses, the (code, line) assertions here catch it.
+Fixture tests select the local codes (``LOCAL_CODES``) so each pins
+its own family; ``test_full_run_over_detlint_fixtures`` runs every rule.
+The whole-program rules are tested in ``tests/test_detflow.py``.
 """
 
 from __future__ import annotations
@@ -15,14 +19,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.tools.detlint import Finding, run_paths
+from repro.tools.detlint import RULES, Finding, run_paths
 from repro.tools.detlint.__main__ import main
-from repro.tools.detlint.engine import module_name_for, parse_suppressions
+from repro.tools.detlint.engine import (
+    FILE_CHECKS,
+    PROJECT_CHECKS,
+    module_name_for,
+    parse_suppressions,
+)
 from repro.tools.detlint.rules import FINGERPRINT_FIELDS, SIM_PACKAGES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC = REPO_ROOT / "src"
+SRC_REPRO = REPO_ROOT / "src" / "repro"
 FIXTURES = Path(__file__).resolve().parent / "detlint_fixtures"
+
+#: The per-file and cross-file pattern rules, plus the suppression audit.
+LOCAL_CODES = [c for c, info in RULES.items() if info.scope == "local"] + ["SUP001"]
 
 
 def codes_and_lines(findings: list[Finding]) -> set[tuple[str, int]]:
@@ -57,8 +69,34 @@ def codes_and_lines(findings: list[Finding]) -> set[tuple[str, int]]:
     ],
 )
 def test_rule_fires_on_fixture(fixture: str, expected: set[tuple[str, int]]):
-    findings = run_paths([str(FIXTURES / fixture)])
+    findings = run_paths([str(FIXTURES / fixture)], select=LOCAL_CODES)
     assert codes_and_lines(findings) == expected
+
+
+def test_full_run_over_detlint_fixtures():
+    # Every rule, local and whole-program, over the whole corpus: the
+    # whole-program passes add nothing here.
+    findings = run_paths([str(FIXTURES)])
+    assert {(Path(f.path).name, f.code, f.line) for f in findings} == {
+        ("det001_rng.py", "DET001", 3),
+        ("det001_rng.py", "DET001", 9),
+        ("det002_wallclock.py", "DET002", 7),
+        ("det003_setorder.py", "DET003", 6),
+        ("det004_entropy.py", "DET004", 6),
+        ("det005_mutation.py", "DET005", 6),
+        ("det006_barewrite.py", "DET006", 8),
+        ("det006_barewrite.py", "DET006", 12),
+        ("det007_persample.py", "DET007", 8),
+        ("det007_persample.py", "DET007", 9),
+        ("det008_listing.py", "DET008", 9),
+        ("det008_listing.py", "DET008", 14),
+        ("det008_listing.py", "DET008", 19),
+        ("det008_listing.py", "DET008", 24),
+        ("det008_listing.py", "DET008", 28),
+        ("inv101_name.py", "INV101", 6),
+        ("inv102_serve_metric.py", "INV102", 8),
+        ("unused_suppression.py", "SUP001", 6),
+    }
 
 
 def test_each_fixture_exits_nonzero_via_cli(capsys):
@@ -345,11 +383,18 @@ def test_cli_clean_exit(capsys, tmp_path):
 
 
 def test_cli_list_rules(capsys):
+    # One registry: all 22 codes of both rule families, each listed once.
     assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for code in ("DET001", "DET002", "DET003", "DET004", "DET005",
-                 "DET006", "DET007", "INV101", "INV102", "SUP001"):
-        assert code in out
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == [
+        "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
+        "DET007", "DET008", "INV101", "INV102",
+        "DF001", "DF101", "DF102", "DF103", "DF104", "DF105", "DF106",
+        "DF201", "DF202", "DF301", "SUP001", "SYN001",
+    ]
+    # Every local code has a check behind it (INV101 has two halves).
+    local = {c for c, info in RULES.items() if info.scope == "local"}
+    assert set(FILE_CHECKS) | set(PROJECT_CHECKS) == local
 
 
 def test_syntax_error_is_reported(tmp_path):
@@ -362,15 +407,14 @@ def test_syntax_error_is_reported(tmp_path):
 # -- the repo holds its own invariants -----------------------------------
 
 
-def test_src_is_clean():
-    """The acceptance bar: detlint over src/ finds nothing."""
-    findings = run_paths([str(SRC)])
-    assert findings == [], "\n".join(f.render() for f in findings)
-
-
 def test_module_entrypoint_runs_clean_on_src():
+    """The acceptance gate: ``python -m repro.tools.detlint src/repro``
+    exits 0.  One scan covers the CLI entry point and both rule
+    families — no local pattern, no taint flow, no uncovered crash
+    boundary (the crash tests are found in ``tests/``), no live state
+    across a fork."""
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.tools.detlint", str(SRC)],
+        [sys.executable, "-m", "repro.tools.detlint", str(SRC_REPRO)],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,

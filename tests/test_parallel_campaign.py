@@ -30,7 +30,6 @@ from repro.obs import (
     MetricsRegistry,
     NULL_RECORDER,
     ObsRecorder,
-    merge_snapshots,
 )
 from repro.resilience import CampaignAborted, ResilienceConfig, RetryPolicy
 from repro.store import MANIFEST_NAME, ShardStore
@@ -405,8 +404,10 @@ def test_merge_snapshots_function():
         reg.counter("c").inc(value)
         reg.gauge("g").set(value)
         regs.append(reg.snapshot())
-    merged = merge_snapshots(*regs)
-    by_name = {(m["name"], m["type"]): m for m in merged}
+    merged = MetricsRegistry()
+    for snapshot in regs:
+        merged.merge(snapshot)
+    by_name = {(m["name"], m["type"]): m for m in merged.snapshot()}
     assert by_name[("c", "counter")]["value"] == 7.0
     assert by_name[("g", "gauge")]["value"] == 4.0
 

@@ -12,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import ObsRecorder
 from repro.obs.manifest import EXECUTION_METRIC_PREFIXES, RunManifest
@@ -164,11 +166,59 @@ def test_spec_to_config_presets_and_execution_knobs():
         {"seed": -1},                       # CampaignConfig validation
         {"artifact_format": "json"},        # no such knob: one format
         "not a dict",
+        # Non-integral seeds and counts: refused at admission, never a
+        # TypeError from SeedSequence/range() once the job runs.
+        {"preset": "smoke", "seed": 2.0},
+        {"seed": 1.5},
+        {"num_city_drives": 2.5},
+        {"preset": "small", "drives": True},
     ],
 )
 def test_invalid_specs_rejected(spec):
     with pytest.raises(InvalidSubmission):
         spec_to_config(spec)
+
+
+#: Any value a JSON spec can carry.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=2**70)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: Every sim and execution key of a spec, plus the preset keys.
+SPEC_KEYS = [
+    "seed", "num_interstate_drives", "num_city_drives", "num_ring_drives",
+    "max_drive_seconds", "test_duration_s", "window_period_s",
+    "city_loop_segments", "workers", "retries", "drive_timeout_s", "drives",
+]
+
+
+@given(
+    # Small plausible numbers keep most specs admissible, so the
+    # accepted branch is exercised as often as the rejected one.
+    values=st.dictionaries(
+        st.sampled_from(SPEC_KEYS),
+        st.integers(min_value=0, max_value=6)
+        | st.floats(min_value=0.5, max_value=5000.0)
+        | JSON_VALUES,
+        max_size=4,
+    ),
+    preset=st.sampled_from([None, "smoke", "small"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_spec_admission_yields_integral_config_or_invalid_submission(values, preset):
+    spec = dict(values) if preset is None else {"preset": preset, **values}
+    try:
+        config = spec_to_config(spec)
+    except InvalidSubmission:
+        return
+    for name in ("seed", "num_interstate_drives", "num_city_drives",
+                 "num_ring_drives", "city_loop_segments"):
+        value = getattr(config, name)
+        assert type(value) is int, (name, value)
 
 
 #: Execution keys of the wrong type or out of range: each must end in a

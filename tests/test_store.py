@@ -26,7 +26,6 @@ from repro.store import (
     read_shard,
     salvage_shard,
     shard_name,
-    verify_shard,
 )
 from tests.helpers import store_bytes
 
@@ -65,7 +64,6 @@ def test_shard_roundtrip_via_build(tmp_path):
     assert shard.records == _RECORDS
     assert shard.meta == _META
     assert shard.head == head
-    assert verify_shard(path)
 
 
 def test_shard_writer_matches_build_bytes(tmp_path):
@@ -215,7 +213,8 @@ def test_any_single_byte_flip_fails_verification(tmp_path, pos, mask):
     flipped[pos] ^= mask
     path = tmp_path / "flipped.jsonl"
     path.write_bytes(bytes(flipped))
-    assert not verify_shard(path)
+    with pytest.raises(ShardCorruptError):
+        read_shard(path)
 
 
 # -- ShardStore ----------------------------------------------------------
@@ -445,7 +444,7 @@ def test_cache_tampered_entry_quarantined_and_recomputed(tmp_path):
     # Never silently served: quarantined, recomputed, and re-cached.
     assert os.path.exists(entry + ".corrupt")
     assert second.report.resilience["integrity_failures"] == 1
-    assert verify_shard(entry, fingerprint=fingerprint, drive_id=0)
+    read_shard(entry, fingerprint=fingerprint, drive_id=0)  # verifies or raises
     assert _dataset_bytes(ds_first, tmp_path / "a.json") == _dataset_bytes(
         ds_second, tmp_path / "b.json"
     )

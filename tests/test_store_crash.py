@@ -140,7 +140,7 @@ def test_sharded_store_survives_sigkill_at_every_boundary(tmp_path):
         assert any(label.startswith(artifact + ".") for label in labels), labels
     # Every WAL-protocol commit point must appear in the enumeration —
     # a missing label here means a crash point nobody kills at
-    # (detflow's DF201 boundary-coverage check keys off these names).
+    # (detlint's DF201 boundary-coverage check keys off these names).
     for wal_label in (
         "shard.wal.append",
         "shard.wal.fsync",
