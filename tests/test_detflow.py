@@ -7,8 +7,9 @@ The fixtures in ``tests/detflow_fixtures/`` each contain exactly the
 flows their comments name, at pinned line numbers.  ``scan`` selects
 the whole-program codes (``PROGRAM_CODES``) so each fixture pins its
 own family; ``test_full_run_over_detflow_fixtures`` runs every rule.
-The self-scan of src/repro is ``tests/test_detlint.py``'s
-``test_module_entrypoint_runs_clean_on_src``.
+``test_src_repro_is_clean`` scans src/repro with the whole-program
+codes; ``tests/test_detlint.py``'s ``test_module_entrypoint_runs_clean_on_src``
+scans it with every rule through the CLI.
 """
 
 from __future__ import annotations
@@ -299,3 +300,17 @@ def test_detlint_sarif_format(capsys):
     run = log["runs"][0]
     assert run["tool"]["driver"]["name"] == "detlint"
     assert {r["ruleId"] for r in run["results"]} == {"DET008"}
+
+
+# -- the acceptance gate --------------------------------------------------
+
+
+def test_src_repro_is_clean():
+    """In-process, every whole-program rule over src/repro finds nothing.
+
+    Every taint class above is proven to fire on fixtures; this proves
+    the production tree carries none of them — and that every declared
+    crash boundary has a crash test and no live state crosses a fork.
+    """
+    findings = scan(SRC_REPRO)
+    assert findings == [], "\n".join(f.render() for f in findings)

@@ -407,6 +407,14 @@ def test_syntax_error_is_reported(tmp_path):
 # -- the repo holds its own invariants -----------------------------------
 
 
+def test_src_is_clean():
+    """In-process, every local rule over src/ finds nothing (the
+    whole-program rules' in-process scan is ``test_detflow.py``'s
+    ``test_src_repro_is_clean``)."""
+    findings = run_paths([str(SRC_REPRO.parent)], select=LOCAL_CODES)
+    assert findings == [], "\n".join(f.render() for f in findings)
+
+
 def test_module_entrypoint_runs_clean_on_src():
     """The acceptance gate: ``python -m repro.tools.detlint src/repro``
     exits 0.  One scan covers the CLI entry point and both rule
