@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import os
 import time
@@ -118,6 +119,15 @@ DEFAULT_CYCLE = (
 )
 
 
+def _finite_positive(value: float) -> bool:
+    """``0 < value < inf``.  NaN fails every comparison, so a
+    ``value <= 0`` test would admit it."""
+    try:
+        return value > 0 and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 #: :class:`CampaignConfig` fields that must hold integers.
 _INTEGER_FIELDS = (
     "seed", "num_interstate_drives", "num_city_drives", "num_ring_drives",
@@ -190,18 +200,17 @@ class CampaignConfig:
             count = getattr(self, name)
             if count < 0:
                 raise ValueError(f"{name} must be non-negative, got {count}")
-        if self.max_drive_seconds is not None and self.max_drive_seconds <= 0:
+        if self.max_drive_seconds is not None and not _finite_positive(
+            self.max_drive_seconds
+        ):
             raise ValueError(
-                f"max_drive_seconds must be positive or None, got {self.max_drive_seconds}"
+                "max_drive_seconds must be finite and positive or None,"
+                f" got {self.max_drive_seconds}"
             )
-        if self.test_duration_s <= 0:
-            raise ValueError(
-                f"test_duration_s must be positive, got {self.test_duration_s}"
-            )
-        if self.window_period_s <= 0:
-            raise ValueError(
-                f"window_period_s must be positive, got {self.window_period_s}"
-            )
+        for name in ("test_duration_s", "window_period_s"):
+            value = getattr(self, name)
+            if not _finite_positive(value):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not self.cycle:
             raise ValueError("cycle must contain at least one TestKind")
         for kind in self.cycle:

@@ -211,14 +211,20 @@ class FluidTcpFast:
         total = _lane_sum(demand)
         if total <= capacity_bytes:
             return demand
-        # The reference breaks demand *ties* with np.argsort's unstable
-        # introsort, and tied lanes receive different shares — so the
-        # permutation is replayed with the same call, not re-derived.
-        order = np.argsort(np.asarray(demand))
+        # With distinct demands the ascending order is unique, and a
+        # Python sort finds it.  The reference breaks demand *ties* with
+        # np.argsort's unstable introsort, and tied lanes receive
+        # different shares — so on a tie the permutation is replayed with
+        # the same call, not re-derived.
+        order = sorted(range(self.parallel), key=demand.__getitem__)
+        for a, b in zip(order, order[1:]):
+            if not demand[a] < demand[b]:
+                order = np.argsort(np.asarray(demand)).tolist()
+                break
         rates = [0.0] * self.parallel
         remaining = capacity_bytes
         left = self.parallel
-        for idx in order.tolist():
+        for idx in order:
             d = demand[idx]
             share = remaining / left
             r = d if d < share else share

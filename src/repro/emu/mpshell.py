@@ -11,6 +11,7 @@ multi-homed host the paper runs MPTCP experiments on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -81,7 +82,6 @@ class TraceLink:
         self.name = name
         self._rng = rng
         self._receiver = None
-        self._index = 0
         self._base_s = 0.0
         self._burst_until_s = -1.0
         self._mean_opportunity_s = self.period_s / len(self.opportunities_ms)
@@ -90,8 +90,11 @@ class TraceLink:
         self.random_losses = 0
         self.packets_sent = 0
         #: Time of the opportunity at ``_index``, and whether it is queued
-        #: in the simulator (False while the link is idle).
-        self._next_s = self._advance_from(sim.now)
+        #: in the simulator (False while the link is idle).  The first
+        #: step moves from before the trace (-1) to its first entry.
+        self._index = -1
+        self._next_s = 0.0
+        self._advance(sim.now)
         self._running = False
 
     def connect(self, receiver) -> None:
@@ -106,44 +109,42 @@ class TraceLink:
 
     # -- opportunity engine ------------------------------------------------
 
-    def _advance_from(self, now_s: float) -> float:
-        """When the opportunity at ``_index`` fires, if the previous one
-        fired at ``now_s``: the float a relative ``schedule`` produces."""
-        target_s = self._base_s + self.opportunities_ms[self._index] / 1000.0
-        return now_s + max(0.0, target_s - now_s)
-
-    def _step(self) -> None:
-        self._index += 1
-        if self._index >= len(self.opportunities_ms):
-            self._index = 0
+    def _advance(self, now_s: float) -> None:
+        """Step to the next opportunity and set ``_next_s`` to when it
+        fires if the current one fired at ``now_s``: the float a relative
+        ``schedule`` produces, ``now_s + max(0, target - now_s)``."""
+        opportunities = self.opportunities_ms
+        index = self._index + 1
+        if index >= len(opportunities):
+            index = 0
             self._base_s += self.period_s
+        self._index = index
+        wait_s = self._base_s + opportunities[index] / 1000.0 - now_s
+        self._next_s = now_s + (wait_s if wait_s > 0.0 else 0.0)
 
     def _wake(self) -> None:
         # Replay the opportunities that fired on an empty queue while idle.
         now = self.sim.now
         while self._next_s < now:
-            self._step()
-            self._next_s = self._advance_from(self._next_s)
+            self._advance(self._next_s)
         self._running = True
         self.sim.schedule_at(self._next_s, self._on_opportunity)
 
     def _on_opportunity(self) -> None:
         budget = self.mtu_bytes
+        queue = self.queue
         while True:
-            head = self.queue.peek()
+            head = queue.peek()
             if head is None or head.size_bytes > budget:
                 break
-            packet = self.queue.pop()
-            budget -= packet.size_bytes
+            queue.pop()
+            budget -= head.size_bytes
             if self._draw_loss():
                 self.random_losses += 1
             else:
-                self.sim.schedule(
-                    self.delay_s, lambda p=packet: self._deliver(p)
-                )
-        self._step()
-        self._next_s = self._advance_from(self.sim.now)
-        if self.queue.is_empty:
+                self.sim.schedule(self.delay_s, partial(self._deliver, head))
+        self._advance(self.sim.now)
+        if queue.is_empty:
             self._running = False
         else:
             self.sim.schedule_at(self._next_s, self._on_opportunity)
@@ -298,12 +299,12 @@ class ScheduledLossTraceLink(TraceLink):
     def _draw_loss(self) -> bool:
         if self.sim.now < self._burst_until_s:
             return True
-        p = self._schedule.loss_rate(self.sim.now)
+        _, _, p, burst = self._schedule.at(self.sim.now)
         if p <= 0.0:
             return False
         if p >= 1.0:
             return True
-        burst = max(self._schedule.loss_burst(self.sim.now), 1.0)
+        burst = max(burst, 1.0)
         scale = self.mtu_bytes / DEFAULT_MTU_BYTES
         if self._rng.random() >= min(p * scale / burst, 1.0):
             return False

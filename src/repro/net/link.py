@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import partial
 from typing import Callable, Protocol
 
 import numpy as np
@@ -23,16 +24,16 @@ from repro.net.queue import DropTailQueue
 from repro.net.simulator import Simulator
 
 
+#: What a provider reports for one instant:
+#: ``(rate_bps, one_way_delay_s, loss_rate, loss_burst)``.
+Conditions = tuple[float, float, float, float]
+
+
 class ConditionsProvider(Protocol):
     """Anything that can report link conditions at a simulated time."""
 
-    def rate_bps(self, time_s: float) -> float: ...
-
-    def one_way_delay_s(self, time_s: float) -> float: ...
-
-    def loss_rate(self, time_s: float) -> float: ...
-
-    def loss_burst(self, time_s: float) -> float: ...
+    def at(self, time_s: float) -> Conditions:
+        """All four values at ``time_s``, in one lookup."""
 
 
 class ConditionsSchedule:
@@ -41,7 +42,8 @@ class ConditionsSchedule:
     The sample list wraps around, so short traces can drive long
     experiments (the paper's MpShell replay does the same).  Samples must
     be in time order.  The current step and its bounds are cached, so a
-    lookup inside the step the last one hit skips the bisect.
+    lookup inside the step the last one hit skips the bisect, and each
+    sample's four values are computed once, when the schedule is built.
     """
 
     def __init__(
@@ -64,13 +66,22 @@ class ConditionsSchedule:
                     f"conditions samples must be in time order: sample {i + 1}"
                     f" at {after} s follows {before} s"
                 )
+        self._values: list[Conditions] = [
+            (
+                s.capacity_mbps(downlink) * 1e6,
+                s.rtt_ms * rtt_split / 1000.0,
+                s.loss_rate,
+                s.loss_burst,
+            )
+            for s in self.samples
+        ]
         self._t0 = self._times[0]
         self._span = max(self._times[-1] - self._t0 + 1.0, 1.0)
         # The cached step: samples[_step] covers wrapped times in [_lo, _hi).
         self._lo = self._hi = self._t0
         self._step = 0
 
-    def _sample_at(self, time_s: float) -> LinkConditions:
+    def at(self, time_s: float) -> Conditions:
         wrapped = self._t0 + ((time_s - self._t0) % self._span)
         if not self._lo <= wrapped < self._hi:
             times = self._times
@@ -78,19 +89,7 @@ class ConditionsSchedule:
             self._lo = times[idx] if idx >= 0 else -math.inf
             self._hi = times[idx + 1] if idx + 1 < len(times) else math.inf
             self._step = max(idx, 0)
-        return self.samples[self._step]
-
-    def rate_bps(self, time_s: float) -> float:
-        return self._sample_at(time_s).capacity_mbps(self.downlink) * 1e6
-
-    def one_way_delay_s(self, time_s: float) -> float:
-        return self._sample_at(time_s).rtt_ms * self.rtt_split / 1000.0
-
-    def loss_rate(self, time_s: float) -> float:
-        return self._sample_at(time_s).loss_rate
-
-    def loss_burst(self, time_s: float) -> float:
-        return self._sample_at(time_s).loss_burst
+        return self._values[self._step]
 
 
 class FixedConditions:
@@ -109,22 +108,12 @@ class FixedConditions:
             raise ValueError(f"loss must be in [0, 1], got {loss}")
         if burst < 1.0:
             raise ValueError(f"burst must be >= 1, got {burst}")
-        self._rate_bps = rate_mbps * 1e6
-        self._delay_s = one_way_delay_ms / 1000.0
-        self._loss = loss
-        self._burst = burst
+        self._values: Conditions = (
+            rate_mbps * 1e6, one_way_delay_ms / 1000.0, loss, burst
+        )
 
-    def rate_bps(self, time_s: float) -> float:
-        return self._rate_bps
-
-    def one_way_delay_s(self, time_s: float) -> float:
-        return self._delay_s
-
-    def loss_rate(self, time_s: float) -> float:
-        return self._loss
-
-    def loss_burst(self, time_s: float) -> float:
-        return self._burst
+    def at(self, time_s: float) -> Conditions:
+        return self._values
 
 
 class Link:
@@ -177,7 +166,10 @@ class Link:
         if packet is None:
             self._busy = False
             return
-        rate = self.conditions.rate_bps(self.sim.now)
+        self._serve(packet, self.conditions.at(self.sim.now)[0])
+
+    def _serve(self, packet: Packet, rate: float) -> None:
+        """Start transmitting the head ``packet`` at ``rate`` (bit/s)."""
         if rate <= 0:
             # Outage: hold the queue, flush stale packets, and poll for
             # capacity to return.
@@ -197,23 +189,31 @@ class Link:
         self.sim.schedule(tx_time, self._transmission_done)
 
     def _transmission_done(self) -> None:
-        packet = self.queue.pop()
+        # One conditions lookup serves the loss draw, the delay and the
+        # next packet's service rate: all three are taken at this instant.
+        now = self.sim.now
+        conditions = self.conditions.at(now)
+        queue = self.queue
+        packet = queue.pop()
         if packet is not None:
-            if self._draw_loss(packet.size_bytes):
+            if self._draw_loss(packet.size_bytes, conditions):
                 self.random_losses += 1
             else:
-                delay = self.conditions.one_way_delay_s(self.sim.now)
                 # A pipe is FIFO: when the sampled delay drops between two
                 # packets, the later one must not overtake the earlier one
                 # (spurious reordering would trigger bogus fast retransmits).
-                deliver_at = max(self.sim.now + delay, self._last_delivery_s)
+                deliver_at = now + conditions[1]
+                if self._last_delivery_s > deliver_at:
+                    deliver_at = self._last_delivery_s
                 self._last_delivery_s = deliver_at
-                self.sim.schedule_at(
-                    deliver_at, lambda p=packet: self._deliver(p)
-                )
-        self._serve_next()
+                self.sim.schedule_at(deliver_at, partial(self._deliver, packet))
+        head = queue.peek()
+        if head is None:
+            self._busy = False
+        else:
+            self._serve(head, conditions[0])
 
-    def _draw_loss(self, packet_bytes: int) -> bool:
+    def _draw_loss(self, packet_bytes: int, conditions: Conditions) -> bool:
         """Bursty random loss: loss events black the link out briefly.
 
         Loss parameters are defined per reference MTU (1500 B) so results
@@ -224,26 +224,26 @@ class Link:
         saturating flow this matches a B-packet drop run (average loss p,
         clustered like Starlink handover gaps); for a slow sender the event
         stays a *short time window*, not a packet count it could take
-        minutes to drain.
+        minutes to drain.  ``conditions`` is the provider's reading for
+        the current instant.
         """
-        if self.sim.now < self._burst_until_s:
+        now = self.sim.now
+        if now < self._burst_until_s:
             return True
-        p = self.conditions.loss_rate(self.sim.now)
+        rate, _, p, burst = conditions
         if p <= 0.0:
             return False
         if p >= 1.0:
             return True
-        burst = max(self.conditions.loss_burst(self.sim.now), 1.0)
-        scale = packet_bytes / DEFAULT_MTU_BYTES
-        if self._rng.random() >= min(p * scale / burst, 1.0):
+        if burst < 1.0:
+            burst = 1.0
+        chance = p * (packet_bytes / DEFAULT_MTU_BYTES) / burst
+        if self._rng.random() >= (1.0 if chance > 1.0 else chance):
             return False
         if burst > 1.0:
             run = float(self._rng.geometric(1.0 / burst)) - 1.0
-            rate = self.conditions.rate_bps(self.sim.now)
             if rate > 0 and run > 0:
-                self._burst_until_s = (
-                    self.sim.now + run * DEFAULT_MTU_BYTES * 8.0 / rate
-                )
+                self._burst_until_s = now + run * DEFAULT_MTU_BYTES * 8.0 / rate
         return True
 
     def _deliver(self, packet: Packet) -> None:

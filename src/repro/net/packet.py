@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
-_packet_ids = itertools.count()
+from dataclasses import dataclass
 
 #: Size of a bare ACK segment (bytes) — header only.
 ACK_SIZE_BYTES = 60
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One simulated packet.
 
@@ -40,7 +37,6 @@ class Packet:
     #: Echo of the sender's transmission timestamp, for RTT sampling even
     #: on retransmitted sequences (Karn's algorithm made simple).
     timestamp_echo_s: float = -1.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

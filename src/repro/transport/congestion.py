@@ -9,6 +9,7 @@ tailored for such characteristics", Section 1).
 
 from __future__ import annotations
 
+import math
 from typing import Protocol
 
 
@@ -65,10 +66,14 @@ class Cubic:
 
     Window grows as ``W(t) = C*(t-K)^3 + W_max`` since the last loss, with
     the TCP-friendly region as a floor.  Fast convergence is included.
+    ``K`` depends on ``W_max`` alone, so it is computed once per value of
+    ``W_max`` rather than on every ACK.
     """
 
     C = 0.4
     BETA = 0.7
+    #: Reno-equivalent growth per acked segment, times the window.
+    _FRIENDLY_GAIN = 3.0 * (1.0 - BETA) / (1.0 + BETA)
 
     def __init__(self):
         self.cwnd = _INITIAL_CWND
@@ -77,34 +82,49 @@ class Cubic:
         self._epoch_start_s = -1.0
         self._w_est = 0.0  # TCP-friendly (Reno-equivalent) window estimate
         self._acked_in_epoch = 0
+        #: ``K`` for ``_k_w_max``; NaN matches no ``_w_max``.
+        self._k = 0.0
+        self._k_w_max = math.nan
 
     def on_ack(self, newly_acked: int, rtt_s: float, now_s: float) -> None:
+        # min/max are spelled as comparisons; each keeps the builtin's
+        # choice of its first argument on a tie.
         if newly_acked <= 0:
             return
+        cwnd = self.cwnd
         # Same per-RTT clocking cap as Reno (see above).
-        newly_acked = min(newly_acked, max(int(self.cwnd), 1))
-        if self.cwnd < self.ssthresh:
-            self.cwnd += newly_acked
+        cap = int(cwnd)
+        if cap < 1:
+            cap = 1
+        if cap < newly_acked:
+            newly_acked = cap
+        if cwnd < self.ssthresh:
+            self.cwnd = cwnd + newly_acked
             return
         if self._epoch_start_s < 0:
             self._epoch_start_s = now_s
-            self._w_max = max(self._w_max, self.cwnd)
-            self._w_est = self.cwnd
+            if cwnd > self._w_max:
+                self._w_max = cwnd
+            self._w_est = cwnd
             self._acked_in_epoch = 0
+        w_max = self._w_max
+        if w_max != self._k_w_max:
+            self._k = ((w_max * (1.0 - self.BETA)) / self.C) ** (1.0 / 3.0)
+            self._k_w_max = w_max
         t = now_s - self._epoch_start_s
-        k = ((self._w_max * (1.0 - self.BETA)) / self.C) ** (1.0 / 3.0)
-        target = self.C * (t + rtt_s - k) ** 3 + self._w_max
+        target = self.C * (t + rtt_s - self._k) ** 3 + w_max
         # TCP-friendly region: emulate Reno's growth from the epoch start.
         self._acked_in_epoch += newly_acked
-        self._w_est += newly_acked * (
-            3.0 * (1.0 - self.BETA) / (1.0 + self.BETA) / max(self.cwnd, 1.0)
-        )
-        target = max(target, self._w_est)
-        if target > self.cwnd:
+        scale = 1.0 if cwnd < 1.0 else cwnd
+        w_est = self._w_est + newly_acked * (self._FRIENDLY_GAIN / scale)
+        self._w_est = w_est
+        if w_est > target:
+            target = w_est
+        if target > cwnd:
             # Approach the target over one RTT.
-            self.cwnd += (target - self.cwnd) / max(self.cwnd, 1.0) * newly_acked
+            self.cwnd = cwnd + (target - cwnd) / scale * newly_acked
         else:
-            self.cwnd += newly_acked / (100.0 * max(self.cwnd, 1.0))
+            self.cwnd = cwnd + newly_acked / (100.0 * scale)
 
     def on_loss(self, now_s: float) -> None:
         # Fast convergence: shrink the remembered peak when losses repeat.

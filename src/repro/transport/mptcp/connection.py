@@ -57,8 +57,8 @@ class Subflow(TcpSender):
         """Congestion/receive window space for one more segment."""
         if not self._started:
             return False
-        occupancy = self._pipe() if self.in_recovery else self.inflight
-        return occupancy < self._window()
+        window, occupancy = self._budget()
+        return occupancy < window
 
     def send_one(self) -> None:
         """Transmit the next data segment (called by the connection pump)."""
@@ -226,15 +226,18 @@ class MptcpConnection:
 
     def on_meta_ack(self, packet: Packet) -> None:
         """Track the data-level ACK and shared window from any subflow ACK."""
-        if packet.data_ack > self._data_ack:
-            self._data_ack = packet.data_ack
-            self._reinjected = {
-                ds for ds in self._reinjected if ds >= self._data_ack
-            }
-            self._reinjection_queue = [
-                ds for ds in self._reinjection_queue if ds >= self._data_ack
-            ]
-        self._meta_rwnd = max(packet.rwnd, 1)
+        data_ack = packet.data_ack
+        if data_ack > self._data_ack:
+            self._data_ack = data_ack
+            if self._reinjected:  # the queue only holds members of it
+                self._reinjected = {
+                    ds for ds in self._reinjected if ds >= data_ack
+                }
+                self._reinjection_queue = [
+                    ds for ds in self._reinjection_queue if ds >= data_ack
+                ]
+        rwnd = packet.rwnd
+        self._meta_rwnd = rwnd if rwnd >= 1 else 1
 
     # -- scheduling ----------------------------------------------------------
 
@@ -244,14 +247,23 @@ class MptcpConnection:
             return  # transmit paths re-enter via _try_send; flatten it
         self._pumping = True
         try:
-            while self.can_assign_data():
-                available = [sf for sf in self.subflows if sf.has_space()]
+            if not self.can_assign_data():
+                return
+            # Sending one segment changes the window space of the subflow
+            # that sent it and of no other, so only that one is re-asked.
+            subflows = self.subflows
+            space = [sf.has_space() for sf in subflows]
+            while True:
+                available = [sf for sf, ok in zip(subflows, space, strict=True) if ok]
                 if not available:
                     break
                 chosen = self.scheduler.pick(available, self)
                 if chosen is None:
                     break  # scheduler elects to wait (BLEST blocking guard)
                 chosen.send_one()
+                space[chosen.subflow_id] = chosen.has_space()
+                if not self.can_assign_data():
+                    break
         finally:
             self._pumping = False
 

@@ -69,6 +69,18 @@ class SchedulerBase:
         raise NotImplementedError
 
 
+def _fastest(subflows: Sequence["Subflow"]) -> "Subflow":
+    """The lowest-SRTT subflow, the first on a tie:
+    ``min(subflows, key=lambda sf: sf.smoothed_rtt_s)``."""
+    best = subflows[0]
+    best_rtt = best.smoothed_rtt_s
+    for sf in subflows[1:]:
+        rtt = sf.smoothed_rtt_s
+        if rtt < best_rtt:
+            best, best_rtt = sf, rtt
+    return best
+
+
 class RoundRobin(SchedulerBase):
     """Cycle through subflows regardless of path quality (baseline)."""
 
@@ -95,7 +107,7 @@ class MinRtt(SchedulerBase):
     def _pick(self, available, connection):
         if not available:
             return None
-        return min(available, key=lambda sf: sf.smoothed_rtt_s)
+        return _fastest(available)
 
 
 class Blest(SchedulerBase):
@@ -119,10 +131,8 @@ class Blest(SchedulerBase):
     def _pick(self, available, connection):
         if not available:
             return None
-        fastest_overall = min(
-            connection.subflows, key=lambda sf: sf.smoothed_rtt_s
-        )
-        candidate = min(available, key=lambda sf: sf.smoothed_rtt_s)
+        fastest_overall = _fastest(connection.subflows)
+        candidate = _fastest(available)
         if candidate is fastest_overall:
             return candidate
         # Only slower subflow(s) have space: estimate blocking.

@@ -211,8 +211,22 @@ class TcpSender:
 
     # -- sending ---------------------------------------------------------
 
-    def _window(self) -> int:
-        return max(int(min(self.cc.cwnd, self._rwnd)), 1)
+    # The per-ACK paths below spell min/max as comparisons and read
+    # ``in_recovery`` and ``inflight`` from the fields; each comparison
+    # keeps the builtin's choice of its first argument on a tie.
+
+    def _budget(self) -> tuple[int, int]:
+        """``(window, occupancy)``: segments the window allows, and those
+        counted against it (the pipe in recovery, else all in flight)."""
+        cwnd = self.cc.cwnd
+        rwnd = self._rwnd
+        window = int(rwnd if rwnd < cwnd else cwnd)  # int(min(cwnd, rwnd))
+        if window < 1:
+            window = 1
+        una = self.snd_una
+        if self._recover >= 0 and una < self._recover:
+            return window, self._pipe()
+        return window, self.snd_nxt - una
 
     def _pipe(self) -> int:
         """RFC 6675-flavored estimate of segments actually in the network.
@@ -221,9 +235,9 @@ class TcpSender:
         SACK that we have not yet retransmitted), plus retransmissions that
         are themselves still in flight (approximated by ``_rtx_done``).
         """
-        base = self.inflight - len(self._sacked)
-        lost = self._lost_count()
-        return max(0, base - lost + len(self._rtx_done))
+        base = self.snd_nxt - self.snd_una - len(self._sacked)
+        pipe = base - self._lost_count() + len(self._rtx_done)
+        return pipe if pipe > 0 else 0
 
     def _loss_bound(self) -> int:
         """One past the highest segment currently presumed lost."""
@@ -231,10 +245,11 @@ class TcpSender:
 
     def _lost_count(self) -> int:
         bound = self._loss_bound()
-        if bound <= self.snd_una:
+        una = self.snd_una
+        if bound <= una:
             return 0
-        covered = len(self._sacked) + self._rtx_lost
-        return max(0, (bound - self.snd_una) - covered)
+        lost = (bound - una) - (len(self._sacked) + self._rtx_lost)
+        return lost if lost > 0 else 0
 
     def _mark_retransmitted(self, seq: int) -> None:
         if seq in self._rtx_done:
@@ -260,17 +275,11 @@ class TcpSender:
             self._hole_cursor += 1
         return None
 
-    def _new_data_allowed(self) -> bool:
-        if self.total_segments is not None and self.snd_nxt >= self.total_segments:
-            return False
-        return self.snd_nxt < self.snd_una + self._window()
-
     def _try_send(self) -> None:
         """Send retransmissions (holes first) and then new data."""
         if not self._started:
             return
-        budget = self._window()
-        occupancy = self._pipe() if self.in_recovery else self.inflight
+        budget, occupancy = self._budget()
         occupancy = self._send_retransmissions(budget, occupancy)
         self._send_new_data(budget, occupancy)
         self._arm_rto()
@@ -282,7 +291,7 @@ class TcpSender:
         incrementally (+1 per transmission) — recomputing it per packet is
         quadratic in the window during big recoveries.
         """
-        if not self.in_recovery:
+        if not (self._recover >= 0 and self.snd_una < self._recover):
             return occupancy
         while occupancy < budget:
             hole = self._next_hole()
@@ -296,7 +305,12 @@ class TcpSender:
     def _send_new_data(self, budget: int, occupancy: int) -> None:
         """Fill the remaining window with new segments (overridden by
         MPTCP subflows, where the connection's scheduler assigns data)."""
-        while self._new_data_allowed() and occupancy < budget:
+        # Nothing below changes the window, so its limit is fixed.
+        limit = self.snd_una + budget
+        total = self.total_segments
+        if total is not None and total < limit:
+            limit = total
+        while self.snd_nxt < limit and occupancy < budget:
             self._transmit(self.snd_nxt, retransmit=False)
             self.snd_nxt += 1
             occupancy += 1
@@ -319,19 +333,25 @@ class TcpSender:
 
     def on_ack(self, packet: Packet) -> None:
         """Process a (possibly duplicate, possibly SACK-bearing) ACK."""
-        self._rwnd = max(packet.rwnd, 1)
+        rwnd = packet.rwnd
+        self._rwnd = rwnd if rwnd >= 1 else 1
+        now = self.sim.now
         if packet.timestamp_echo_s >= 0:
-            self._rtt_sample(self.sim.now - packet.timestamp_echo_s)
+            self._rtt_sample(now - packet.timestamp_echo_s)
+        una = self.snd_una
         if packet.sack_start >= 0:
             sacked = self._sacked
             rtx_done = self._rtx_done
             old_bound = self._loss_bound()
-            for seq in range(max(packet.sack_start, self.snd_una), packet.sack_end):
+            sack_start = packet.sack_start
+            sack_end = packet.sack_end
+            for seq in range(sack_start if sack_start >= una else una, sack_end):
                 if seq not in sacked:
                     sacked.add(seq)
                     if seq < old_bound and seq in rtx_done:
                         self._rtx_lost -= 1
-            self._fack = max(self._fack, packet.sack_end)
+            if sack_end > self._fack:
+                self._fack = sack_end
             new_bound = self._loss_bound()
             if new_bound > old_bound and self._rtx_max >= old_bound:
                 self._rtx_lost += sum(
@@ -339,25 +359,27 @@ class TcpSender:
                     for s in rtx_done
                     if old_bound <= s < new_bound and s not in sacked
                 )
-            self._last_progress_s = self.sim.now  # SACKs are forward progress
+            self._last_progress_s = now  # SACKs are forward progress
 
-        if packet.ack > self.snd_una:
-            self._last_progress_s = self.sim.now
-            newly_acked = packet.ack - self.snd_una
-            self.snd_una = packet.ack
+        ack = packet.ack
+        if ack > una:
+            self._last_progress_s = now
+            newly_acked = ack - una
+            self.snd_una = ack
             self.stats.bytes_acked += newly_acked * self.segment_bytes
             self._dupacks = 0
-            self._prune_scoreboard()
-            if not self.in_recovery:
+            self._prune_scoreboard(una)
+            if ack >= self._recover:  # recovery is over (or never began)
                 self._recover = -1
             # Window growth continues on every ACK advance: after an RTO the
             # sender is in slow start (not fast recovery), and freezing the
             # window until the whole pre-loss flight is re-acked would turn
             # every outage into a multi-second crawl.
-            self.cc.on_ack(newly_acked, self.smoothed_rtt_s, self.sim.now)
+            srtt = self._srtt
+            self.cc.on_ack(newly_acked, srtt if srtt is not None else 1.0, now)
             self._reset_rto()
             self._try_send()
-        elif packet.ack == self.snd_una and self.inflight > 0:
+        elif ack == una and self.snd_nxt > una:
             self._dupacks += 1
             if not self.in_recovery and (
                 self._dupacks >= _DUPACK_THRESHOLD
@@ -367,17 +389,36 @@ class TcpSender:
             elif self.in_recovery:
                 self._try_send()
 
-    def _prune_scoreboard(self) -> None:
-        self._sacked = {s for s in self._sacked if s >= self.snd_una}
-        if not self._sacked:
-            self._fack = self.snd_una
-        if self._rtx_done:
-            self._rtx_done = {s for s in self._rtx_done if s >= self.snd_una}
+    def _prune_scoreboard(self, old_una: int) -> None:
+        """Drop the scoreboard entries the cumulative ACK just covered.
+
+        SACKs and retransmissions are only ever recorded at or above
+        ``snd_una``, so the entries now below it lie in ``[old_una,
+        snd_una)``: each acked seq is looked up once, and ``_rtx_lost``
+        loses exactly the removed entries it counted.
+        """
+        una = self.snd_una
+        sacked = self._sacked
+        rtx_done = self._rtx_done
+        if rtx_done:
             bound = self._loss_bound()
-            sacked = self._sacked
-            self._rtx_lost = sum(
-                1 for s in self._rtx_done if s < bound and s not in sacked
-            )
+            for seq in range(old_una, una):
+                if seq in rtx_done:
+                    rtx_done.remove(seq)
+                    if seq < bound and seq not in sacked:
+                        self._rtx_lost -= 1
+        if sacked:
+            for seq in range(old_una, una):
+                sacked.discard(seq)
+        if not sacked:
+            fack = self._fack
+            self._fack = una
+            # Pulling _fack back to snd_una can lower the loss bound
+            # (raising it only uncovers seqs below snd_una, all just
+            # dropped); then count the survivors under the new bound.
+            if rtx_done and fack > una and fack > self._high_lost:
+                bound = self._loss_bound()
+                self._rtx_lost = sum(1 for s in rtx_done if s < bound)
 
     def _enter_recovery(self) -> None:
         self._recover = self.snd_nxt
@@ -396,31 +437,35 @@ class TcpSender:
         if rtt_s <= 0:
             return
         self.stats.rtt_samples.append(rtt_s)
-        self._min_rtt = min(self._min_rtt, rtt_s)
-        if self._srtt is None:
-            self._srtt = rtt_s
+        if rtt_s < self._min_rtt:
+            self._min_rtt = rtt_s
+        srtt = self._srtt
+        if srtt is None:
+            srtt = rtt_s
             self._rttvar = rtt_s / 2.0
         else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - rtt_s)
-            self._srtt = 0.875 * self._srtt + 0.125 * rtt_s
-        self._rto = min(
-            max(self._srtt + 4.0 * self._rttvar, _RTO_MIN_S), _RTO_MAX_S
-        )
+            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(srtt - rtt_s)
+            srtt = 0.875 * srtt + 0.125 * rtt_s
+        self._srtt = srtt
+        rto = srtt + 4.0 * self._rttvar
+        if rto < _RTO_MIN_S:
+            rto = _RTO_MIN_S
+        if rto > _RTO_MAX_S:
+            rto = _RTO_MAX_S
+        self._rto = rto
         # HyStart-like safeguard: queueing delay while still in slow start
         # means the pipe is full — stop doubling before a mega-burst drop.
-        if (
-            self.cc.cwnd < self.cc.ssthresh
-            and self._srtt > _HYSTART_RTT_FACTOR * self._min_rtt
-        ):
-            self.cc.ssthresh = self.cc.cwnd
+        cc = self.cc
+        if cc.cwnd < cc.ssthresh and srtt > _HYSTART_RTT_FACTOR * self._min_rtt:
+            cc.ssthresh = cc.cwnd
 
     def _arm_rto(self) -> None:
-        if self._rto_timer.deadline_s is None and self.inflight > 0:
+        if self._rto_timer.deadline_s is None and self.snd_nxt > self.snd_una:
             self._rto_timer.arm(self._rto)
 
     def _reset_rto(self) -> None:
         """Restart the timer at ``now + _rto`` (stop it when idle)."""
-        if self.inflight > 0:
+        if self.snd_nxt > self.snd_una:
             self._rto_timer.arm(self._rto)
         else:
             self._rto_timer.cancel()

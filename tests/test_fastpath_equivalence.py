@@ -462,6 +462,71 @@ def test_lane_sum_matches_numpy_sum(values):
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
+def _argsort_allocate(cwnd, capacity_bytes, rtt_s):
+    """``FluidTcpFast._allocate`` for several lanes as it was when every
+    saturated second ordered the lanes with ``np.argsort``."""
+    demand = [c / rtt_s for c in cwnd]
+    total = _lane_sum(demand)
+    if total <= capacity_bytes:
+        return demand
+    order = np.argsort(np.asarray(demand))
+    rates = [0.0] * len(cwnd)
+    remaining = capacity_bytes
+    left = len(cwnd)
+    for idx in order.tolist():
+        d = demand[idx]
+        share = remaining / left
+        r = d if d < share else share
+        rates[idx] = r
+        remaining -= r
+        left -= 1
+    return rates
+
+
+#: Windows from a small pool make tied lanes common; free floats make
+#: them rare.
+window_st = st.sampled_from([3000.0, 15000.0, 15000.0 + 1e-9, 6e4]) | st.floats(
+    min_value=1500.0, max_value=1e7, allow_nan=False, allow_infinity=False
+)
+
+
+@given(
+    cwnd=st.lists(window_st, min_size=2, max_size=9),
+    saturation=st.floats(min_value=0.01, max_value=1.5),
+    rtt_s=st.floats(min_value=1e-3, max_value=2.0),
+)
+@settings(max_examples=400, deadline=None)
+def test_allocate_matches_argsort_order(cwnd, saturation, rtt_s):
+    """The Python sort of distinct demands, with ``np.argsort`` kept for
+    ties, gives every lane the bits the argsort-only water-fill gave."""
+    fast = FluidTcpFast(parallel=len(cwnd))
+    fast._cwnd = list(cwnd)
+    capacity = saturation * _lane_sum([c / rtt_s for c in cwnd])
+    got = fast._allocate(capacity, rtt_s)
+    expected = _argsort_allocate(cwnd, capacity, rtt_s)
+    assert [r.hex() for r in got] == [r.hex() for r in expected]
+
+
+@pytest.mark.parametrize(
+    ("cwnd", "saturation"),
+    [
+        ([4500.0, 3000.0, 9000.0, 6000.0], 0.37),  # distinct: Python sort
+        # Tied saturated lanes: where np.argsort's order among them is not
+        # the stable one, a stable sort hands them different shares.
+        ([9000.0, 6000.0, 9000.0, 6000.0, 6000.0, 6000.0, 9000.0], 0.61),
+        ([1500.0 * 7] * 8, 0.61),  # every lane tied
+    ],
+)
+def test_allocate_tied_and_distinct_lanes(cwnd, saturation):
+    """Fixed saturated cases, ties included."""
+    fast = FluidTcpFast(parallel=len(cwnd))
+    fast._cwnd = list(cwnd)
+    capacity = saturation * _lane_sum([c / 0.05 for c in cwnd])
+    got = fast._allocate(capacity, 0.05)
+    expected = _argsort_allocate(cwnd, capacity, 0.05)
+    assert [r.hex() for r in got] == [r.hex() for r in expected]
+
+
 @given(seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 40))
 @settings(max_examples=100, deadline=None)
 def test_uniform_rewrite_matches_generator_uniform(seed, draws):

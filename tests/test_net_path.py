@@ -22,8 +22,8 @@ def test_data_and_acks_use_opposite_directions():
     sim = Simulator()
     samples = [LinkConditions(0.0, 80.0, 8.0, 20.0, 0.0)]
     path = Path.from_conditions(sim, samples, np.random.default_rng(0))
-    assert path.forward_link.conditions.rate_bps(0.0) == 80e6
-    assert path.reverse_link.conditions.rate_bps(0.0) == 8e6
+    assert path.forward_link.conditions.at(0.0)[0] == 80e6
+    assert path.reverse_link.conditions.at(0.0)[0] == 8e6
 
 
 def test_uplink_test_swaps_directions():
@@ -32,7 +32,7 @@ def test_uplink_test_swaps_directions():
     path = Path.from_conditions(
         sim, samples, np.random.default_rng(0), downlink=False
     )
-    assert path.forward_link.conditions.rate_bps(0.0) == 8e6
+    assert path.forward_link.conditions.at(0.0)[0] == 8e6
 
 
 def test_connect_and_send():

@@ -171,17 +171,19 @@ def test_conditions_schedule_wraps():
         LinkConditions(1.0, 20.0, 2.0, 30.0, 0.1),
     ]
     schedule = ConditionsSchedule(samples)
-    assert schedule.rate_bps(0.5) == 10e6
-    assert schedule.rate_bps(1.5) == 20e6
+    # (rate_bps, one_way_delay_s, loss_rate, loss_burst); the one-way
+    # delay is half the RTT.
+    assert schedule.at(0.5) == (10e6, 0.01, 0.0, 1.0)
+    assert schedule.at(1.5) == (20e6, 0.015, 0.1, 1.0)
     # Wraps modulo the 2 s span.
-    assert schedule.rate_bps(2.5) == 10e6
-    assert schedule.loss_rate(3.7) == pytest.approx(0.1)
+    assert schedule.at(2.5)[0] == 10e6
+    assert schedule.at(3.7)[2] == pytest.approx(0.1)
 
 
 def test_conditions_schedule_uplink_view():
     samples = [LinkConditions(0.0, 100.0, 10.0, 20.0, 0.0)]
     up = ConditionsSchedule(samples, downlink=False)
-    assert up.rate_bps(0.0) == 10e6
+    assert up.at(0.0)[0] == 10e6
 
 
 def test_bdp_bytes():

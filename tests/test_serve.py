@@ -7,6 +7,7 @@ filesystem protocol, and the CLI.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -172,6 +173,11 @@ def test_spec_to_config_presets_and_execution_knobs():
         {"seed": 1.5},
         {"num_city_drives": 2.5},
         {"preset": "small", "drives": True},
+        # Non-finite durations: NaN passes a ``<= 0`` test, and a run
+        # with one "succeeds" with an empty dataset.
+        {"test_duration_s": float("nan")},
+        {"window_period_s": float("inf")},
+        {"max_drive_seconds": float("nan")},
     ],
 )
 def test_invalid_specs_rejected(spec):
@@ -203,6 +209,7 @@ SPEC_KEYS = [
         st.sampled_from(SPEC_KEYS),
         st.integers(min_value=0, max_value=6)
         | st.floats(min_value=0.5, max_value=5000.0)
+        | st.sampled_from([math.nan, math.inf, -math.inf])
         | JSON_VALUES,
         max_size=4,
     ),
@@ -219,6 +226,10 @@ def test_spec_admission_yields_integral_config_or_invalid_submission(values, pre
                  "num_ring_drives", "city_loop_segments"):
         value = getattr(config, name)
         assert type(value) is int, (name, value)
+    for name in ("test_duration_s", "window_period_s", "max_drive_seconds"):
+        value = getattr(config, name)
+        if value is not None:
+            assert 0 < value < math.inf, (name, value)
 
 
 #: Execution keys of the wrong type or out of range: each must end in a
