@@ -119,11 +119,13 @@ DEFAULT_CYCLE = (
 )
 
 
-def _finite_positive(value: float) -> bool:
-    """``0 < value < inf``.  NaN fails every comparison, so a
-    ``value <= 0`` test would admit it."""
+def _whole_seconds(value: float) -> bool:
+    """``0 < value < inf`` with no fractional part.  NaN fails every
+    comparison, so a ``value <= 0`` test would admit it; the drive loop
+    cuts durations to whole seconds, so ``30.7`` would run 30 s tests
+    and ``0.5`` none at all."""
     try:
-        return value > 0 and math.isfinite(value)
+        return value > 0 and math.isfinite(value) and value == int(value)
     except OverflowError:  # an integer beyond float range
         return False
 
@@ -200,17 +202,19 @@ class CampaignConfig:
             count = getattr(self, name)
             if count < 0:
                 raise ValueError(f"{name} must be non-negative, got {count}")
-        if self.max_drive_seconds is not None and not _finite_positive(
+        if self.max_drive_seconds is not None and not _whole_seconds(
             self.max_drive_seconds
         ):
             raise ValueError(
-                "max_drive_seconds must be finite and positive or None,"
-                f" got {self.max_drive_seconds}"
+                "max_drive_seconds must be a positive whole number of seconds"
+                f" or None, got {self.max_drive_seconds}"
             )
         for name in ("test_duration_s", "window_period_s"):
             value = getattr(self, name)
-            if not _finite_positive(value):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            if not _whole_seconds(value):
+                raise ValueError(
+                    f"{name} must be a positive whole number of seconds, got {value}"
+                )
         if not self.cycle:
             raise ValueError("cycle must contain at least one TestKind")
         for kind in self.cycle:

@@ -12,8 +12,6 @@ import operator
 import os
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from repro.geo.classify import AreaType
 
 #: Canonical network identifiers, matching the paper's abbreviations.
@@ -93,22 +91,6 @@ class TestRecord:
     @property
     def duration_s(self) -> float:
         return float(len(self.samples))
-
-    @property
-    def mean_throughput_mbps(self) -> float:
-        if not self.samples:
-            return 0.0
-        return float(np.mean([s.throughput_mbps for s in self.samples]))
-
-    @property
-    def median_throughput_mbps(self) -> float:
-        if not self.samples:
-            return 0.0
-        return float(np.median([s.throughput_mbps for s in self.samples]))
-
-    @property
-    def is_starlink(self) -> bool:
-        return self.network in STARLINK_NETWORKS
 
 
 def record_to_dict(rec: TestRecord) -> dict:
@@ -316,10 +298,6 @@ class DriveDataset:
             if s.loss_rate < 1.0
         ]
 
-    def test_means(self) -> list[float]:
-        """Per-test mean throughput (one value per record)."""
-        return [rec.mean_throughput_mbps for rec in self.records]
-
     @property
     def num_tests(self) -> int:
         return len(self.records)
@@ -388,39 +366,6 @@ class DriveDataset:
                 return None
             widened.append(wide)
         return "[" + ", ".join(widened) + "]"
-
-    def export_csv(self, path: str | os.PathLike) -> int:
-        """Write per-second rows as CSV (one row per sample); returns count.
-
-        Columns mirror the released dataset's joined form: test metadata
-        plus the 5G-Tracker fields for each second.
-        """
-        import csv
-
-        count = 0
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                [
-                    "test_id", "drive_id", "network", "protocol",
-                    "direction", "parallel", "time_s", "throughput_mbps",
-                    "rtt_ms", "loss_rate", "speed_kmh", "area",
-                    "lat_deg", "lon_deg",
-                ]
-            )
-            for rec in self.records:
-                for s in rec.samples:
-                    writer.writerow(
-                        [
-                            rec.test_id, rec.drive_id, rec.network,
-                            rec.protocol, rec.direction, rec.parallel,
-                            s.time_s, s.throughput_mbps, s.rtt_ms,
-                            s.loss_rate, s.speed_kmh, s.area.value,
-                            s.lat_deg, s.lon_deg,
-                        ]
-                    )
-                    count += 1
-        return count
 
     @classmethod
     def load_json(cls, path: str | os.PathLike) -> "DriveDataset":

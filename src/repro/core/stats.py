@@ -80,9 +80,6 @@ class ComparisonResult:
     #: language effect size).
     prob_a_greater: float
 
-    def significant(self, alpha: float = 0.05) -> bool:
-        return self.p_value < alpha
-
 
 def compare_networks(samples_a, samples_b) -> ComparisonResult:
     """Mann-Whitney U test between two per-second sample sets.

@@ -1,7 +1,7 @@
 """Emulation: Mahimahi-format traces, alignment, and the MpShell replay."""
 
 from repro.emu.align import align_conditions
-from repro.emu.mpshell import InterfaceStats, MpShell, ScheduledLossTraceLink, TraceLink
+from repro.emu.mpshell import MpShell, ScheduledLossTraceLink, TraceLink
 from repro.emu.traces import (
     conditions_to_opportunities_ms,
     read_trace,
@@ -11,7 +11,6 @@ from repro.emu.traces import (
 )
 
 __all__ = [
-    "InterfaceStats",
     "MpShell",
     "ScheduledLossTraceLink",
     "TraceLink",

@@ -10,7 +10,6 @@ multi-homed host the paper runs MPTCP experiments on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -171,20 +170,6 @@ class TraceLink:
         self.packets_delivered += 1
         self._receiver(packet)
 
-    @property
-    def queue_drops(self) -> int:
-        return self.queue.drops
-
-
-@dataclass(frozen=True)
-class InterfaceStats:
-    """Counters for one virtual interface after a run."""
-
-    name: str
-    downlink_bytes: int
-    uplink_bytes: int
-    downlink_drops: int
-
 
 class MpShell:
     """A multi-interface emulation shell over one simulator.
@@ -267,15 +252,6 @@ class MpShell:
         path = Path.from_links(self.sim, down, up, name=name)
         self.interfaces[name] = path
         return path
-
-    def interface_stats(self, name: str) -> InterfaceStats:
-        path = self.interfaces[name]
-        return InterfaceStats(
-            name=name,
-            downlink_bytes=path.forward_link.bytes_delivered,
-            uplink_bytes=path.reverse_link.bytes_delivered,
-            downlink_drops=path.forward_link.queue_drops,
-        )
 
     def run(self, duration_s: float) -> None:
         """Run the emulation for ``duration_s`` of simulated time."""

@@ -38,7 +38,7 @@ def throughput_to_opportunities_ms(
         count = int(per_second)
         carry = per_second - count
         for i in range(count):
-            opportunities.append(int(second * 1000 + i * 1000.0 / max(count, 1)))
+            opportunities.append(int(second * 1000 + i * 1000.0 / count))
     return opportunities
 
 

@@ -54,11 +54,6 @@ def set_default_workers(workers: int) -> None:
     _default_workers = workers
 
 
-def default_workers() -> int:
-    """The worker count :func:`campaign_dataset` currently uses."""
-    return _default_workers
-
-
 #: Content-addressed drive cache directory campaign datasets are
 #: generated with (see :mod:`repro.store.cache`); ``None`` disables the
 #: cache.  Module-level like ``_default_workers``: the CLI's
@@ -78,11 +73,6 @@ def set_default_cache_dir(cache_dir) -> None:
     _default_cache_dir = cache_dir
 
 
-def default_cache_dir():
-    """The cache directory :func:`campaign_dataset` currently uses."""
-    return _default_cache_dir
-
-
 def set_default_resilience(resilience) -> None:
     """Set the self-healing settings campaigns are generated with.
 
@@ -99,11 +89,6 @@ def set_default_resilience(resilience) -> None:
         )
     global _default_resilience
     _default_resilience = resilience
-
-
-def default_resilience():
-    """The resilience settings :func:`campaign_dataset` currently uses."""
-    return _default_resilience
 
 
 def config_for_scale(scale: str, seed: int = 0) -> CampaignConfig:
@@ -130,7 +115,7 @@ def config_for_scale(scale: str, seed: int = 0) -> CampaignConfig:
 def campaign_dataset(scale: str = "medium", seed: int = 0) -> DriveDataset:
     """The memoized campaign dataset for a scale/seed.
 
-    Runs with :func:`default_workers` worker processes; the cache key is
+    Runs with the :func:`set_default_workers` worker count; the cache key is
     (scale, seed) only because the dataset is byte-identical at any
     worker count.
     """

@@ -32,12 +32,6 @@ class ExtVideoResult:
             for v in self.verdicts
         ]
 
-    def verdict(self, network: str) -> VideoVerdict:
-        for v in self.verdicts:
-            if v.network == network:
-                return v
-        raise KeyError(network)
-
 
 def run(scale: str = "medium", seed: int = 0) -> ExtVideoResult:
     """Stream over each network's UDP-downlink samples from the campaign."""

@@ -11,7 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from repro.faults.events import FaultEffect, FaultEvent, FaultKind, event_from_dict
+from repro.faults.events import FaultEffect, FaultEvent, FaultKind
 from repro.geo.coords import GeoPoint
 
 
@@ -75,11 +75,6 @@ class FaultSchedule:
         return json.dumps(
             [event.to_dict() for event in self.events], sort_keys=True
         )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "FaultSchedule":
-        """Rebuild a schedule serialized by :meth:`to_json`."""
-        return cls(tuple(event_from_dict(raw) for raw in json.loads(payload)))
 
     def fingerprint(self) -> str:
         """Stable content hash, embedded in campaign checkpoints."""

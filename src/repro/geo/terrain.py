@@ -92,8 +92,3 @@ class ObstructionProcess:
         """Return to the initial open-sky state (new drive)."""
         self._fraction = 0.1
         self._episode_left_s = 0
-
-
-def mean_obstruction(area: AreaType) -> float:
-    """Long-run mean obstruction fraction for an area type."""
-    return _MEAN_OBSTRUCTION[area]

@@ -129,43 +129,17 @@ class Constellation:
             chunks.append(np.column_stack([x_e, y_e, z_i]))
         return np.vstack(chunks)
 
-    def positions_ecef_many(self, times_s: np.ndarray) -> np.ndarray:
-        """ECEF positions (T, N, 3) for a whole array of times at once.
-
-        Bit-identical to stacking :meth:`positions_ecef_km` per time: the
-        arithmetic below keeps the exact expression structure of the
-        scalar path (elementwise ufuncs are shape-independent, and
-        ``math.cos``/``math.sin`` agree bitwise with ``np.cos``/``np.sin``
-        on float64), it is just evaluated on (T, N) arrays.
-        """
-        times = np.asarray(times_s, dtype=float).reshape(-1)
-        chunks = []
-        for shell, (raan, phase0) in zip(self.shells, self._layouts, strict=True):
-            inc = math.radians(shell.inclination_deg)
-            r = shell.orbit_radius_km
-            arg = phase0[None, :] + (shell.mean_motion_rad_s * times)[:, None]
-            x_orb = r * np.cos(arg)
-            y_orb = r * np.sin(arg)
-            x_i = x_orb * np.cos(raan) - y_orb * np.cos(inc) * np.sin(raan)
-            y_i = x_orb * np.sin(raan) + y_orb * np.cos(inc) * np.cos(raan)
-            z_i = y_orb * np.sin(inc)
-            theta = EARTH_ROTATION_RAD_S * times
-            cos_t = np.cos(theta)[:, None]
-            sin_t = np.sin(theta)[:, None]
-            x_e = x_i * cos_t + y_i * sin_t
-            y_e = -x_i * sin_t + y_i * cos_t
-            chunks.append(np.stack([x_e, y_e, z_i], axis=-1))
-        return np.concatenate(chunks, axis=1)
-
     def positions_ecef_subset_many(
         self, times_s: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
         """ECEF positions (T, K, 3) for a sorted subset of satellites.
 
-        Bit-identical to ``positions_ecef_many(times_s)[:, indices]`` —
-        every expression is elementwise, so evaluating it on a row subset
-        of the layout arrays yields the same bits as slicing the full
-        result.  ``indices`` must be sorted ascending (global satellite
+        Bit-identical to stacking :meth:`positions_ecef_km` per time and
+        keeping ``indices``: the arithmetic keeps the exact expression
+        structure of the scalar path (elementwise ufuncs are
+        shape-independent, and ``math.cos``/``math.sin`` agree bitwise
+        with ``np.cos``/``np.sin`` on float64), evaluated on (T, K)
+        arrays.  ``indices`` must be sorted ascending (global satellite
         indices across shells).
         """
         times = np.asarray(times_s, dtype=float).reshape(-1)

@@ -10,14 +10,13 @@ from repro.net.link import (
 from repro.net.packet import ACK_SIZE_BYTES, Packet
 from repro.net.path import Path
 from repro.net.queue import DropTailQueue
-from repro.net.simulator import EventHandle, Simulator
+from repro.net.simulator import Simulator
 
 __all__ = [
     "ACK_SIZE_BYTES",
     "ConditionsProvider",
     "ConditionsSchedule",
     "DropTailQueue",
-    "EventHandle",
     "FixedConditions",
     "Link",
     "Packet",

@@ -252,10 +252,6 @@ class Link:
         assert self._receiver is not None
         self._receiver(packet)
 
-    @property
-    def queue_drops(self) -> int:
-        return self.queue.drops
-
 
 def bdp_bytes(rate_mbps: float, rtt_ms: float) -> int:
     """Bandwidth-delay product in bytes (used for buffer sizing)."""

@@ -16,11 +16,17 @@ from repro.obs.recorder import get_recorder
 
 
 class Simulator:
-    """Event loop: schedule callbacks at absolute or relative times."""
+    """Event loop: schedule callbacks at absolute or relative times.
+
+    Heap entries are ``(time, seq, callback)``.  Only a :class:`Timer`
+    ever withdraws an entry: it adds the entry's ``seq`` to
+    ``_cancelled``, and the loop drops that entry when it comes due.
+    """
 
     def __init__(self, recorder=None):
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
+        self._cancelled: set[int] = set()
         self.now = 0.0
         self._stopped = False
         obs = recorder if recorder is not None else get_recorder()
@@ -28,25 +34,21 @@ class Simulator:
         self._m_cancelled = obs.counter("sim.events_cancelled")
         self._m_heap_max = obs.gauge("sim.heap_depth_max")
 
-    def schedule(self, delay_s: float, callback: Callable[[], None]) -> "EventHandle":
+    def schedule(self, delay_s: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay_s`` seconds of simulated time."""
         if not delay_s >= 0:  # also rejects NaN
             raise ValueError(f"delay must be non-negative, got {delay_s}")
-        handle = EventHandle(callback)
         heapq.heappush(
-            self._heap, (self.now + delay_s, next(self._counter), handle)
+            self._heap, (self.now + delay_s, next(self._counter), callback)
         )
-        return handle
 
-    def schedule_at(self, time_s: float, callback: Callable[[], None]) -> "EventHandle":
+    def schedule_at(self, time_s: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute simulated time ``time_s``."""
         if not time_s >= self.now:  # also rejects NaN
             raise ValueError(
                 f"cannot schedule in the past: {time_s} < now {self.now}"
             )
-        handle = EventHandle(callback)
-        heapq.heappush(self._heap, (time_s, next(self._counter), handle))
-        return handle
+        heapq.heappush(self._heap, (time_s, next(self._counter), callback))
 
     def run(self, until_s: float | None = None) -> None:
         """Process events until the heap drains, time exceeds ``until_s``,
@@ -63,21 +65,23 @@ class Simulator:
         """
         self._stopped = False
         heap = self._heap
+        withdrawn = self._cancelled
         pop = heapq.heappop
         limit = math.inf if until_s is None else until_s
         fired = cancelled = 0
         depth = len(heap)
         try:
             while heap and not self._stopped:
-                time_s, _, handle = heap[0]
+                time_s, seq, callback = heap[0]
                 if time_s > limit:
                     break
                 pop(heap)
-                if handle.cancelled:
+                if withdrawn and seq in withdrawn:
+                    withdrawn.remove(seq)
                     cancelled += 1
                     continue
                 self.now = time_s
-                handle._callback()
+                callback()
                 fired += 1
                 if len(heap) > depth:
                     depth = len(heap)
@@ -92,51 +96,28 @@ class Simulator:
         """Halt :meth:`run` after the current event."""
         self._stopped = True
 
-    @property
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled queued events."""
-        return sum(1 for _, _, h in self._heap if not h.cancelled)
-
-
-class EventHandle:
-    """Cancellation token for a scheduled event (e.g. a retransmit timer)."""
-
-    __slots__ = ("_callback", "cancelled")
-
-    def __init__(self, callback: Callable[[], None]):
-        self._callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    # Heap entries compare on (time, counter); the handle must never be
-    # compared, but heapq requires orderability when ties occur without a
-    # counter.  The counter guarantees uniqueness, so any comparison that
-    # reaches the handle indicates a bug.
-    def __lt__(self, other: object) -> bool:  # pragma: no cover
-        raise TypeError("EventHandle ordering should never be needed")
-
 
 class Timer:
     """A one-shot timer that is re-armed far more often than it fires.
 
     A retransmission timer moves its deadline out on nearly every ACK.
-    Rather than cancelling its heap entry and pushing a new one each
+    Rather than withdrawing its heap entry and pushing a new one each
     time, the timer keeps one entry and records the deadline plus the
     sequence number a fresh push would have drawn.  An entry that comes
     due before that (deadline, sequence) pair re-queues itself under
     that exact pair, so the callback fires at the same float time and
     in the same order among simultaneous events as the push-per-re-arm
-    pattern.  Only a re-arm to an *earlier* deadline replaces the entry.
+    pattern.  Only a re-arm to an *earlier* deadline, or
+    :meth:`cancel`, withdraws the entry.
     """
 
-    __slots__ = ("_sim", "_callback", "_handle", "_entry_s", "_entry_seq", "deadline_s", "_seq")
+    __slots__ = ("_sim", "_callback", "_queued", "_entry_s", "_entry_seq", "deadline_s", "_seq")
 
     def __init__(self, sim: Simulator, callback: Callable[[], None]):
         self._sim = sim
         self._callback = callback
-        self._handle: EventHandle | None = None
+        #: Whether an entry of this timer is in the heap.
+        self._queued = False
         self._entry_s = 0.0
         self._entry_seq = 0
         #: When the callback is due, or None while disarmed.
@@ -150,30 +131,30 @@ class Timer:
         sim = self._sim
         self.deadline_s = sim.now + delay_s
         self._seq = next(sim._counter)
-        if self._handle is not None:
+        if self._queued:
             if self.deadline_s >= self._entry_s:
                 return  # the entry re-queues itself when it comes due
-            self._handle.cancel()
-        self._queue(EventHandle(self._due))
+            sim._cancelled.add(self._entry_seq)
+        self._queue()
 
     def cancel(self) -> None:
         """Disarm; the callback will not fire."""
         self.deadline_s = None
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        if self._queued:
+            self._sim._cancelled.add(self._entry_seq)
+            self._queued = False
 
-    def _queue(self, handle: EventHandle) -> None:
-        heapq.heappush(self._sim._heap, (self.deadline_s, self._seq, handle))
-        self._handle = handle
+    def _queue(self) -> None:
+        heapq.heappush(self._sim._heap, (self.deadline_s, self._seq, self._due))
+        self._queued = True
         self._entry_s = self.deadline_s
         self._entry_seq = self._seq
 
     def _due(self) -> None:
         if self._entry_seq != self._seq:
             # Re-armed since this entry was queued: move to the deadline.
-            self._queue(self._handle)
+            self._queue()
             return
-        self._handle = None
+        self._queued = False
         self.deadline_s = None
         self._callback()

@@ -167,7 +167,8 @@ class RunManifest:
             },
         }
 
-    def deterministic_blob(self) -> bytes:
+    # Kept: the seam the crash and equivalence tests compare runs through.
+    def deterministic_blob(self) -> bytes:  # detlint: ignore[DF401]
         """Canonical JSON bytes of :meth:`deterministic_dict`."""
         return json.dumps(self.deterministic_dict(), sort_keys=True).encode()
 

@@ -122,15 +122,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def cumulative_counts(self) -> list[int]:
-        """Prometheus ``le`` semantics: counts accumulated left to right."""
-        out: list[int] = []
-        running = 0
-        for c in self.counts:
-            running += c
-            out.append(running)
-        return out
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "type": "histogram",

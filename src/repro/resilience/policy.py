@@ -57,10 +57,6 @@ class RetryPolicy:
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
 
-    @property
-    def max_retries(self) -> int:
-        return self.max_attempts - 1
-
     def delay_s(
         self, retry_index: int, rng: np.random.Generator | None = None
     ) -> float:

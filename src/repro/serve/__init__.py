@@ -9,7 +9,7 @@ campaign byte-identically.  See ``docs/SERVICE.md``.
 """
 
 from repro.serve.admission import AdmissionControl, AdmissionRejected
-from repro.serve.client import JobPaths, ServiceClient
+from repro.serve.client import ServiceClient
 from repro.serve.jobs import (
     InvalidSubmission,
     JobRecord,
@@ -35,7 +35,6 @@ __all__ = [
     "InvalidSubmission",
     "JOURNAL_NAME",
     "JobJournal",
-    "JobPaths",
     "JobRecord",
     "JobState",
     "JournalCorruptError",

@@ -23,23 +23,11 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 
-from repro.serve.jobs import JobRecord, JobState, job_id_for_spec
+from repro.serve.jobs import JobRecord, job_id_for_spec
 from repro.serve.journal import JOURNAL_NAME, replay_journal
-from repro.serve.service import CANCEL_PREFIX, CONTROL_DIR, DRAIN_REQUEST, INBOX_DIR, JOBS_DIR
+from repro.serve.service import CANCEL_PREFIX, CONTROL_DIR, DRAIN_REQUEST, INBOX_DIR
 from repro.store.commit import atomic_write_json, fsync_dir
-
-
-@dataclass(frozen=True)
-class JobPaths:
-    """Where one job's artifacts live."""
-
-    job_dir: str
-    store: str
-    dataset: str
-    manifest: str
-    report: str
 
 
 class ServiceClient:
@@ -95,16 +83,3 @@ class ServiceClient:
                 )
             time.sleep(poll_s)
 
-    def result_paths(self, job_id: str) -> JobPaths:
-        job_dir = os.path.join(self.root, JOBS_DIR, job_id)
-        return JobPaths(
-            job_dir=job_dir,
-            store=os.path.join(job_dir, "store"),
-            dataset=os.path.join(job_dir, "dataset.json"),
-            manifest=os.path.join(job_dir, "manifest.json"),
-            report=os.path.join(job_dir, "report.json"),
-        )
-
-    def is_done(self, job_id: str) -> bool:
-        record = self.status(job_id)
-        return record is not None and record.state is JobState.DONE

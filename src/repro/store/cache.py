@@ -160,9 +160,6 @@ class DriveCache:
                 )
         return found
 
-    def total_bytes(self) -> int:
-        return sum(entry.size_bytes for entry in self.entries())
-
     def gc(
         self, max_bytes: int | None = None, *, dry_run: bool = False
     ) -> CacheGcResult:

@@ -2,8 +2,8 @@
 
 One analyzer, one pass: per-file pattern rules (DET*, INV*) and
 whole-program rules (DF*: a project symbol and call graph,
-interprocedural nondeterminism taint, crash-boundary coverage and
-fork safety) over modules parsed once.  Run it with
+interprocedural nondeterminism taint, crash-boundary coverage, fork
+safety and reachability) over modules parsed once.  Run it with
 ``python -m repro.tools.detlint [paths]``; the rules and their
 rationale live in ``docs/STATIC_ANALYSIS.md``.
 """

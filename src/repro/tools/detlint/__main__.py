@@ -24,8 +24,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.tools.detlint",
         description=(
             "Determinism & invariant analyzer for this repository: local "
-            "pattern rules plus whole-program taint, crash-boundary and "
-            "fork-safety checks (see docs/STATIC_ANALYSIS.md)."
+            "pattern rules plus whole-program taint, crash-boundary, "
+            "fork-safety and reachability checks (see "
+            "docs/STATIC_ANALYSIS.md)."
         ),
     )
     parser.add_argument(

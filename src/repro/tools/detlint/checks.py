@@ -1,5 +1,5 @@
-"""Whole-program checks beyond taint: crash-boundary coverage and
-fork-safety.
+"""Whole-program checks beyond taint: crash-boundary coverage,
+fork-safety and reachability.
 
 **Crash-boundary coverage (DF201/DF202).**  The commit protocol's crash
 tests work by enumerating ``repro.store.commit._CRASH_HOOK`` boundary
@@ -23,6 +23,15 @@ file handle double-flushes buffered bytes.  This check inspects every
 arguments typed (by local constructor inference) as live-state classes,
 locals bound to ``open()`` results, and bound-method targets
 (``target=self._run`` captures the whole live object).
+
+**Reachability (DF401).**  A ``def`` or ``class`` is live when its name
+appears somewhere outside ``tests/`` and outside its own body: as a
+load, an attribute name, an imported name or an ``__all__`` string, in
+the project's own code or in its ``examples/``, ``perfbench/`` or
+``benchmarks/`` entry points.  Name-based on purpose: a same-named
+attribute anywhere keeps a method alive, so duck typing never yields a
+false finding.  Dunders and functions registered through a decorator
+factory the project defines (``@rule(...)``) are never flagged.
 """
 
 from __future__ import annotations
@@ -31,13 +40,20 @@ import ast
 import fnmatch
 import os
 
-from repro.tools.detlint.engine import FileContext, Finding, _dotted, load_context
+from repro.tools.detlint.engine import (
+    FileContext,
+    Finding,
+    _dotted,
+    iter_python_files,
+    load_context,
+)
 from repro.tools.detlint.graph import ProjectGraph
 from repro.tools.detlint.rules import _in_packages
 
 BOUNDARY_UNCOVERED_CODE = "DF201"
 BOUNDARY_INFRA_CODE = "DF202"
 FORK_CAPTURE_CODE = "DF301"
+REACHABILITY_CODE = "DF401"
 
 #: Packages whose ``checkpoint_boundary`` calls declare crash points.
 BOUNDARY_PACKAGES = ("repro.store", "repro.serve")
@@ -55,6 +71,10 @@ LIVE_STATE_CLASSES = frozenset({
 })
 
 FORK_CALL_LEAVES = frozenset({"Process", "ProcessPoolExecutor"})
+
+#: Directories beside ``tests/`` whose code only uses the project: it
+#: keeps names alive but is never itself reported by DF401.
+ENTRY_POINT_DIRS = ("examples", "perfbench", "benchmarks")
 
 
 # -- boundary extraction -------------------------------------------------
@@ -335,4 +355,143 @@ def _check_fork_thread_mix(graph: ProjectGraph) -> list[Finding]:
                 "first contended acquire); fork first or confine the "
                 "thread to the child"
             )))
+    return findings
+
+
+# -- reachability ----------------------------------------------------------
+
+_DEF_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _project_root(directory: str, cache: dict[str, str | None]) -> str | None:
+    """The nearest ancestor of ``directory`` holding an entry-point
+    directory, found the way :func:`find_tests_dir` walks up."""
+    if directory not in cache:
+        if any(os.path.isdir(os.path.join(directory, d)) for d in ENTRY_POINT_DIRS):
+            cache[directory] = directory
+        else:
+            parent = os.path.dirname(directory)
+            cache[directory] = (
+                None if parent == directory else _project_root(parent, cache)
+            )
+    return cache[directory]
+
+
+def _qualname(node: ast.AST, defs: list[ast.AST]) -> str:
+    """``Outer.inner`` for ``node``: the defs whose lines enclose it."""
+    end = node.end_lineno or node.lineno
+    outer = [
+        d.name for d in defs
+        if d is not node and d.lineno <= node.lineno and end <= (d.end_lineno or 0)
+    ]
+    return ".".join([*outer, node.name])
+
+
+def _name_uses(nodes: list[ast.AST], wanted: set[str]) -> list[tuple[str, int]]:
+    """``(name, line)`` for every load, attribute, imported name and
+    ``__all__`` string among ``nodes`` that names one of ``wanted``."""
+    uses: list[tuple[str, int]] = []
+    for node in nodes:
+        kind = type(node)
+        if kind is ast.Attribute:
+            if node.attr in wanted:
+                uses.append((node.attr, node.lineno))
+        elif kind is ast.Name:
+            if node.id in wanted and type(node.ctx) is ast.Load:
+                uses.append((node.id, node.lineno))
+        elif kind is ast.ImportFrom or kind is ast.Import:
+            uses.extend(
+                (part, node.lineno)
+                for alias in node.names
+                for part in alias.name.split(".")
+                if part in wanted
+            )
+        elif kind is ast.Assign or kind is ast.AugAssign:
+            targets = node.targets if kind is ast.Assign else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                uses.extend(
+                    (sub.value, sub.lineno)
+                    for sub in ast.walk(node.value)
+                    if isinstance(sub, ast.Constant) and sub.value in wanted
+                )
+    return uses
+
+
+def _registered(node: ast.AST, project_defs: set[str]) -> bool:
+    """Decorated by a call to a decorator factory the project defines."""
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            dotted = _dotted(decorator.func)
+            if dotted is not None and dotted.rpartition(".")[2] in project_defs:
+                return True
+    return False
+
+
+def check_reachability(contexts: list[FileContext]) -> list[Finding]:
+    """DF401 over every scanned file inside a located project.
+
+    Files outside any project root, and files under its ``tests/`` or
+    entry-point directories, are never reported.  The project's other
+    files count as uses even when they were not scanned, so a scan of
+    one module does not call every function the rest of the tree uses
+    dead; each of them is parsed once, only then.
+    """
+    cache: dict[str, str | None] = {}
+    user_only = ("tests",) + ENTRY_POINT_DIRS
+    by_root: dict[str, list[FileContext]] = {}
+    candidates: list[tuple[FileContext, ast.AST, list[ast.AST]]] = []
+    for ctx in contexts:
+        path = os.path.abspath(ctx.path)
+        root = _project_root(os.path.dirname(path), cache)
+        if root is None:
+            continue
+        top = os.path.relpath(path, root).split(os.sep)[0]
+        if top == "tests":
+            continue
+        by_root.setdefault(root, []).append(ctx)
+        if top not in user_only:
+            defs = [node for node in ctx.nodes if type(node) in _DEF_TYPES]
+            candidates.extend(
+                (ctx, node, defs)
+                for node in defs
+                if not (node.name.startswith("__") and node.name.endswith("__"))
+            )
+    if not candidates:
+        return []
+    wanted = {node.name for _, node, _ in candidates}
+
+    total: dict[str, int] = {}
+    lines: dict[tuple[str, str], list[int]] = {}
+    for root, scanned in sorted(by_root.items()):
+        files: list[tuple[str, list[ast.AST]]] = [(c.path, c.nodes) for c in scanned]
+        seen = {os.path.abspath(c.path) for c in scanned}
+        for entry in sorted(os.listdir(root)):
+            if entry == "tests" or entry.startswith("."):
+                continue
+            for path in iter_python_files([os.path.join(root, entry)]):
+                if os.path.abspath(path) in seen or not path.endswith(".py"):
+                    continue
+                loaded = load_context(path)
+                if isinstance(loaded, FileContext):
+                    files.append((loaded.path, loaded.nodes))
+        for path, nodes in files:
+            for name, line in _name_uses(nodes, wanted):
+                total[name] = total.get(name, 0) + 1
+                lines.setdefault((path, name), []).append(line)
+
+    findings: list[Finding] = []
+    for ctx, node, defs in candidates:
+        name = node.name
+        start, end = node.lineno, node.end_lineno or node.lineno
+        inside = sum(
+            1 for line in lines.get((ctx.path, name), ()) if start <= line <= end
+        )
+        if total.get(name, 0) > inside or _registered(node, wanted):
+            continue
+        findings.append(ctx.finding(node, REACHABILITY_CODE, (
+            f"'{_qualname(node, defs)}' is not reachable from any non-test entry point: "
+            "its name appears nowhere outside tests/ and its own body — "
+            "delete it, or keep a deliberate public name with a "
+            "'detlint: ignore[DF401]' comment and a one-line reason"
+        )))
     return findings

@@ -21,8 +21,9 @@ Architecture:
   (``rule(code, project=True)``) in :mod:`~repro.tools.detlint.rules`;
   ``program`` codes come from the whole-program layer — the symbol and
   call graph (:mod:`~repro.tools.detlint.graph`), interprocedural taint
-  (:mod:`~repro.tools.detlint.taint`) and the crash-boundary and
-  fork-safety checks (:mod:`~repro.tools.detlint.checks`); ``engine``
+  (:mod:`~repro.tools.detlint.taint`) and the crash-boundary,
+  fork-safety and reachability checks
+  (:mod:`~repro.tools.detlint.checks`); ``engine``
   codes come from this module.
 * suppressions — ``# detlint: ignore[CODE]`` on the offending line
   silences that code there; a suppression that silences nothing is
@@ -144,6 +145,7 @@ RULES: dict[str, RuleInfo] = {
         RuleInfo("DF201", "program", "crash boundary not referenced by any crash test"),
         RuleInfo("DF202", "program", "crash-boundary coverage could not be verified (fails closed)"),
         RuleInfo("DF301", "program", "live state captured across a fork boundary"),
+        RuleInfo("DF401", "program", "src symbol not reachable from any non-test entry point"),
         RuleInfo(UNUSED_SUPPRESSION_CODE, "engine", "unused # detlint: ignore[...] suppression"),
         RuleInfo(PARSE_ERROR_CODE, "engine", "file failed to parse"),
     )
@@ -300,7 +302,8 @@ def run_paths(
     their codes is selected — the whole-program passes: the project
     graph (DF001), taint (DF101–DF106), crash-boundary coverage
     (DF201/DF202, against the crash tests in ``tests_dir``, else a
-    ``tests/`` directory found near ``paths``) and fork safety (DF301).
+    ``tests/`` directory found near ``paths``), fork safety (DF301) and
+    reachability from the non-test entry points (DF401).
 
     Findings of unselected codes, then suppressed findings, are
     dropped; suppressions that matched nothing become
@@ -341,6 +344,8 @@ def run_paths(
             raw.extend(taint.analyze(graph))
         if checks.FORK_CAPTURE_CODE in codes:
             raw.extend(checks.check_fork_safety(graph))
+    if checks.REACHABILITY_CODE in codes:
+        raw.extend(checks.check_reachability(contexts))
     if codes & {checks.BOUNDARY_UNCOVERED_CODE, checks.BOUNDARY_INFRA_CODE}:
         if tests_dir is None:
             tests_dir = checks.find_tests_dir(path_list)

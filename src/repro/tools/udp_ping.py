@@ -36,16 +36,6 @@ class PingResult:
             return 0.0
         return self.probes_lost / self.probes_sent
 
-    def percentile_ms(self, q: float) -> float:
-        """RTT percentile (q in [0, 100])."""
-        if not self.rtt_samples_ms:
-            return float("nan")
-        return float(np.percentile(self.rtt_samples_ms, q))
-
-    @property
-    def median_ms(self) -> float:
-        return self.percentile_ms(50.0)
-
 
 def run_udp_ping(
     samples: list[LinkConditions],

@@ -121,10 +121,6 @@ class Subflow(TcpSender):
             ]
             self.connection.reinject(stuck)
 
-    def outstanding_data_seqs(self) -> list[int]:
-        """Data seqs currently mapped onto this subflow (unacked)."""
-        return sorted(self._data_map.values())
-
 
 @dataclass
 class MptcpStats:

@@ -26,21 +26,6 @@ DEFAULT_MTU_BYTES = 1500
 BITS_PER_BYTE = 8
 
 
-def mbps_to_bps(mbps: float) -> float:
-    """Convert megabits per second to bits per second."""
-    return mbps * 1e6
-
-
-def bps_to_mbps(bps: float) -> float:
-    """Convert bits per second to megabits per second."""
-    return bps / 1e6
-
-
-def mbps_to_bytes_per_sec(mbps: float) -> float:
-    """Convert megabits per second to bytes per second."""
-    return mbps * 1e6 / BITS_PER_BYTE
-
-
 def bytes_to_megabits(num_bytes: float) -> float:
     """Convert a byte count to megabits."""
     return num_bytes * BITS_PER_BYTE / 1e6
@@ -54,16 +39,6 @@ def kmh_to_ms(kmh: float) -> float:
 def ms_to_kmh(meters_per_second: float) -> float:
     """Convert m/s to km/h."""
     return meters_per_second * 3.6
-
-
-def ms_to_seconds(milliseconds: float) -> float:
-    """Convert milliseconds to seconds."""
-    return milliseconds / 1000.0
-
-
-def seconds_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * 1000.0
 
 
 def throughput_mbps(num_bytes: float, duration_s: float) -> float:

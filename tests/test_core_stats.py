@@ -47,7 +47,7 @@ def test_compare_networks_detects_difference():
     fast = gen.normal(150.0, 20.0, size=300)
     slow = gen.normal(60.0, 20.0, size=300)
     result = compare_networks(fast, slow)
-    assert result.significant()
+    assert result.p_value < 0.05
     assert result.prob_a_greater > 0.9
 
 
@@ -56,7 +56,7 @@ def test_compare_networks_null():
     a = gen.normal(100.0, 20.0, size=300)
     b = gen.normal(100.0, 20.0, size=300)
     result = compare_networks(a, b)
-    assert not result.significant(alpha=0.01)
+    assert not result.p_value < 0.01
     assert 0.35 < result.prob_a_greater < 0.65
 
 

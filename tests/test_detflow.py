@@ -1,7 +1,8 @@
 """detlint's whole-program rules (DF*): every taint class fires on its
 seeded fixture and is correctly sanitizer-suppressed, taint crosses
 module boundaries with the full call chain reported, crash-boundary
-coverage fails closed, and fork-safety flags live captures.
+coverage fails closed, fork-safety flags live captures, and
+reachability flags defs that no non-test entry point names.
 
 The fixtures in ``tests/detflow_fixtures/`` each contain exactly the
 flows their comments name, at pinned line numbers.  ``scan`` selects
@@ -28,6 +29,7 @@ SRC_REPRO = REPO_ROOT / "src" / "repro"
 TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS / "detflow_fixtures"
 COVERAGE_PROJ = FIXTURES / "coverage_proj"
+REACH_PROJ = FIXTURES / "reach_proj"
 
 #: The whole-program rules, plus the suppression audit.
 PROGRAM_CODES = [c for c, info in RULES.items() if info.scope == "program"] + ["SUP001"]
@@ -84,7 +86,9 @@ def test_full_run_over_detflow_fixtures():
     # four local ones on the same flows — DET008 on the unsorted
     # listings, DET001 on the stdlib random import, DET003 on the
     # list(set) call.  Against the repo's tests/, coverage_proj's
-    # fixture.* boundaries are all uncovered.
+    # fixture.* boundaries are all uncovered.  reach_proj is judged
+    # against its own root; every other fixture sits in the repo's
+    # tests/, which DF401 never reports.
     findings = run_paths([str(FIXTURES)], tests_dir=str(TESTS))
     got = {
         (Path(f.path).relative_to(FIXTURES).as_posix(), f.code, f.line)
@@ -100,6 +104,10 @@ def test_full_run_over_detflow_fixtures():
         ("fork_capture.py", "DF301", 36),
         ("fork_capture.py", "DF301", 44),
         ("import_star.py", "DF001", 2),
+        ("reach_proj/pkg/core.py", "DF401", 6),
+        ("reach_proj/pkg/core.py", "DF401", 10),
+        ("reach_proj/pkg/core.py", "DF401", 14),
+        ("reach_proj/pkg/core.py", "SUP001", 48),
         ("taint_environ.py", "DF102", 11),
         ("taint_environ.py", "DF102", 16),
         ("taint_floatsum.py", "DF106", 10),
@@ -217,6 +225,40 @@ def test_fork_safety_flags_live_captures():
     assert "thread" in by_line[44]
 
 
+# -- reachability -------------------------------------------------------
+
+
+def test_reachability_flags_dead_and_test_only_defs():
+    # Dead, called only from tests/, and called only from its own body
+    # are findings; used from examples/, duck-typed, exported in
+    # __all__, @rule-registered and marked are not; the mark on a used
+    # def is stale.
+    findings = scan(REACH_PROJ / "pkg")
+    assert codes_and_lines(findings) == {
+        ("DF401", 6), ("DF401", 10), ("DF401", 14), ("SUP001", 48),
+    }
+    by_line = {f.line: f.message for f in findings}
+    assert "'dead'" in by_line[6]
+    assert "'tested_only'" in by_line[10]
+    assert "'countdown'" in by_line[14]
+
+
+def test_reachability_counts_unscanned_project_files():
+    # A scan of one module still sees the rest of the project: api.py
+    # alone is clean, and so is one src module whose names only other
+    # src modules use.
+    assert scan(REACH_PROJ / "pkg" / "api.py") == []
+    assert scan(SRC_REPRO / "units.py") == []
+
+
+def test_reachability_skips_files_outside_a_project(tmp_path):
+    # No examples/, perfbench/ or benchmarks/ above the file: there are
+    # no entry points to be reached from, so nothing is judged.
+    path = tmp_path / "loose.py"
+    path.write_text("def unused():\n    return 1\n")
+    assert scan(path) == []
+
+
 # -- suppressions ---------------------------------------------------------
 
 
@@ -261,7 +303,7 @@ def test_cli_select_narrows(capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("DF001", "DF101", "DF106", "DF201", "DF202", "DF301", "SUP001"):
+    for code in ("DF001", "DF101", "DF106", "DF201", "DF202", "DF301", "DF401", "SUP001"):
         assert code in out
 
 
@@ -310,7 +352,8 @@ def test_src_repro_is_clean():
 
     Every taint class above is proven to fire on fixtures; this proves
     the production tree carries none of them — and that every declared
-    crash boundary has a crash test and no live state crosses a fork.
+    crash boundary has a crash test, no live state crosses a fork, and
+    every def is reached from a non-test entry point or marked as kept.
     """
     findings = scan(SRC_REPRO)
     assert findings == [], "\n".join(f.render() for f in findings)

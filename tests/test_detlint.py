@@ -383,14 +383,14 @@ def test_cli_clean_exit(capsys, tmp_path):
 
 
 def test_cli_list_rules(capsys):
-    # One registry: all 22 codes of both rule families, each listed once.
+    # One registry: all 23 codes of both rule families, each listed once.
     assert main(["--list-rules"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert listed == [
         "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
         "DET007", "DET008", "INV101", "INV102",
         "DF001", "DF101", "DF102", "DF103", "DF104", "DF105", "DF106",
-        "DF201", "DF202", "DF301", "SUP001", "SYN001",
+        "DF201", "DF202", "DF301", "DF401", "SUP001", "SYN001",
     ]
     # Every local code has a check behind it (INV101 has two halves).
     local = {c for c, info in RULES.items() if info.scope == "local"}

@@ -1,5 +1,7 @@
 """Fault events, schedules, generation, and the channel injector."""
 
+import json
+
 import pytest
 
 import repro.core.dataset as dataset_module
@@ -111,7 +113,9 @@ def test_compose_blackout_wins_and_factors_multiply():
 
 def test_schedule_json_roundtrip_and_fingerprint():
     schedule = generate_schedule(seed=11, num_drives=3, drive_duration_s=1800.0)
-    clone = FaultSchedule.from_json(schedule.to_json())
+    clone = FaultSchedule(
+        tuple(event_from_dict(raw) for raw in json.loads(schedule.to_json()))
+    )
     assert clone == schedule
     assert clone.fingerprint() == schedule.fingerprint()
     other = generate_schedule(seed=12, num_drives=3, drive_duration_s=1800.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geo.classify import AreaType
-from repro.geo.terrain import ObstructionProcess, mean_obstruction
+from repro.geo.terrain import ObstructionProcess
 from repro.rng import RngStreams
 
 
@@ -73,10 +73,6 @@ def test_reset_restores_initial_state():
     process.reset()
     assert process._fraction == pytest.approx(0.1)
     assert process._episode_left_s == 0
-
-
-def test_mean_obstruction_exposed():
-    assert mean_obstruction(AreaType.URBAN) > mean_obstruction(AreaType.RURAL)
 
 
 def test_deterministic_given_seed():

@@ -115,7 +115,7 @@ def test_link_burst_loss_preserves_average():
         sim.schedule_at(i * 120e-6, lambda i=i: link.send(make_packet(seq=i)))
     sim.run()
     loss = 1.0 - len(received) / n
-    assert link.queue_drops == 0
+    assert link.queue.drops == 0
     assert loss == pytest.approx(0.1, abs=0.04)
     # Losses must cluster: count runs of consecutive missing seqs.
     missing = sorted(set(range(n)) - set(received))

@@ -46,18 +46,11 @@ def test_run_until_stops_before_future_events():
 def test_cancel_event():
     sim = Simulator()
     fired = []
-    handle = sim.schedule(1.0, lambda: fired.append("x"))
-    handle.cancel()
+    timer = Timer(sim, lambda: fired.append("x"))
+    timer.arm(1.0)
+    timer.cancel()
     sim.run()
     assert fired == []
-
-
-def test_pending_events_excludes_cancelled():
-    sim = Simulator()
-    h1 = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    h1.cancel()
-    assert sim.pending_events == 1
 
 
 def test_nested_scheduling():
@@ -130,7 +123,7 @@ def test_nan_times_rejected(method):
     sim = Simulator()
     with pytest.raises(ValueError):
         getattr(sim, method)(float("nan"), lambda: None)
-    assert sim.pending_events == 0
+    assert sim._heap == []
 
 
 def test_nan_cannot_corrupt_heap_order():
@@ -158,16 +151,17 @@ def _rearm_trace(use_timer: bool) -> list:
         timer = Timer(sim, fire)
         arm, cancel = timer.arm, timer.cancel
     else:
-        handle = [None]
+        # Push per re-arm: each arm schedules a fresh callback guarded
+        # by its own flag, and a re-arm or cancel clears the old flag.
+        live = [[False]]
 
         def cancel():
-            if handle[0] is not None:
-                handle[0].cancel()
-                handle[0] = None
+            live[0][0] = False
 
         def arm(delay):
             cancel()
-            handle[0] = sim.schedule(delay, fire)
+            flag = live[0] = [True]
+            sim.schedule(delay, lambda: flag[0] and fire())
 
     def mark(name, at):
         return lambda: sim.schedule_at(at, lambda: log.append((name, sim.now)))

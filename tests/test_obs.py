@@ -7,6 +7,7 @@ untouched (instrumented runs are byte-identical) and the disabled
 default is effectively free.
 """
 
+import itertools
 import json
 import time
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.dataset import NETWORKS, record_to_dict
-from repro.net.simulator import Simulator
+from repro.net.simulator import Simulator, Timer
 from repro.obs import (
     MetricsRegistry,
     NULL_RECORDER,
@@ -63,7 +64,7 @@ def test_histogram_buckets_and_cumulation():
     for v in (0.5, 0.7, 5.0, 100.0):
         h.observe(v)
     assert h.counts == [2, 1, 1]  # <=1, <=10, +Inf
-    assert h.cumulative_counts() == [2, 3, 4]
+    assert list(itertools.accumulate(h.counts)) == [2, 3, 4]
     assert h.count == 4
     assert h.total == pytest.approx(106.2)
     assert h.mean == pytest.approx(106.2 / 4)
@@ -258,10 +259,11 @@ def test_manifest_rejects_unknown_version(tmp_path):
 def test_simulator_records_events_and_heap_depth():
     rec = ObsRecorder()
     sim = Simulator(recorder=rec)
-    handle = sim.schedule(1.0, lambda: None)
+    timer = Timer(sim, lambda: None)
+    timer.arm(1.0)
     sim.schedule(2.0, lambda: None)
     sim.schedule(3.0, lambda: None)
-    handle.cancel()
+    timer.cancel()
     sim.run()
     assert rec.registry.value("sim.events_fired") == 2.0
     assert rec.registry.value("sim.events_cancelled") == 1.0

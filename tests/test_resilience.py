@@ -106,7 +106,6 @@ def test_retry_policy_backoff_deterministic():
 def test_retry_policy_caps_and_validates():
     policy = RetryPolicy(base_delay_s=10.0, backoff=10.0, max_delay_s=25.0, jitter=0.0)
     assert policy.delay_s(3) == 25.0
-    assert RetryPolicy(max_attempts=1).max_retries == 0
     with pytest.raises(ValueError):
         RetryPolicy(max_attempts=0)
     with pytest.raises(ValueError):

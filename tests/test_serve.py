@@ -178,6 +178,13 @@ def test_spec_to_config_presets_and_execution_knobs():
         {"test_duration_s": float("nan")},
         {"window_period_s": float("inf")},
         {"max_drive_seconds": float("nan")},
+        # Fractional durations: the drive loop cuts them to whole
+        # seconds, so 0.5 s windows crash every drive and 0.5 s tests
+        # come back empty.
+        {"preset": "smoke", "window_period_s": 0.5},
+        {"preset": "smoke", "test_duration_s": 0.5},
+        {"preset": "smoke", "test_duration_s": 30.7},
+        {"max_drive_seconds": 120.5},
     ],
 )
 def test_invalid_specs_rejected(spec):
@@ -230,6 +237,7 @@ def test_spec_admission_yields_integral_config_or_invalid_submission(values, pre
         value = getattr(config, name)
         if value is not None:
             assert 0 < value < math.inf, (name, value)
+            assert value == int(value), (name, value)
 
 
 #: Execution keys of the wrong type or out of range: each must end in a
@@ -494,12 +502,11 @@ def test_filesystem_protocol_end_to_end(tmp_path):
 
     record = client.status(job_id)
     assert record.state is JobState.DONE
-    assert client.is_done(job_id)
-    paths = client.result_paths(job_id)
-    assert os.path.exists(paths.dataset)
-    assert os.path.exists(paths.manifest)
-    assert os.path.isdir(paths.store)
-    manifest = RunManifest.load_json(paths.manifest)
+    job_dir = os.path.join(service.root, service_module.JOBS_DIR, job_id)
+    assert os.path.exists(os.path.join(job_dir, "dataset.json"))
+    assert os.path.exists(os.path.join(job_dir, "manifest.json"))
+    assert os.path.isdir(os.path.join(job_dir, "store"))
+    manifest = RunManifest.load_json(os.path.join(job_dir, "manifest.json"))
     assert manifest.fingerprint == spec_to_config(SPEC).fingerprint()
 
 

@@ -9,6 +9,10 @@ from repro.store import cache as cache_module
 from repro.store.__main__ import main as store_main
 
 
+def _total_bytes(cache):
+    return sum(entry.size_bytes for entry in cache.entries())
+
+
 def _fill(cache, fingerprint, drive_ids, *, base_mtime=1_000_000_000):
     """Write entries with controlled, strictly increasing mtimes."""
     for offset, drive_id in enumerate(drive_ids):
@@ -23,7 +27,7 @@ def test_unbounded_cache_never_evicts(tmp_path):
     _fill(cache, "fp", range(4))
     result = cache.gc()
     assert result.evicted == []
-    assert result.bytes_after == result.bytes_before == cache.total_bytes()
+    assert result.bytes_after == result.bytes_before == _total_bytes(cache)
     assert len(cache.entries()) == 4
 
 
@@ -66,11 +70,11 @@ def test_gc_ties_break_on_path(tmp_path):
 def test_gc_dry_run_reports_without_deleting(tmp_path):
     cache = DriveCache(tmp_path)
     _fill(cache, "fp", range(3))
-    before = cache.total_bytes()
+    before = _total_bytes(cache)
     result = cache.gc(max_bytes=0, dry_run=True)
     assert len(result.evicted) == 3
     assert result.bytes_after == 0
-    assert cache.total_bytes() == before
+    assert _total_bytes(cache) == before
     assert len(cache.entries()) == 3
 
 
