@@ -10,14 +10,16 @@ multi-homed host the paper runs MPTCP experiments on.
 
 from __future__ import annotations
 
-from functools import partial
+import heapq
+import math
+from collections import deque
 
 import numpy as np
 
 from repro.conditions import LinkConditions
 from repro.emu.traces import conditions_to_opportunities_ms
 from repro.net.link import ConditionsSchedule
-from repro.net.packet import Packet
+from repro.net.packet import Packet, check_segment_bytes
 from repro.net.path import Path
 from repro.net.queue import DropTailQueue
 from repro.net.simulator import Simulator
@@ -38,6 +40,12 @@ class TraceLink:
     packet, as it did when it sat in the heap ahead of the sending event;
     that holds when the sender was scheduled before the previous
     opportunity fired (see docs/PERFORMANCE.md, "The tie rule").
+
+    The packets one opportunity releases are all due ``delay_s`` later,
+    and would draw consecutive heap sequence numbers, so no other event
+    can fall between their deliveries.  They share one heap entry, which
+    delivers them in order (see docs/PERFORMANCE.md, "Packet-level DES,
+    part 3").
     """
 
     def __init__(
@@ -68,6 +76,10 @@ class TraceLink:
                 )
         if opportunities_ms[-1] <= 0:
             raise ValueError("trace period must be positive")
+        if not one_way_delay_ms >= 0:  # also rejects NaN
+            raise ValueError(
+                f"one-way delay must be non-negative, got {one_way_delay_ms}"
+            )
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         self.sim = sim
@@ -84,6 +96,15 @@ class TraceLink:
         self._base_s = 0.0
         self._burst_until_s = -1.0
         self._mean_opportunity_s = self.period_s / len(self.opportunities_ms)
+        #: Whether :meth:`_draw_loss` can draw outside a burst.
+        self._draws = loss_rate > 0.0
+        self._fifo = self.queue.packets
+        self._heap = sim._heap
+        self._counter = sim._counter
+        #: Released packets awaiting delivery, and per delivery entry its
+        #: heap sequence number and packet count, both in delivery order.
+        self._in_flight: deque[Packet] = deque()
+        self._batches: deque[tuple[int, int]] = deque()
         self.bytes_delivered = 0
         self.packets_delivered = 0
         self.random_losses = 0
@@ -108,45 +129,66 @@ class TraceLink:
 
     # -- opportunity engine ------------------------------------------------
 
-    def _advance(self, now_s: float) -> None:
+    def _advance(self, now_s: float, catch_up_s: float = -math.inf) -> None:
         """Step to the next opportunity and set ``_next_s`` to when it
         fires if the current one fired at ``now_s``: the float a relative
-        ``schedule`` produces, ``now_s + max(0, target - now_s)``."""
+        ``schedule`` produces, ``now_s + max(0, target - now_s)``.  While
+        that is before ``catch_up_s``, step again from it: the clock of
+        opportunities that fired on an empty queue."""
         opportunities = self.opportunities_ms
-        index = self._index + 1
-        if index >= len(opportunities):
-            index = 0
-            self._base_s += self.period_s
+        index = self._index
+        base_s = self._base_s
+        while True:
+            index += 1
+            if index >= len(opportunities):
+                index = 0
+                base_s += self.period_s
+            wait_s = base_s + opportunities[index] / 1000.0 - now_s
+            now_s = now_s + (wait_s if wait_s > 0.0 else 0.0)
+            if not now_s < catch_up_s:
+                break
         self._index = index
-        wait_s = self._base_s + opportunities[index] / 1000.0 - now_s
-        self._next_s = now_s + (wait_s if wait_s > 0.0 else 0.0)
+        self._base_s = base_s
+        self._next_s = now_s
 
     def _wake(self) -> None:
         # Replay the opportunities that fired on an empty queue while idle.
         now = self.sim.now
-        while self._next_s < now:
-            self._advance(self._next_s)
+        if self._next_s < now:
+            self._advance(self._next_s, now)
         self._running = True
         self.sim.schedule_at(self._next_s, self._on_opportunity)
 
     def _on_opportunity(self) -> None:
-        budget = self.mtu_bytes
+        now = self.sim.now
+        fifo = self._fifo
         queue = self.queue
-        while True:
-            head = queue.peek()
-            if head is None or head.size_bytes > budget:
+        budget = self.mtu_bytes
+        released = 0
+        while fifo:
+            head = fifo[0]
+            size = head.size_bytes
+            if size > budget:
                 break
-            queue.pop()
-            budget -= head.size_bytes
-            if self._draw_loss():
+            fifo.popleft()
+            queue.bytes_queued -= size
+            budget -= size
+            if (self._draws or now < self._burst_until_s) and self._draw_loss():
                 self.random_losses += 1
             else:
-                self.sim.schedule(self.delay_s, partial(self._deliver, head))
-        self._advance(self.sim.now)
-        if queue.is_empty:
-            self._running = False
+                self._in_flight.append(head)
+                released += 1
+        heap = self._heap
+        counter = self._counter
+        if released:
+            seq = next(counter)
+            self._batches.append((seq, released))
+            heapq.heappush(heap, (now + self.delay_s, seq, self._deliver_batch))
+        self._advance(now)
+        if fifo:
+            heapq.heappush(heap, (self._next_s, next(counter), self._on_opportunity))
         else:
-            self.sim.schedule_at(self._next_s, self._on_opportunity)
+            self._running = False
 
     def _draw_loss(self) -> bool:
         # Time-window burst loss, mirroring repro.net.link.Link._draw_loss;
@@ -165,10 +207,38 @@ class TraceLink:
             )
         return True
 
-    def _deliver(self, packet: Packet) -> None:
-        self.bytes_delivered += packet.size_bytes
-        self.packets_delivered += 1
-        self._receiver(packet)
+    def _deliver_batch(self) -> None:
+        """Deliver one opportunity's released packets, in order.
+
+        Each packet is one step of the run: after a :meth:`Simulator.stop`
+        or an exception in its receiver, the rest of the batch goes back
+        on the heap under its own ``(now, seq)``, ahead of every event the
+        delivered packets scheduled, as the per-packet entries were.
+        """
+        seq, count = self._batches.popleft()
+        in_flight = self._in_flight
+        sim = self.sim
+        while True:
+            packet = in_flight.popleft()
+            count -= 1
+            self.bytes_delivered += packet.size_bytes
+            self.packets_delivered += 1
+            try:
+                self._receiver(packet)
+            except BaseException:
+                if count:
+                    self._hold(seq, count)
+                raise
+            if not count:
+                return
+            if sim._stopped:
+                self._hold(seq, count)
+                return
+
+    def _hold(self, seq: int, count: int) -> None:
+        """Re-queue the last ``count`` packets of batch ``seq`` at now."""
+        self._batches.appendleft((seq, count))
+        heapq.heappush(self._heap, (self.sim.now, seq, self._deliver_batch))
 
 
 class MpShell:
@@ -211,6 +281,7 @@ class MpShell:
         """
         if name in self.interfaces:
             raise ValueError(f"interface {name!r} already exists")
+        mtu_bytes = check_segment_bytes(mtu_bytes, "mtu_bytes")
         if not samples:
             raise ValueError("need at least one conditions sample")
         delay_ms = _median([s.rtt_ms for s in samples]) / 2.0
@@ -255,8 +326,8 @@ class MpShell:
 
     def run(self, duration_s: float) -> None:
         """Run the emulation for ``duration_s`` of simulated time."""
-        if duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {duration_s}")
+        if not 0 < duration_s < math.inf:  # also rejects NaN
+            raise ValueError(f"duration must be positive and finite, got {duration_s}")
         self.sim.run(until_s=self.sim.now + duration_s)
 
 
@@ -271,6 +342,7 @@ class ScheduledLossTraceLink(TraceLink):
     def __init__(self, schedule: ConditionsSchedule, **kwargs):
         self._schedule = schedule
         super().__init__(**kwargs)
+        self._draws = True  # the schedule decides each draw
 
     def _draw_loss(self) -> bool:
         if self.sim.now < self._burst_until_s:

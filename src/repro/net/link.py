@@ -11,8 +11,9 @@ channel substrates emit.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
-from functools import partial
+from collections import deque
 from typing import Callable, Protocol
 
 import numpy as np
@@ -102,8 +103,14 @@ class FixedConditions:
         loss: float = 0.0,
         burst: float = 1.0,
     ):
-        if rate_mbps < 0:
+        # Written ``not x >= 0`` so NaN is rejected too: the link pushes
+        # ``now + delay`` and ``now + size / rate`` straight onto the heap.
+        if not rate_mbps >= 0:
             raise ValueError(f"rate must be non-negative, got {rate_mbps}")
+        if not one_way_delay_ms >= 0:
+            raise ValueError(
+                f"one-way delay must be non-negative, got {one_way_delay_ms}"
+            )
         if not 0.0 <= loss <= 1.0:
             raise ValueError(f"loss must be in [0, 1], got {loss}")
         if burst < 1.0:
@@ -117,7 +124,17 @@ class FixedConditions:
 
 
 class Link:
-    """One direction of a path: buffer -> service at capacity -> delay."""
+    """One direction of a path: buffer -> service at capacity -> delay.
+
+    Service reads the queue's deque and byte count directly, and pushes
+    heap entries without :meth:`Simulator.schedule`'s check: a
+    transmission ends ``size * 8 / rate >= 0`` seconds from now, and a
+    delivery is due a non-negative delay from now (both providers reject
+    negative and NaN values), so no time is before ``now``.  Deliveries
+    fire in the order they were queued (a pipe is FIFO), so every
+    delivery entry is the bound :meth:`_deliver_next`, and the packets
+    wait in ``_in_flight``.
+    """
 
     #: How often to re-poll the schedule while the link rate is zero.
     STALL_POLL_S = 0.02
@@ -143,6 +160,10 @@ class Link:
         self._busy = False
         self._burst_until_s = -1.0
         self._last_delivery_s = -1.0
+        self._fifo = self.queue.packets
+        self._in_flight: deque[Packet] = deque()
+        self._heap = sim._heap
+        self._counter = sim._counter
         # Statistics mirroring what tcpdump-style analysis needs.
         self.bytes_delivered = 0
         self.packets_delivered = 0
@@ -159,44 +180,51 @@ class Link:
             raise RuntimeError(f"{self.name}: send() before connect()")
         self.packets_sent += 1
         if self.queue.push(packet) and not self._busy:
-            self._serve_next()
+            self._serve(self._fifo[0], self.conditions.at(self.sim.now)[0])
 
     def _serve_next(self) -> None:
-        packet = self.queue.peek()
-        if packet is None:
+        fifo = self._fifo
+        if not fifo:
             self._busy = False
             return
-        self._serve(packet, self.conditions.at(self.sim.now)[0])
+        self._serve(fifo[0], self.conditions.at(self.sim.now)[0])
 
     def _serve(self, packet: Packet, rate: float) -> None:
         """Start transmitting the head ``packet`` at ``rate`` (bit/s)."""
+        self._busy = True
         if rate <= 0:
             # Outage: hold the queue, flush stale packets, and poll for
             # capacity to return.
-            while True:
-                head = self.queue.peek()
-                if head is None or (
-                    self.sim.now - head.sent_time_s <= self.STALL_FLUSH_AGE_S
-                ):
-                    break
-                self.queue.pop()
+            now = self.sim.now
+            fifo = self._fifo
+            while fifo and now - fifo[0].sent_time_s > self.STALL_FLUSH_AGE_S:
+                self.queue.bytes_queued -= fifo.popleft().size_bytes
                 self.random_losses += 1
-            self._busy = True
             self.sim.schedule(self.STALL_POLL_S, self._serve_next)
             return
-        self._busy = True
-        tx_time = packet.size_bytes * 8.0 / rate
-        self.sim.schedule(tx_time, self._transmission_done)
+        heapq.heappush(
+            self._heap,
+            (
+                self.sim.now + packet.size_bytes * 8.0 / rate,
+                next(self._counter),
+                self._transmission_done,
+            ),
+        )
 
     def _transmission_done(self) -> None:
         # One conditions lookup serves the loss draw, the delay and the
         # next packet's service rate: all three are taken at this instant.
         now = self.sim.now
         conditions = self.conditions.at(now)
-        queue = self.queue
-        packet = queue.pop()
-        if packet is not None:
-            if self._draw_loss(packet.size_bytes, conditions):
+        fifo = self._fifo
+        if fifo:
+            packet = fifo.popleft()
+            size = packet.size_bytes
+            self.queue.bytes_queued -= size
+            # A lossless reading outside a burst cannot draw a loss.
+            if (now < self._burst_until_s or conditions[2] > 0.0) and (
+                self._draw_loss(size, conditions)
+            ):
                 self.random_losses += 1
             else:
                 # A pipe is FIFO: when the sampled delay drops between two
@@ -206,12 +234,15 @@ class Link:
                 if self._last_delivery_s > deliver_at:
                     deliver_at = self._last_delivery_s
                 self._last_delivery_s = deliver_at
-                self.sim.schedule_at(deliver_at, partial(self._deliver, packet))
-        head = queue.peek()
-        if head is None:
-            self._busy = False
+                self._in_flight.append(packet)
+                heapq.heappush(
+                    self._heap,
+                    (deliver_at, next(self._counter), self._deliver_next),
+                )
+        if fifo:
+            self._serve(fifo[0], conditions[0])
         else:
-            self._serve(head, conditions[0])
+            self._busy = False
 
     def _draw_loss(self, packet_bytes: int, conditions: Conditions) -> bool:
         """Bursty random loss: loss events black the link out briefly.
@@ -246,10 +277,10 @@ class Link:
                 self._burst_until_s = now + run * DEFAULT_MTU_BYTES * 8.0 / rate
         return True
 
-    def _deliver(self, packet: Packet) -> None:
+    def _deliver_next(self) -> None:
+        packet = self._in_flight.popleft()
         self.bytes_delivered += packet.size_bytes
         self.packets_delivered += 1
-        assert self._receiver is not None
         self._receiver(packet)
 
 

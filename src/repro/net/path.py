@@ -18,7 +18,12 @@ from repro.net.simulator import Simulator
 
 
 class Path:
-    """Forward (data) and reverse (ACK) links between two endpoints."""
+    """Forward (data) and reverse (ACK) links between two endpoints.
+
+    ``send_data(packet)`` and ``send_ack(packet)`` are the two links'
+    ``send`` methods, bound when the path is built, so a transport's
+    per-packet call reaches the link without a hop through the path.
+    """
 
     def __init__(
         self,
@@ -31,8 +36,10 @@ class Path:
     ):
         self.sim = sim
         self.name = name
-        self.forward_link = Link(sim, forward, buffer_bytes, rng, f"{name}.fwd")
-        self.reverse_link = Link(sim, reverse, buffer_bytes, rng, f"{name}.rev")
+        self._wire(
+            Link(sim, forward, buffer_bytes, rng, f"{name}.fwd"),
+            Link(sim, reverse, buffer_bytes, rng, f"{name}.rev"),
+        )
 
     @classmethod
     def from_links(cls, sim: Simulator, forward_link, reverse_link, name: str = "path") -> "Path":
@@ -44,9 +51,14 @@ class Path:
         path = cls.__new__(cls)
         path.sim = sim
         path.name = name
-        path.forward_link = forward_link
-        path.reverse_link = reverse_link
+        path._wire(forward_link, reverse_link)
         return path
+
+    def _wire(self, forward_link, reverse_link) -> None:
+        self.forward_link = forward_link
+        self.reverse_link = reverse_link
+        self.send_data: Callable[[Packet], None] = forward_link.send
+        self.send_ack: Callable[[Packet], None] = reverse_link.send
 
     @classmethod
     def from_conditions(
@@ -87,9 +99,3 @@ class Path:
         """Wire the endpoints: data flows forward, ACKs flow back."""
         self.forward_link.connect(data_receiver)
         self.reverse_link.connect(ack_receiver)
-
-    def send_data(self, packet: Packet) -> None:
-        self.forward_link.send(packet)
-
-    def send_ack(self, packet: Packet) -> None:
-        self.reverse_link.send(packet)

@@ -8,7 +8,12 @@ from repro.net.packet import Packet
 
 
 class DropTailQueue:
-    """FIFO with a byte capacity; arrivals beyond capacity are dropped."""
+    """FIFO with a byte capacity; arrivals beyond capacity are dropped.
+
+    :meth:`push` is the admission rule.  The links serve the queue by
+    reading and popping ``packets`` directly, and subtract each popped
+    packet's size from ``bytes_queued``.
+    """
 
     def __init__(self, capacity_bytes: int):
         if capacity_bytes <= 0:
@@ -16,41 +21,22 @@ class DropTailQueue:
                 f"queue capacity must be positive, got {capacity_bytes}"
             )
         self.capacity_bytes = capacity_bytes
-        self._queue: deque[Packet] = deque()
+        #: The FIFO itself, head first.
+        self.packets: deque[Packet] = deque()
         self.bytes_queued = 0
         self.drops = 0
         self.enqueues = 0
 
     def push(self, packet: Packet) -> bool:
         """Enqueue; returns False (and counts a drop) when full."""
-        if self.bytes_queued + packet.size_bytes > self.capacity_bytes:
+        size = packet.size_bytes
+        if self.bytes_queued + size > self.capacity_bytes:
             self.drops += 1
             return False
-        self._queue.append(packet)
-        self.bytes_queued += packet.size_bytes
+        self.packets.append(packet)
+        self.bytes_queued += size
         self.enqueues += 1
         return True
 
-    def pop(self) -> Packet | None:
-        """Dequeue the head packet, or None when empty."""
-        if not self._queue:
-            return None
-        packet = self._queue.popleft()
-        self.bytes_queued -= packet.size_bytes
-        return packet
-
-    def peek(self) -> Packet | None:
-        """Head packet without removing it."""
-        return self._queue[0] if self._queue else None
-
-    def clear(self) -> None:
-        """Drop everything (link reset)."""
-        self._queue.clear()
-        self.bytes_queued = 0
-
     def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._queue
+        return len(self.packets)

@@ -21,6 +21,11 @@ class Simulator:
     Heap entries are ``(time, seq, callback)``.  Only a :class:`Timer`
     ever withdraws an entry: it adds the entry's ``seq`` to
     ``_cancelled``, and the loop drops that entry when it comes due.
+
+    The links' per-packet paths push onto ``_heap`` directly, with a
+    ``seq`` drawn from ``_counter``, at times that are never before
+    ``now``.  A :class:`repro.emu.mpshell.TraceLink` delivery batch
+    reads ``_stopped`` between its packets.
     """
 
     def __init__(self, recorder=None):
@@ -62,7 +67,12 @@ class Simulator:
         recorder once, when the run returns or raises.  The heap only
         grows between pops, so its high-water mark is its length at the
         start of the run or after some event's callback.
+
+        A NaN ``until_s`` is refused: no time compares greater than it,
+        so the run would never end.
         """
+        if until_s is not None and until_s != until_s:
+            raise ValueError("until_s must be a time or None, got nan")
         self._stopped = False
         heap = self._heap
         withdrawn = self._cancelled

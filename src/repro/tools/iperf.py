@@ -11,6 +11,7 @@ throughput series, and retransmission/loss rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from repro.conditions import LinkConditions
 from repro.emu.mpshell import MpShell
 from repro.net.link import bdp_bytes
+from repro.net.packet import check_segment_bytes
 from repro.net.path import Path
 from repro.net.simulator import Simulator
 from repro.transport.mptcp import open_mptcp_connection
@@ -79,6 +81,13 @@ def _default_buffer(samples: list[LinkConditions], downlink: bool) -> int:
     return int(min(max(6 * bdp_bytes(mean_rate, mean_rtt), floor), ceiling))
 
 
+def _check_duration(duration_s: float) -> None:
+    """A test runs for a positive, finite time: the simulator would never
+    reach a NaN or infinite deadline."""
+    if not 0 < duration_s < math.inf:  # also rejects NaN
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
+
+
 def run_tcp_test(
     samples: list[LinkConditions],
     duration_s: float = 60.0,
@@ -91,8 +100,8 @@ def run_tcp_test(
     seed: int = 0,
 ) -> IperfResult:
     """A TCP bulk-transfer test (iPerf ``-c server [-P N]``)."""
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    _check_duration(duration_s)
+    segment_bytes = check_segment_bytes(segment_bytes)
     sim = Simulator()
     rng = np.random.default_rng(seed)
     path = Path.from_conditions(
@@ -139,8 +148,8 @@ def run_udp_test(
     The default target rate is 1.2x the trace's peak capacity, which is how
     the paper probes available bandwidth.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    _check_duration(duration_s)
+    segment_bytes = check_segment_bytes(segment_bytes)
     sim = Simulator()
     rng = np.random.default_rng(seed)
     path = Path.from_conditions(
@@ -210,6 +219,8 @@ def run_mptcp_test(
     """
     if not traces:
         raise ValueError("need at least one interface trace")
+    _check_duration(duration_s)
+    segment_bytes = check_segment_bytes(segment_bytes)
     shell = MpShell(seed=seed)
     paths = [
         shell.add_interface(
@@ -251,6 +262,8 @@ def run_single_path_over_mpshell(
     """Single-path TCP through an MpShell interface (the paper's baseline:
     one iPerf client per interface; loss replay off to match the paper's
     UDP-trace methodology, see :func:`run_mptcp_test`)."""
+    _check_duration(duration_s)
+    segment_bytes = check_segment_bytes(segment_bytes)
     shell = MpShell(seed=seed)
     path = shell.add_interface(
         name, samples, mtu_bytes=segment_bytes, replay_loss=replay_loss

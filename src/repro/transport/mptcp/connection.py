@@ -19,8 +19,9 @@ The pieces that matter for the paper's Section 6 findings:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from repro.net.packet import ACK_SIZE_BYTES, Packet
+from repro.net.packet import Packet, check_segment_bytes
 from repro.net.path import Path
 from repro.net.simulator import Simulator
 from repro.transport.mptcp.scheduler import Scheduler, make_scheduler
@@ -90,13 +91,13 @@ class Subflow(TcpSender):
             self.stats.retransmissions += 1
             meta.retransmissions += 1
         self.path.send_data(
-            Packet(
-                flow_id=self.flow_id,
-                size_bytes=self.segment_bytes,
-                seq=seq,
-                data_seq=data_seq if data_seq is not None else -1,
-                sent_time_s=self.sim.now,
-                retransmit=retransmit,
+            Packet._data(
+                self.flow_id,
+                self.segment_bytes,
+                seq,
+                data_seq,
+                self.sim.now,
+                retransmit,
             )
         )
 
@@ -150,6 +151,7 @@ class MptcpConnection:
     ):
         if buffer_segments < 1:
             raise ValueError("meta buffer must hold at least one segment")
+        segment_bytes = check_segment_bytes(segment_bytes)
         self.sim = sim
         self.scheduler: Scheduler = (
             make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
@@ -179,10 +181,7 @@ class MptcpConnection:
         )
         self.subflows.append(subflow)
         receiver.attach_subflow(subflow.subflow_id, path)
-        path.connect(
-            lambda pkt, sid=subflow.subflow_id: receiver.on_data(sid, pkt),
-            subflow.on_ack,
-        )
+        path.connect(partial(receiver.on_data, subflow.subflow_id), subflow.on_ack)
         return subflow
 
     def start(self) -> None:
@@ -246,18 +245,17 @@ class MptcpConnection:
             if not self.can_assign_data():
                 return
             # Sending one segment changes the window space of the subflow
-            # that sent it and of no other, so only that one is re-asked.
-            subflows = self.subflows
-            space = [sf.has_space() for sf in subflows]
-            while True:
-                available = [sf for sf, ok in zip(subflows, space, strict=True) if ok]
-                if not available:
-                    break
-                chosen = self.scheduler.pick(available, self)
+            # that sent it and of no other, so only that one is re-asked;
+            # ``available`` keeps the subflows' order as it shrinks.
+            available = [sf for sf in self.subflows if sf.has_space()]
+            pick = self.scheduler.pick
+            while available:
+                chosen = pick(available, self)
                 if chosen is None:
                     break  # scheduler elects to wait (BLEST blocking guard)
                 chosen.send_one()
-                space[chosen.subflow_id] = chosen.has_space()
+                if not chosen.has_space():
+                    available.remove(chosen)
                 if not self.can_assign_data():
                     break
         finally:
@@ -329,15 +327,15 @@ class MptcpReceiver:
         self._subflow_rcv_next[subflow_id] = rcv_next
 
         self._paths[subflow_id].send_ack(
-            Packet(
-                flow_id=subflow_id,
-                size_bytes=ACK_SIZE_BYTES,
-                ack=rcv_next,
-                data_ack=self.meta_rcv_next,
-                is_ack=True,
-                rwnd=self.advertised_window,
-                timestamp_echo_s=packet.sent_time_s,
-                sent_time_s=self.sim.now,
+            Packet._ack(
+                subflow_id,
+                rcv_next,
+                self.meta_rcv_next,
+                self.advertised_window,
+                packet.sent_time_s,
+                self.sim.now,
+                -1,
+                -1,
             )
         )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.net.packet import ACK_SIZE_BYTES, Packet
+from repro.net.packet import Packet, check_segment_bytes
 from repro.net.path import Path
 from repro.net.simulator import Simulator, Timer
 from repro.transport.congestion import CongestionControl, make_congestion_control
@@ -111,16 +111,15 @@ class TcpReceiver:
             self.delivery_log.append((self.sim.now, delivered))
 
         self.path.send_ack(
-            Packet(
-                flow_id=self.flow_id,
-                size_bytes=ACK_SIZE_BYTES,
-                ack=self.rcv_next,
-                is_ack=True,
-                rwnd=self.advertised_window,
-                timestamp_echo_s=packet.sent_time_s,
-                sent_time_s=self.sim.now,
-                sack_start=sack_start,
-                sack_end=sack_end,
+            Packet._ack(
+                self.flow_id,
+                self.rcv_next,
+                -1,
+                self.advertised_window,
+                packet.sent_time_s,
+                self.sim.now,
+                sack_start,
+                sack_end,
             )
         )
 
@@ -151,7 +150,7 @@ class TcpSender:
         self.sim = sim
         self.path = path
         self.flow_id = flow_id
-        self.segment_bytes = segment_bytes
+        self.segment_bytes = check_segment_bytes(segment_bytes)
         self.cc: CongestionControl = (
             make_congestion_control(congestion)
             if isinstance(congestion, str)
@@ -320,12 +319,8 @@ class TcpSender:
         if retransmit:
             self.stats.retransmissions += 1
         self.path.send_data(
-            Packet(
-                flow_id=self.flow_id,
-                size_bytes=self.segment_bytes,
-                seq=seq,
-                sent_time_s=self.sim.now,
-                retransmit=retransmit,
+            Packet._data(
+                self.flow_id, self.segment_bytes, seq, -1, self.sim.now, retransmit
             )
         )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.packet import Packet
+from repro.net.packet import Packet, check_segment_bytes
 from repro.net.path import Path
 from repro.net.simulator import Simulator
 
@@ -57,12 +57,12 @@ class UdpSender:
         segment_bytes: int = 1500,
         duration_s: float | None = None,
     ):
-        if target_mbps <= 0:
+        if not target_mbps > 0:  # also rejects NaN
             raise ValueError(f"target rate must be positive, got {target_mbps}")
         self.sim = sim
         self.path = path
         self.flow_id = flow_id
-        self.segment_bytes = segment_bytes
+        self.segment_bytes = segment_bytes = check_segment_bytes(segment_bytes)
         self.interval_s = segment_bytes * 8.0 / (target_mbps * 1e6)
         self.stats = UdpStats()
         self._stop_at = None if duration_s is None else sim.now + duration_s
@@ -75,11 +75,13 @@ class UdpSender:
             return
         self.stats.datagrams_sent += 1
         self.path.send_data(
-            Packet(
-                flow_id=self.flow_id,
-                size_bytes=self.segment_bytes,
-                seq=self.stats.datagrams_sent - 1,
-                sent_time_s=self.sim.now,
+            Packet._data(
+                self.flow_id,
+                self.segment_bytes,
+                self.stats.datagrams_sent - 1,
+                -1,
+                self.sim.now,
+                False,
             )
         )
         self.sim.schedule(self.interval_s, self._send_next)

@@ -98,6 +98,9 @@ def test_tracelink_validation():
         TraceLink(sim, [], 0.0, 1000, np.random.default_rng(0))
     with pytest.raises(ValueError):
         TraceLink(sim, [0], 0.0, 1000, np.random.default_rng(0))
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            TraceLink(sim, [0, 10], delay, 1000, np.random.default_rng(0))
 
 
 def test_mpshell_interface_runs_tcp():

@@ -1,8 +1,20 @@
 """Validation paths of the iPerf harness + MpShell single-path runner."""
 
+import contextlib
+import math
+import signal
+
+import numpy as np
 import pytest
 
 from repro.conditions import LinkConditions
+from repro.emu.mpshell import MpShell
+from repro.net.link import FixedConditions
+from repro.net.path import Path
+from repro.net.simulator import Simulator
+from repro.transport.mptcp import MptcpConnection
+from repro.transport.tcp import TcpSender
+from repro.transport.udp import UdpSender
 from repro.tools.iperf import (
     run_mptcp_test,
     run_single_path_over_mpshell,
@@ -48,3 +60,106 @@ def test_mptcp_two_flat_paths_aggregate():
     result = run_mptcp_test(traces, duration_s=10.0, buffer_segments=8192)
     assert result.throughput_mbps > 32.0  # more than either alone
     assert len(result.series_mbps) == 10
+
+
+class _Hang(Exception):
+    """Raised by :func:`_deadline` when a case runs past its time."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail a case that runs past ``seconds`` instead of stalling the run:
+    a NaN or infinite duration used to make the simulator loop forever."""
+
+    def expire(signum, frame):
+        raise _Hang(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _fixed_path(sim):
+    return Path(
+        sim,
+        FixedConditions(10.0, 20.0),
+        FixedConditions(1.0, 20.0),
+        100_000,
+        np.random.default_rng(0),
+    )
+
+
+def _two_traces():
+    return {"a": flat(seconds=4), "b": flat(seconds=4)}
+
+
+BAD_DURATIONS = (math.nan, math.inf, -math.inf, 0.0, -1.0)
+BAD_SEGMENTS = (1500.5, 1500.0, math.nan, 0, -1500, True, "1500", None)
+
+def _rejected_cases():
+    for d in BAD_DURATIONS:
+        yield f"tcp-duration-{d}", lambda d=d: run_tcp_test(flat(), duration_s=d)
+        yield f"udp-duration-{d}", lambda d=d: run_udp_test(flat(), duration_s=d)
+        yield (
+            f"mptcp-duration-{d}",
+            lambda d=d: run_mptcp_test(_two_traces(), duration_s=d),
+        )
+        yield (
+            f"mpshell-single-duration-{d}",
+            lambda d=d: run_single_path_over_mpshell("x", flat(), duration_s=d),
+        )
+        yield f"mpshell-run-{d}", lambda d=d: MpShell().run(d)
+    yield "simulator-until-nan", lambda: Simulator().run(until_s=math.nan)
+    for b in BAD_SEGMENTS:
+        yield (
+            f"tcp-segment-{b!r}",
+            lambda b=b: run_tcp_test(flat(), duration_s=2.0, segment_bytes=b),
+        )
+        yield (
+            f"udp-segment-{b!r}",
+            lambda b=b: run_udp_test(flat(), duration_s=2.0, segment_bytes=b),
+        )
+        yield (
+            f"mptcp-segment-{b!r}",
+            lambda b=b: run_mptcp_test(_two_traces(), duration_s=2.0, segment_bytes=b),
+        )
+        yield (
+            f"tcp-sender-segment-{b!r}",
+            lambda b=b: TcpSender(Simulator(), None, segment_bytes=b),
+        )
+        yield (
+            f"udp-sender-segment-{b!r}",
+            lambda b=b: UdpSender(Simulator(), None, 10.0, segment_bytes=b),
+        )
+        yield (
+            f"mptcp-connection-segment-{b!r}",
+            lambda b=b: MptcpConnection(Simulator(), segment_bytes=b),
+        )
+    yield "udp-target-nan", lambda: UdpSender(Simulator(), None, math.nan)
+
+
+REJECTED = list(_rejected_cases())
+
+
+@pytest.mark.parametrize(
+    "build", [case for _, case in REJECTED], ids=[name for name, _ in REJECTED]
+)
+def test_des_entry_points_reject_bad_inputs(build):
+    """Every bad duration or segment size ends in a ``ValueError`` at
+    once: no hang, no fractional byte count, no error from deep inside
+    the simulation."""
+    with _deadline(10.0), pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("segment", [1500, np.int64(1500)])
+def test_integral_segment_sizes_accepted(segment):
+    sim = Simulator()
+    sender = TcpSender(sim, _fixed_path(sim), segment_bytes=segment)
+    assert sender.segment_bytes == 1500 and type(sender.segment_bytes) is int
+    result = run_tcp_test(flat(), duration_s=2.0, segment_bytes=segment)
+    assert type(result.bytes_received) is int and result.bytes_received > 0

@@ -24,7 +24,7 @@ def test_queue_fifo_order():
     q = DropTailQueue(10_000)
     for i in range(3):
         assert q.push(make_packet(seq=i))
-    assert [q.pop().seq for _ in range(3)] == [0, 1, 2]
+    assert [p.seq for p in q.packets] == [0, 1, 2]
 
 
 def test_queue_drops_when_full():
@@ -37,15 +37,18 @@ def test_queue_drops_when_full():
 
 
 def test_queue_byte_accounting():
-    q = DropTailQueue(10_000)
-    q.push(make_packet(size=1000))
-    q.push(make_packet(size=2000))
-    assert q.bytes_queued == 3000
-    q.pop()
-    assert q.bytes_queued == 2000
-    q.clear()
-    assert q.bytes_queued == 0
-    assert q.is_empty
+    # The link serves the queue: 1000 B at 8 Mb/s leave after 1 ms.
+    sim = Simulator()
+    link = Link(sim, FixedConditions(8.0, 1.0), 10_000, np.random.default_rng(0))
+    link.connect(lambda p: None)
+    link.send(make_packet(size=1000))
+    link.send(make_packet(size=2000))
+    assert link.queue.bytes_queued == 3000
+    sim.run(until_s=0.0015)
+    assert link.queue.bytes_queued == 2000
+    sim.run()
+    assert link.queue.bytes_queued == 0
+    assert len(link.queue) == 0
 
 
 def test_queue_rejects_bad_capacity():
@@ -200,6 +203,11 @@ def test_fixed_conditions_validation():
         FixedConditions(10.0, 10.0, loss=1.5)
     with pytest.raises(ValueError):
         FixedConditions(10.0, 10.0, burst=0.5)
+    # The link pushes ``now + delay`` and ``now + size / rate`` onto the
+    # heap unchecked, so neither may be NaN or go back in time.
+    for rate, delay in ((float("nan"), 10.0), (10.0, -1.0), (10.0, float("nan"))):
+        with pytest.raises(ValueError):
+            FixedConditions(rate, delay)
 
 
 def test_empty_schedule_rejected():

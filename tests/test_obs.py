@@ -337,27 +337,39 @@ def test_blest_still_validates_lambda():
 # -- campaign integration ------------------------------------------------
 
 
+#: Timed (null, instrumented) pairs of small campaigns.
+OVERHEAD_PAIRS = 3
+
+
 @pytest.fixture(scope="module")
 def observed_runs(tmp_path_factory):
-    """One small campaign per recorder flavour, interleaved and timed.
+    """One small campaign per recorder flavour, in adjacent timed pairs.
 
     Timing uses CPU time (``time.process_time``) so scheduler noise and
     I/O don't pollute the overhead comparison, and the timed runs carry
-    no checkpoint (checkpoint writes are I/O, not instrumentation).
+    no checkpoint (checkpoint writes are I/O, not instrumentation).  The
+    two runs of a pair follow each other, and the side that runs first
+    alternates from pair to pair, so a load that comes and goes (say, a
+    second test run on the other core) weighs on both sides of a pair.
     """
     out = tmp_path_factory.mktemp("obs_campaign")
     checkpoint = out / "campaign.store"
 
-    null_times, obs_times = [], []
-    null_dataset = None
-    for _ in range(3):
+    def timed(recorder):
         started = time.process_time()
-        null_dataset = Campaign(CampaignConfig.small()).run()
-        null_times.append(time.process_time() - started)
+        dataset = Campaign(CampaignConfig.small(), recorder=recorder).run()
+        return time.process_time() - started, dataset
 
-        started = time.process_time()
-        Campaign(CampaignConfig.small(), recorder=ObsRecorder()).run()
-        obs_times.append(time.process_time() - started)
+    pairs = []
+    null_dataset = None
+    for i in range(OVERHEAD_PAIRS):
+        if i % 2:
+            obs_s, _ = timed(ObsRecorder())
+            null_s, null_dataset = timed(None)
+        else:
+            null_s, null_dataset = timed(None)
+            obs_s, _ = timed(ObsRecorder())
+        pairs.append((null_s, obs_s))
 
     # One more instrumented run, with a checkpoint, for the artifact tests.
     recorder = ObsRecorder()
@@ -367,8 +379,7 @@ def observed_runs(tmp_path_factory):
     return {
         "null_dataset": null_dataset,
         "obs_dataset": obs_dataset,
-        "null_s": min(null_times),
-        "obs_s": min(obs_times),
+        "pairs": pairs,
         "recorder": recorder,
         "campaign": campaign,
         "manifest_path": f"{checkpoint}.manifest.json",
@@ -390,15 +401,20 @@ def test_instrumentation_overhead_under_5_percent(observed_runs):
     """An enabled recorder stays within 5% of the null default.
 
     Timing comparisons are noisy even on CPU time, so the bound carries
-    a small absolute allowance on top of the 5% relative budget; the
-    small campaign runs long enough (several seconds) that real
-    regressions — per-sample allocation, formatting, locking — would
-    blow well past it.  (Profiled: the recorder itself costs ~10 ms of
-    a ~4 s run, well under 1%.)
+    a small absolute allowance on top of the 5% relative budget.  It is
+    judged pair by pair, never on the best run of one side against the
+    best of the other, which a load arriving between them decides: the
+    instrumented run must keep within the bound of its adjacent null
+    run in most pairs.  A real regression (per-sample allocation,
+    formatting, locking) slows every instrumented run, so it fails
+    every pair.  (Profiled: the recorder itself costs ~10 ms of a small
+    campaign, well under 1%.)
     """
-    null_s, obs_s = observed_runs["null_s"], observed_runs["obs_s"]
-    assert obs_s <= null_s * 1.05 + 0.15, (
-        f"instrumented small campaign took {obs_s:.3f}s vs {null_s:.3f}s null"
+    pairs = observed_runs["pairs"]
+    within = [obs_s <= null_s * 1.05 + 0.15 for null_s, obs_s in pairs]
+    assert sum(within) > len(pairs) // 2, (
+        "instrumented vs null small campaign (s): "
+        + ", ".join(f"{obs_s:.3f} vs {null_s:.3f}" for null_s, obs_s in pairs)
     )
 
 
