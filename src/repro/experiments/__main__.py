@@ -17,9 +17,26 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 
 from repro.experiments import REGISTRY, run_experiment
+from repro.experiments.common import SCALES
+
+
+def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse out-of-range values with a usage error before anything runs."""
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
+    if args.duration is not None and args.duration < 1:
+        parser.error(f"--duration must be >= 1, got {args.duration}")
+    if args.retries is not None and args.retries < 0:
+        parser.error(f"--retries must be >= 0, got {args.retries}")
+    timeout = args.drive_timeout
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        parser.error(f"--drive-timeout must be finite and > 0, got {timeout}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -33,7 +50,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(REGISTRY),
         help="experiment id (omit to list all)",
     )
-    parser.add_argument("--scale", default="medium", help="campaign scale")
+    parser.add_argument(
+        "--scale", default="medium", choices=SCALES, help="campaign scale"
+    )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--workers",
@@ -79,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         help="render an ASCII version of the figure",
     )
     args = parser.parse_args(argv)
+    _check_args(parser, args)
 
     if args.experiment is None:
         print("Available experiments:")
@@ -95,8 +115,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.experiments.common import set_default_resilience
         from repro.resilience import ResilienceConfig, RetryPolicy
 
-        if args.retries is not None and args.retries < 0:
-            parser.error(f"--retries must be >= 0, got {args.retries}")
         retry = RetryPolicy(
             max_attempts=(args.retries + 1) if args.retries is not None else 1
         )

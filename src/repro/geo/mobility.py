@@ -46,7 +46,7 @@ class VehicleTrace:
     """Simulate a drive over ``route`` and expose the 1 Hz samples.
 
     ``fast`` (the default) runs the drive against a precomputed
-    :class:`repro.core.fastpath.route.RouteTable` — bit-identical samples
+    :class:`repro.geo.route_table.RouteTable` — bit-identical samples
     to the legacy per-step route rescan, without recomputing each
     segment's haversine length on every lookup.  ``max_samples`` stops
     the drive once that many samples exist; the produced samples equal

@@ -18,6 +18,7 @@ because any retry/watchdog setting produces byte-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -27,6 +28,16 @@ import numpy as np
 #: (``resilience.drive_attempts``): most drives take 1 attempt, a
 #: retried one 2-3; anything beyond 8 is a pathology worth seeing.
 ATTEMPT_BUCKETS = (1.0, 2.0, 3.0, 5.0, 8.0)
+
+
+def _require_finite(**fields: float) -> None:
+    """Refuse NaN and infinities, which slip past every ``<= 0`` check.
+
+    A NaN deadline would make ``now + nan`` a watchdog that never fires.
+    """
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,11 @@ class RetryPolicy:
     jitter: float = 0.1
 
     def __post_init__(self) -> None:
+        _require_finite(
+            base_delay_s=self.base_delay_s,
+            backoff=self.backoff,
+            max_delay_s=self.max_delay_s,
+        )
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.base_delay_s < 0:
@@ -105,10 +121,17 @@ class ResilienceConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.retry, RetryPolicy):
             raise ValueError(f"retry must be a RetryPolicy, got {type(self.retry)}")
-        if self.drive_timeout_s is not None and self.drive_timeout_s <= 0:
-            raise ValueError(
-                f"drive_timeout_s must be positive or None, got {self.drive_timeout_s}"
-            )
+        _require_finite(
+            heartbeat_interval_s=self.heartbeat_interval_s,
+            heartbeat_timeout_s=self.heartbeat_timeout_s,
+            poll_interval_s=self.poll_interval_s,
+        )
+        if self.drive_timeout_s is not None:
+            _require_finite(drive_timeout_s=self.drive_timeout_s)
+            if self.drive_timeout_s <= 0:
+                raise ValueError(
+                    f"drive_timeout_s must be positive or None, got {self.drive_timeout_s}"
+                )
         if self.heartbeat_interval_s <= 0:
             raise ValueError(
                 f"heartbeat_interval_s must be positive, got {self.heartbeat_interval_s}"

@@ -120,6 +120,28 @@ def test_retry_policy_caps_and_validates():
         CampaignConfig(resilience="retry please")
 
 
+_NON_FINITE_FIELDS = [
+    (RetryPolicy, "base_delay_s"),
+    (RetryPolicy, "backoff"),
+    (RetryPolicy, "max_delay_s"),
+    (ResilienceConfig, "drive_timeout_s"),
+    (ResilienceConfig, "heartbeat_interval_s"),
+    (ResilienceConfig, "heartbeat_timeout_s"),
+    (ResilienceConfig, "poll_interval_s"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "cls,field", _NON_FINITE_FIELDS, ids=[f for _, f in _NON_FINITE_FIELDS]
+)
+def test_policy_refuses_non_finite(cls, field, value):
+    # NaN passes every ``<= 0`` comparison; a NaN drive deadline would
+    # leave the watchdog silently disarmed.
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cls(**{field: value})
+
+
 def test_resilience_excluded_from_fingerprint():
     """Healed checkpoints must resume under any resilience setting."""
     assert (

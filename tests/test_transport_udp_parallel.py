@@ -63,6 +63,31 @@ def test_parallel_rejects_zero():
         ParallelTcp(sim, fixed_path(sim), num_connections=0)
 
 
+def test_single_connection_skips_demux_with_same_run():
+    """One flow is wired to the path directly, and its run matches a
+    Demux-routed twin: same bytes, retransmissions and event count."""
+
+    def run(route_through_demux):
+        sim = Simulator()
+        path = fixed_path(sim, rate=50.0, delay_ms=25.0, loss=0.01, burst=5.0, seed=4)
+        group = ParallelTcp(sim, path, num_connections=1)
+        if route_through_demux:
+            data, ack = Demux(), Demux()
+            data.register(0, group.receivers[0].on_data)
+            ack.register(0, group.senders[0].on_ack)
+            path.connect(data, ack)
+        else:
+            assert path.forward_link._receiver == group.receivers[0].on_data
+            assert path.reverse_link._receiver == group.senders[0].on_ack
+        group.start()
+        sim.run(until_s=10.0)
+        return group.stats, next(sim._counter)
+
+    direct, routed = run(False), run(True)
+    assert direct == routed
+    assert direct[0].retransmissions > 0
+
+
 def test_parallelism_gains_on_lossy_link():
     """Figure 7: parallel connections improve lossy-link throughput."""
     results = {}
