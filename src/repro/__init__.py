@@ -14,7 +14,7 @@ The package layers, bottom up:
   real TCP (SACK, CUBIC/Reno), UDP, parallel TCP, and MPTCP (BLEST/minRTT/
   round-robin schedulers, shared meta buffer);
 * :mod:`repro.emu` -- Mahimahi-format traces and the MpShell replay shell;
-* :mod:`repro.tools` -- iPerf-like tests, UDP-Ping, 5G-Tracker logging;
+* :mod:`repro.tools` -- iPerf-like tests and 5G-Tracker logging;
 * :mod:`repro.core` -- campaign orchestration, the driving dataset, fluid
   transport models, and the coverage/statistics analysis;
 * :mod:`repro.experiments` -- one module per paper figure.

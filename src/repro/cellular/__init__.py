@@ -7,7 +7,6 @@ paper's phones were subscribed to.
 from repro.cellular.capacity import (
     BAND_BANDWIDTH_MHZ,
     CellLoad,
-    RateSample,
     achievable_rate,
     draw_band,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "CellLoad",
     "CellularChannel",
     "CorrelatedShadowing",
-    "RateSample",
     "ServingCellTracker",
     "achievable_rate",
     "att",

@@ -7,7 +7,6 @@ the cell can give one user, and capped at the band's practical peak.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -26,15 +25,6 @@ BAND_BANDWIDTH_MHZ = {
 #: Fraction of downlink bandwidth usable for uplink traffic (TDD split
 #: and UE power limits folded together).
 UPLINK_FRACTION = 0.28
-
-
-@dataclass(frozen=True)
-class RateSample:
-    """Achievable downlink/uplink rate for one second."""
-
-    band: Band
-    downlink_mbps: float
-    uplink_mbps: float
 
 
 def draw_band(

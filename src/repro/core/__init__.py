@@ -2,7 +2,6 @@
 
 from repro.core.analysis import (
     SummaryStats,
-    cdf,
     cdf_at,
     group_means,
     improvement_percent,
@@ -34,13 +33,6 @@ from repro.core.dataset import (
     SecondSample,
     TestRecord,
 )
-from repro.core.stats import (
-    ComparisonResult,
-    ConfidenceInterval,
-    block_bootstrap_ci,
-    compare_networks,
-    summarize_with_ci,
-)
 from repro.core.switching import (
     SwitchOutcome,
     SwitchPolicy,
@@ -49,10 +41,8 @@ from repro.core.switching import (
 )
 from repro.core.fluid import (
     FluidTcp,
-    fluid_tcp_retransmission_rate,
     fluid_tcp_series,
     fluid_udp_series,
-    mathis_throughput_mbps,
 )
 
 __all__ = [
@@ -60,8 +50,6 @@ __all__ = [
     "Campaign",
     "CampaignConfig",
     "CampaignReport",
-    "ComparisonResult",
-    "ConfidenceInterval",
     "CoverageShares",
     "DEFAULT_CYCLE",
     "DriveDataset",
@@ -78,13 +66,9 @@ __all__ = [
     "TestKind",
     "TestRecord",
     "best_of",
-    "block_bootstrap_ci",
-    "cdf",
-    "cdf_at",
+        "cdf_at",
     "classify_level",
-    "compare_networks",
     "coverage_shares",
-    "fluid_tcp_retransmission_rate",
     "fluid_tcp_series",
     "fluid_udp_series",
     "figure9_shares",
@@ -92,8 +76,6 @@ __all__ = [
     "hysteresis_switching",
     "improvement_percent",
     "oracle_switching",
-    "mathis_throughput_mbps",
     "run_campaign",
     "speed_bucket",
-    "summarize_with_ci",
 ]

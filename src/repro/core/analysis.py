@@ -39,19 +39,6 @@ class SummaryStats:
         )
 
 
-def cdf(values: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: returns (sorted values, cumulative probabilities).
-
-    The probabilities use the ``i/n`` convention so the last point is 1.0,
-    matching how the paper's CDF figures terminate.
-    """
-    arr = np.sort(np.asarray(list(values), dtype=float))
-    if arr.size == 0:
-        return arr, arr
-    probs = np.arange(1, arr.size + 1, dtype=float) / arr.size
-    return arr, probs
-
-
 def cdf_at(values: Iterable[float], threshold: float) -> float:
     """Fraction of values <= threshold (one point of the CDF)."""
     arr = np.asarray(list(values), dtype=float)

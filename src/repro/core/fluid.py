@@ -13,8 +13,6 @@ packet-level simulator instead.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.conditions import LinkConditions
@@ -178,7 +176,8 @@ class FluidTcp:
         return rates
 
 
-def fluid_tcp_series(
+# Kept: drives the reference FluidTcp in the fluid and fluid-vs-packet tests.
+def fluid_tcp_series(  # detlint: ignore[DF401]
     samples: list[LinkConditions],
     parallel: int = 1,
     downlink: bool = True,
@@ -194,37 +193,3 @@ def fluid_tcp_series(
         seed=seed,
     )
     return [model.step(sample, downlink=downlink) for sample in samples]
-
-
-def fluid_tcp_retransmission_rate(
-    samples: list[LinkConditions], downlink: bool = True
-) -> float:
-    """Expected retransmitted fraction over a trace.
-
-    Every randomly lost segment is eventually retransmitted, so the
-    long-run retransmission rate tracks the delivered-weighted loss rate.
-    """
-    lost = 0.0
-    sent = 0.0
-    for sample in samples:
-        capacity = sample.capacity_mbps(downlink)
-        if sample.is_outage or capacity <= 0:
-            continue
-        sent += capacity
-        lost += capacity * sample.loss_rate
-    if sent == 0:
-        return 0.0
-    return lost / sent
-
-
-def mathis_throughput_mbps(
-    mss_bytes: float, rtt_ms: float, loss_event_rate: float
-) -> float:
-    """The Mathis et al. TCP bound, for sanity checks and docs.
-
-    ``rate = 1.22 * MSS / (RTT * sqrt(p))`` with p the *loss event* rate.
-    """
-    if rtt_ms <= 0 or loss_event_rate <= 0:
-        raise ValueError("rtt and loss event rate must be positive")
-    rate_bytes = 1.22 * mss_bytes / (rtt_ms / 1000.0 * math.sqrt(loss_event_rate))
-    return rate_bytes * 8.0 / 1e6

@@ -3,14 +3,13 @@
 Mahimahi (and the paper's MpShell variant) describes a time-varying link as
 a text file of millisecond timestamps; each line is one *packet delivery
 opportunity* of MTU bytes.  The paper converts its measured UDP throughput
-traces into this format for replay.  This module converts between our
-per-second :class:`repro.conditions.LinkConditions` samples, plain
-throughput series, and Mahimahi trace files.
+traces into this format for replay.  This module converts our per-second
+:class:`repro.conditions.LinkConditions` samples and plain throughput
+series into delivery-opportunity timestamps.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable
 
 from repro.conditions import LinkConditions
@@ -54,44 +53,8 @@ def conditions_to_opportunities_ms(
     return throughput_to_opportunities_ms(series, mtu_bytes)
 
 
-def write_trace(path: str | os.PathLike, opportunities_ms: list[int]) -> None:
-    """Write a Mahimahi trace file (one millisecond timestamp per line)."""
-    if not opportunities_ms:
-        raise ValueError("cannot write an empty trace")
-    last = -1
-    with open(path, "w") as handle:
-        for ts in opportunities_ms:
-            if ts < last:
-                raise ValueError("opportunity timestamps must be sorted")
-            last = ts
-            handle.write(f"{ts}\n")
-
-
-def read_trace(path: str | os.PathLike) -> list[int]:
-    """Read a Mahimahi trace file (sorted, as :func:`write_trace` writes)."""
-    opportunities: list[int] = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ts = int(line)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: not a millisecond timestamp: {line!r}"
-                ) from exc
-            if opportunities and ts < opportunities[-1]:
-                raise ValueError(
-                    f"{path}:{lineno}: opportunity timestamps must be sorted"
-                )
-            opportunities.append(ts)
-    if not opportunities:
-        raise ValueError(f"{path}: empty trace")
-    return opportunities
-
-
-def trace_mean_mbps(
+# Kept: the oracle throughput_to_opportunities_ms is tested against.
+def trace_mean_mbps(  # detlint: ignore[DF401]
     opportunities_ms: list[int], mtu_bytes: int = DEFAULT_MTU_BYTES
 ) -> float:
     """Average rate a trace sustains over its (wrapped) duration."""

@@ -78,7 +78,10 @@ def look_angles_many(
     return elevation, azimuth, rng
 
 
-def look_angles(observer: GeoPoint, sat_ecef_km: np.ndarray) -> LookAngles:
+# Kept: the scalar reference that look_angles_many is tested against.
+def look_angles(  # detlint: ignore[DF401]
+    observer: GeoPoint, sat_ecef_km: np.ndarray
+) -> LookAngles:
     """Look angles for a single satellite position (3,)."""
     elev, azim, rng = look_angles_many(observer, sat_ecef_km.reshape(1, 3))
     return LookAngles(

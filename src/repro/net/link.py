@@ -93,7 +93,8 @@ class ConditionsSchedule:
         return self._values[self._step]
 
 
-class FixedConditions:
+# Kept: the DES golden digests run their fixed-rate links through it.
+class FixedConditions:  # detlint: ignore[DF401]
     """Constant-rate/delay/loss provider for unit tests and baselines."""
 
     def __init__(

@@ -33,7 +33,6 @@ from repro.obs.recorder import (
     NullRecorder,
     ObsRecorder,
     get_recorder,
-    set_recorder,
     use_recorder,
 )
 from repro.obs.tracer import Span, SpanTracer
@@ -54,7 +53,6 @@ __all__ = [
     "get_recorder",
     "parse_prometheus_text",
     "read_jsonl",
-    "set_recorder",
     "to_prometheus_text",
     "use_recorder",
     "write_jsonl",

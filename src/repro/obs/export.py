@@ -133,7 +133,10 @@ _SAMPLE_RE = re.compile(
 _LABEL_RE = re.compile(r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"')
 
 
-def parse_prometheus_text(text: str) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
+# Kept: the round-trip oracle the Prometheus exporter is tested against.
+def parse_prometheus_text(  # detlint: ignore[DF401]
+    text: str,
+) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
     """Parse exposition text back into ``{(name, labels): value}``.
 
     Counter samples keep their ``_total`` suffix and histograms their

@@ -16,7 +16,7 @@ Instrumented classes resolve their recorder once at construction::
 
 so callers either pass one explicitly (the campaign threads its own
 through channels and injectors) or inherit the process-wide default,
-switched with :func:`set_recorder` / :func:`use_recorder`.
+switched with :func:`use_recorder`.
 """
 
 from __future__ import annotations
@@ -153,12 +153,6 @@ _current: NullRecorder | ObsRecorder = NULL_RECORDER
 def get_recorder() -> NullRecorder | ObsRecorder:
     """The process-wide recorder (a :class:`NullRecorder` by default)."""
     return _current
-
-
-def set_recorder(recorder: NullRecorder | ObsRecorder | None) -> None:
-    """Install ``recorder`` as the process-wide default (None resets)."""
-    global _current
-    _current = recorder if recorder is not None else NULL_RECORDER
 
 
 @contextmanager

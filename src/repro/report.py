@@ -94,7 +94,6 @@ def cdf_plot(
     canvas = [[" "] * width for _ in range(height)]
     for idx, values in enumerate(data.values()):
         marker = markers[idx % len(markers)]
-        probs = np.arange(1, values.size + 1) / values.size
         for col in range(width):
             x = (col + 0.5) / width * x_max
             p = float(np.searchsorted(values, x, side="right")) / values.size

@@ -38,11 +38,9 @@ from repro.resilience.signals import ShutdownFlag, graceful_shutdown
 from repro.resilience.taxonomy import (
     ArtifactCorruptError,
     CampaignAborted,
-    DriveTimeout,
     FailureClass,
     TRANSIENT_ERROR_TYPES,
     TransientDriveError,
-    WorkerDied,
     classify_exception,
     classify_failure,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "ArtifactCorruptError",
     "CampaignAborted",
     "DIGEST_KEY",
-    "DriveTimeout",
     "FailureClass",
     "NO_RETRY",
     "ResilienceConfig",
@@ -61,7 +58,6 @@ __all__ = [
     "ShutdownFlag",
     "TRANSIENT_ERROR_TYPES",
     "TransientDriveError",
-    "WorkerDied",
     "classify_exception",
     "classify_failure",
     "embed_digest",

@@ -36,14 +36,6 @@ class TransientDriveError(RuntimeError):
     failure as retry-worthy; anything else is classified by type."""
 
 
-class DriveTimeout(TimeoutError):
-    """A drive exceeded its watchdog deadline and was killed."""
-
-
-class WorkerDied(RuntimeError):
-    """A worker process died (crash, OOM kill) while running a drive."""
-
-
 class CampaignAborted(KeyboardInterrupt):
     """Graceful shutdown: a SIGTERM/SIGINT was honoured after the
     current drive was completed and checkpointed.  Subclasses
@@ -57,7 +49,10 @@ class ArtifactCorruptError(ValueError):
 
 
 #: Exception type names treated as transient.  Name-based so the set
-#: applies to failures serialized across a process boundary.
+#: applies to failures serialized across a process boundary, and to the
+#: two names the supervised pool gives a drive it has to abandon:
+#: ``DriveTimeout`` (killed at its deadline) and ``WorkerDied`` (its
+#: worker crashed or was OOM-killed).
 TRANSIENT_ERROR_TYPES = frozenset(
     {
         "TransientDriveError",

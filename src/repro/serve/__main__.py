@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.obs import ObsRecorder
@@ -91,10 +92,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_run_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse out-of-range ``run`` values with a usage error before the
+    service starts."""
+    for flag, value in (
+        ("--max-queue", args.max_queue),
+        ("--max-concurrent", args.max_concurrent),
+        ("--poison-threshold", args.poison_threshold),
+    ):
+        if value < 1:
+            parser.error(f"{flag} must be >= 1, got {value}")
+    if args.retries < 0:
+        parser.error(f"--retries must be >= 0, got {args.retries}")
+    if args.cache_max_bytes is not None and args.cache_max_bytes < 0:
+        parser.error(f"--cache-max-bytes must be >= 0, got {args.cache_max_bytes}")
+    timeout = args.job_timeout
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        parser.error(f"--job-timeout must be finite and > 0, got {timeout}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "run":
+        _check_run_args(parser, args)
         config = ServiceConfig(
             root=args.root,
             max_queue_depth=args.max_queue,

@@ -66,7 +66,7 @@ from typing import Any, Callable
 
 from repro.core.campaign import Campaign
 from repro.obs import ObsRecorder, get_recorder
-from repro.resilience.policy import RetryPolicy
+from repro.resilience.policy import RetryPolicy, _require_finite
 from repro.resilience.signals import graceful_shutdown
 from repro.resilience.taxonomy import (
     CampaignAborted,
@@ -142,13 +142,21 @@ class ServiceConfig:
             raise ValueError(
                 f"isolation must be 'fork' or 'inline', got {self.isolation!r}"
             )
-        if self.job_timeout_s is not None and self.job_timeout_s <= 0:
-            raise ValueError(
-                f"job_timeout_s must be positive or None, got {self.job_timeout_s}"
-            )
+        if self.job_timeout_s is not None:
+            _require_finite(job_timeout_s=self.job_timeout_s)
+            if self.job_timeout_s <= 0:
+                raise ValueError(
+                    f"job_timeout_s must be positive or None, got {self.job_timeout_s}"
+                )
+        _require_finite(poll_interval_s=self.poll_interval_s)
         if self.poll_interval_s <= 0:
             raise ValueError(
                 f"poll_interval_s must be positive, got {self.poll_interval_s}"
+            )
+        if self.cache_max_bytes is not None and self.cache_max_bytes < 0:
+            # gc() would read a negative bound as "evict everything".
+            raise ValueError(
+                f"cache_max_bytes must be >= 0 or None, got {self.cache_max_bytes}"
             )
         if self.isolation == "fork" and not hasattr(os, "fork"):
             self.isolation = "inline"

@@ -1,4 +1,4 @@
-"""Measurement tools: iPerf-like tests, UDP-Ping, 5G-Tracker-style logging."""
+"""Measurement tools: iPerf-like tests and 5G-Tracker-style logging."""
 
 from repro.tools.iperf import (
     IperfResult,
@@ -10,19 +10,10 @@ from repro.tools.iperf import (
     run_udp_test,
 )
 from repro.tools.tracker import Tracker, TrackerRecord
-from repro.tools.udp_ping import (
-    DEFAULT_RATE_HZ,
-    PING_PAYLOAD_BYTES,
-    PingResult,
-    run_udp_ping,
-)
 
 __all__ = [
-    "DEFAULT_RATE_HZ",
     "IperfResult",
     "MptcpResult",
-    "PING_PAYLOAD_BYTES",
-    "PingResult",
     "Tracker",
     "TrackerRecord",
     "binned_series_mbps",
@@ -30,5 +21,4 @@ __all__ = [
     "run_single_path_over_mpshell",
     "run_tcp_test",
     "run_udp_test",
-    "run_udp_ping",
 ]

@@ -26,9 +26,11 @@ locals bound to ``open()`` results, and bound-method targets
 
 **Reachability (DF401).**  A ``def`` or ``class`` is live when its name
 appears somewhere outside ``tests/`` and outside its own body: as a
-load, an attribute name, an imported name or an ``__all__`` string, in
-the project's own code or in its ``examples/``, ``perfbench/`` or
-``benchmarks/`` entry points.  Name-based on purpose: a same-named
+load, an attribute name or an imported name, in the project's own code
+or in its ``examples/``, ``perfbench/`` or ``benchmarks/`` entry
+points.  A re-export is not a use: an ``__all__`` string never counts,
+and neither does an import in a package ``__init__.py``, so a name only
+a package passes on is reported.  Name-based on purpose: a same-named
 attribute anywhere keeps a method alive, so duck typing never yields a
 false finding.  Dunders and functions registered through a decorator
 factory the project defines (``@rule(...)``) are never flagged.
@@ -361,6 +363,7 @@ def _check_fork_thread_mix(graph: ProjectGraph) -> list[Finding]:
 # -- reachability ----------------------------------------------------------
 
 _DEF_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_IMPORT_TYPES = (ast.Import, ast.ImportFrom)
 
 
 def _project_root(directory: str, cache: dict[str, str | None]) -> str | None:
@@ -388,8 +391,8 @@ def _qualname(node: ast.AST, defs: list[ast.AST]) -> str:
 
 
 def _name_uses(nodes: list[ast.AST], wanted: set[str]) -> list[tuple[str, int]]:
-    """``(name, line)`` for every load, attribute, imported name and
-    ``__all__`` string among ``nodes`` that names one of ``wanted``."""
+    """``(name, line)`` for every load, attribute and imported name among
+    ``nodes`` that names one of ``wanted``."""
     uses: list[tuple[str, int]] = []
     for node in nodes:
         kind = type(node)
@@ -406,14 +409,6 @@ def _name_uses(nodes: list[ast.AST], wanted: set[str]) -> list[tuple[str, int]]:
                 for part in alias.name.split(".")
                 if part in wanted
             )
-        elif kind is ast.Assign or kind is ast.AugAssign:
-            targets = node.targets if kind is ast.Assign else [node.target]
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-                uses.extend(
-                    (sub.value, sub.lineno)
-                    for sub in ast.walk(node.value)
-                    if isinstance(sub, ast.Constant) and sub.value in wanted
-                )
     return uses
 
 
@@ -475,6 +470,8 @@ def check_reachability(contexts: list[FileContext]) -> list[Finding]:
                 if isinstance(loaded, FileContext):
                     files.append((loaded.path, loaded.nodes))
         for path, nodes in files:
+            if os.path.basename(path) == "__init__.py":
+                nodes = [n for n in nodes if type(n) not in _IMPORT_TYPES]
             for name, line in _name_uses(nodes, wanted):
                 total[name] = total.get(name, 0) + 1
                 lines.setdefault((path, name), []).append(line)

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.core.analysis import (
     SummaryStats,
-    cdf,
     cdf_at,
     group_means,
     improvement_percent,
@@ -32,31 +31,12 @@ def test_summary_stats_empty():
     assert math.isnan(stats.mean)
 
 
-def test_cdf_shape():
-    xs, ps = cdf([3.0, 1.0, 2.0])
-    assert list(xs) == [1.0, 2.0, 3.0]
-    assert list(ps) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-
-def test_cdf_empty():
-    xs, ps = cdf([])
-    assert len(xs) == 0 and len(ps) == 0
-
-
 def test_cdf_at():
     values = [10.0, 20.0, 30.0, 40.0]
     assert cdf_at(values, 25.0) == 0.5
     assert cdf_at(values, 5.0) == 0.0
     assert cdf_at(values, 100.0) == 1.0
     assert math.isnan(cdf_at([], 1.0))
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200))
-def test_cdf_monotone(values):
-    xs, ps = cdf(values)
-    assert list(ps) == sorted(ps)
-    assert list(xs) == sorted(xs)
-    assert ps[-1] == pytest.approx(1.0)
 
 
 def test_group_means():

@@ -6,10 +6,8 @@ import pytest
 from repro.conditions import LinkConditions, outage
 from repro.core.fluid import (
     FluidTcp,
-    fluid_tcp_retransmission_rate,
     fluid_tcp_series,
     fluid_udp_series,
-    mathis_throughput_mbps,
 )
 
 
@@ -108,47 +106,3 @@ def test_fluid_reset():
         model.step(s)
     model.reset()
     assert np.all(model._cwnd == 10.0 * model.mss)
-
-
-def test_retransmission_rate_estimate():
-    samples = flat(seconds=60, loss=0.01)
-    assert fluid_tcp_retransmission_rate(samples) == pytest.approx(0.01)
-    assert fluid_tcp_retransmission_rate([outage(0.0)]) == 0.0
-
-
-def test_retransmission_rate_all_outage_is_zero():
-    # A trace that never carries a byte has nothing to retransmit: the
-    # estimator must return 0.0, not divide by a zero sent-count.
-    samples = [outage(float(t)) for t in range(30)]
-    assert fluid_tcp_retransmission_rate(samples) == 0.0
-    assert fluid_tcp_retransmission_rate(samples, downlink=False) == 0.0
-
-
-def test_retransmission_rate_skips_zero_capacity_seconds():
-    # Seconds with zero capacity in the measured direction contribute
-    # neither sent nor lost bytes — a dead downlink cannot dilute (or
-    # inflate) the uplink estimate and vice versa.
-    dead_dl = LinkConditions(0.0, 0.0, 10.0, 50.0, 0.9)
-    live = LinkConditions(1.0, 100.0, 10.0, 50.0, 0.02)
-    assert fluid_tcp_retransmission_rate([dead_dl, live]) == pytest.approx(0.02)
-    # Uplink direction: both seconds carry 10 Mbps up, so both count.
-    expected_ul = (10.0 * 0.9 + 10.0 * 0.02) / 20.0
-    assert fluid_tcp_retransmission_rate(
-        [dead_dl, live], downlink=False
-    ) == pytest.approx(expected_ul)
-
-
-def test_mathis_formula():
-    # 1500 B, 100 ms, p=0.01: 1.22*1500*8/(0.1*0.1) = 1.464 Mbps.
-    assert mathis_throughput_mbps(1500, 100.0, 0.01) == pytest.approx(1.464, rel=0.01)
-    with pytest.raises(ValueError):
-        mathis_throughput_mbps(1500, 0.0, 0.01)
-
-
-@pytest.mark.parametrize(
-    ("rtt_ms", "loss_event_rate"),
-    [(0.0, 0.01), (-1.0, 0.01), (100.0, 0.0), (100.0, -0.5)],
-)
-def test_mathis_formula_rejects_non_positive_inputs(rtt_ms, loss_event_rate):
-    with pytest.raises(ValueError, match="must be positive"):
-        mathis_throughput_mbps(1500, rtt_ms, loss_event_rate)

@@ -104,6 +104,8 @@ def test_full_run_over_detflow_fixtures():
         ("fork_capture.py", "DF301", 36),
         ("fork_capture.py", "DF301", 44),
         ("import_star.py", "DF001", 2),
+        ("reach_proj/pkg/api.py", "DF401", 7),
+        ("reach_proj/pkg/api.py", "DF401", 11),
         ("reach_proj/pkg/core.py", "DF401", 6),
         ("reach_proj/pkg/core.py", "DF401", 10),
         ("reach_proj/pkg/core.py", "DF401", 14),
@@ -229,25 +231,34 @@ def test_fork_safety_flags_live_captures():
 
 
 def test_reachability_flags_dead_and_test_only_defs():
-    # Dead, called only from tests/, and called only from its own body
-    # are findings; used from examples/, duck-typed, exported in
-    # __all__, @rule-registered and marked are not; the mark on a used
-    # def is stale.
+    # Dead, called only from tests/, called only from its own body, and
+    # only re-exported (an __all__ string or a package __init__ import)
+    # are findings; used from examples/ (directly or through the
+    # package), duck-typed, @rule-registered and marked are not; the
+    # mark on a used def is stale.
     findings = scan(REACH_PROJ / "pkg")
-    assert codes_and_lines(findings) == {
-        ("DF401", 6), ("DF401", 10), ("DF401", 14), ("SUP001", 48),
+    got = {(Path(f.path).name, f.code, f.line) for f in findings}
+    assert got == {
+        ("api.py", "DF401", 7), ("api.py", "DF401", 11),
+        ("core.py", "DF401", 6), ("core.py", "DF401", 10),
+        ("core.py", "DF401", 14), ("core.py", "SUP001", 48),
     }
-    by_line = {f.line: f.message for f in findings}
-    assert "'dead'" in by_line[6]
-    assert "'tested_only'" in by_line[10]
-    assert "'countdown'" in by_line[14]
+    by_line = {(Path(f.path).name, f.line): f.message for f in findings}
+    assert "'exported'" in by_line["api.py", 7]
+    assert "'reexported'" in by_line["api.py", 11]
+    assert "'dead'" in by_line["core.py", 6]
+    assert "'tested_only'" in by_line["core.py", 10]
+    assert "'countdown'" in by_line["core.py", 14]
 
 
 def test_reachability_counts_unscanned_project_files():
     # A scan of one module still sees the rest of the project: api.py
-    # alone is clean, and so is one src module whose names only other
-    # src modules use.
-    assert scan(REACH_PROJ / "pkg" / "api.py") == []
+    # alone reports only its two re-exported names, not via_package,
+    # which only the unscanned examples/demo.py uses; one src module
+    # whose names only other src modules use is clean.
+    assert codes_and_lines(scan(REACH_PROJ / "pkg" / "api.py")) == {
+        ("DF401", 7), ("DF401", 11),
+    }
     assert scan(SRC_REPRO / "units.py") == []
 
 

@@ -1,10 +1,9 @@
-"""MpShell trace replay and timestamp alignment."""
+"""MpShell trace replay."""
 
 import numpy as np
 import pytest
 
 from repro.conditions import LinkConditions
-from repro.emu.align import align_conditions
 from repro.emu.mpshell import MpShell, TraceLink
 from repro.emu.traces import throughput_to_opportunities_ms
 from repro.net.packet import Packet
@@ -134,43 +133,3 @@ def test_mpshell_run_validation():
     shell = MpShell()
     with pytest.raises(ValueError):
         shell.run(0.0)
-
-
-def test_align_rebases_to_zero():
-    a = flat_conditions(seconds=10)
-    b = [
-        LinkConditions(t + 3.0, 20.0, 2.0, 50.0, 0.0) for t in range(10)
-    ]
-    aligned = align_conditions([a, b])
-    assert len(aligned[0]) == len(aligned[1]) == 7
-    assert aligned[0][0].time_s == 0.0
-    assert aligned[1][0].time_s == 0.0
-
-
-def test_align_applies_offsets():
-    a = flat_conditions(seconds=5)
-    b = flat_conditions(seconds=5)
-    aligned = align_conditions([a, b], offsets_s=[0.0, 2.0])
-    # b shifted +2: overlap is 3 seconds.
-    assert len(aligned[0]) == 3
-
-
-def test_align_fills_gaps_with_outage():
-    a = flat_conditions(seconds=5)
-    b = flat_conditions(seconds=5)
-    del b[2]
-    aligned = align_conditions([a, b])
-    assert aligned[1][2].is_outage
-    assert not aligned[0][2].is_outage
-
-
-def test_align_rejects_disjoint():
-    a = flat_conditions(seconds=3)
-    b = [LinkConditions(t + 100.0, 10.0, 1.0, 40.0, 0.0) for t in range(3)]
-    with pytest.raises(ValueError):
-        align_conditions([a, b])
-
-
-def test_align_rejects_empty():
-    with pytest.raises(ValueError):
-        align_conditions([[], flat_conditions()])

@@ -1,4 +1,4 @@
-"""Mahimahi trace conversion and file I/O."""
+"""Mahimahi trace conversion and sorted-input validation."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from repro.conditions import LinkConditions
 from repro.emu.mpshell import TraceLink
 from repro.emu.traces import (
     conditions_to_opportunities_ms,
-    read_trace,
     throughput_to_opportunities_ms,
     trace_mean_mbps,
-    write_trace,
 )
 from repro.net.link import ConditionsSchedule
 from repro.net.simulator import Simulator
@@ -56,43 +54,6 @@ def test_conditions_conversion_uses_direction():
     assert len(down) == pytest.approx(10 * len(up), rel=0.05)
 
 
-def test_trace_file_round_trip(tmp_path):
-    opps = throughput_to_opportunities_ms([25.0] * 4)
-    path = tmp_path / "trace.txt"
-    write_trace(path, opps)
-    assert read_trace(path) == opps
-
-
-def test_write_empty_trace_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        write_trace(tmp_path / "x.txt", [])
-
-
-def test_write_unsorted_trace_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        write_trace(tmp_path / "x.txt", [5, 3])
-
-
-def test_read_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("12\nhello\n")
-    with pytest.raises(ValueError):
-        read_trace(path)
-
-
-def test_read_rejects_empty(tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("\n\n")
-    with pytest.raises(ValueError):
-        read_trace(path)
-
-
-def _read_text(tmp_path, text):
-    path = tmp_path / "trace.txt"
-    path.write_text(text)
-    return read_trace(path)
-
-
 def _trace_link(opportunities_ms):
     return TraceLink(
         Simulator(), opportunities_ms, 10.0, 15000, np.random.default_rng(0)
@@ -108,27 +69,25 @@ def _schedule(times):
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(lambda tmp: _read_text(tmp, "0\n5\n3\n"), id="read_trace-unsorted"),
-        pytest.param(lambda tmp: _trace_link([0, 5, 3, 10]), id="tracelink-unsorted"),
-        pytest.param(lambda tmp: _trace_link([-2, 5, 10]), id="tracelink-negative"),
-        pytest.param(lambda tmp: _schedule([2.0, 0.0, 1.0]), id="schedule-unsorted"),
+        pytest.param(lambda: _trace_link([0, 5, 3, 10]), id="tracelink-unsorted"),
+        pytest.param(lambda: _trace_link([-2, 5, 10]), id="tracelink-negative"),
+        pytest.param(lambda: _schedule([2.0, 0.0, 1.0]), id="schedule-unsorted"),
     ],
 )
-def test_unsorted_inputs_rejected(build, tmp_path):
+def test_unsorted_inputs_rejected(build):
     with pytest.raises(ValueError):
-        build(tmp_path)
+        build()
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        pytest.param(lambda tmp: _read_text(tmp, "0\n3\n3\n5\n"), id="read_trace"),
-        pytest.param(lambda tmp: _trace_link([0, 3, 3, 10]), id="tracelink"),
-        pytest.param(lambda tmp: _schedule([0.0, 1.0, 2.0]), id="schedule"),
+        pytest.param(lambda: _trace_link([0, 3, 3, 10]), id="tracelink"),
+        pytest.param(lambda: _schedule([0.0, 1.0, 2.0]), id="schedule"),
     ],
 )
-def test_sorted_inputs_with_ties_accepted(build, tmp_path):
-    build(tmp_path)
+def test_sorted_inputs_with_ties_accepted(build):
+    build()
 
 
 @given(

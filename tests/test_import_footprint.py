@@ -1,11 +1,10 @@
 """Import footprint of the runtime entry points.
 
 Every campaign, service job, DES run and CLI command pays for what its
-imports load, once per process.  scipy alone costs about 1 s and 67 MB,
-and only :func:`repro.core.stats.compare_networks` needs it, so it is
-imported inside that function.  These checks pin that: a set check on
-loaded module names, not a timing check, so machine load cannot make
-them flaky.
+imports load, once per process.  The runtime needs only numpy and the
+stdlib (scipy alone would cost about 1 s and 67 MB).  This check pins
+that: a set check on loaded module names, not a timing check, so
+machine load cannot make it flaky.
 """
 
 import os
@@ -40,29 +39,6 @@ for name in sorted(set(sys.modules) - before):
         print(name.partition(".")[0])
 """
 
-_COMPARE_LOADS_SCIPY = """
-import sys
-
-import numpy as np
-
-from repro.core.stats import compare_networks
-
-assert "scipy" not in sys.modules
-gen = np.random.default_rng(5)
-a = gen.normal(100.0, 20.0, size=300)
-b = gen.normal(95.0, 20.0, size=250)
-result = compare_networks(a, b)
-assert "scipy" in sys.modules
-
-from scipy import stats
-
-u_stat, p_value = stats.mannwhitneyu(a, b, alternative="two-sided")
-assert result.statistic == float(u_stat), (result.statistic, u_stat)
-assert result.p_value == float(p_value), (result.p_value, p_value)
-print("ok")
-"""
-
-
 def _python(*args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
@@ -82,7 +58,3 @@ def test_entry_points_load_only_numpy_and_stdlib():
     assert "repro" in loaded
     unexpected = loaded - ALLOWED_THIRD_PARTY - set(sys.stdlib_module_names)
     assert not unexpected, f"runtime imports load {sorted(unexpected)}"
-
-
-def test_compare_networks_loads_scipy_on_first_call():
-    assert _python("-c", _COMPARE_LOADS_SCIPY).strip() == "ok"

@@ -26,7 +26,6 @@ from repro.obs import (
     get_recorder,
     parse_prometheus_text,
     read_jsonl,
-    set_recorder,
     to_prometheus_text,
     use_recorder,
     write_jsonl,
@@ -163,11 +162,13 @@ def test_default_recorder_is_null_and_swappable():
         get_recorder().counter("seen").inc()
     assert get_recorder() is NULL_RECORDER
     assert rec.registry.value("seen") == 1.0
-    set_recorder(rec)
-    try:
+    inner = ObsRecorder()
+    with use_recorder(rec):
+        with use_recorder(inner):
+            assert get_recorder() is inner
         assert get_recorder() is rec
-    finally:
-        set_recorder(None)
+    with pytest.raises(RuntimeError), use_recorder(rec):
+        raise RuntimeError("boom")
     assert get_recorder() is NULL_RECORDER
 
 

@@ -26,12 +26,10 @@ from repro.obs import ObsRecorder
 from repro.resilience import (
     ArtifactCorruptError,
     CampaignAborted,
-    DriveTimeout,
     FailureClass,
     ResilienceConfig,
     RetryPolicy,
     TransientDriveError,
-    WorkerDied,
     classify_exception,
     classify_failure,
     embed_digest,
@@ -70,14 +68,13 @@ def test_failure_classification():
     assert classify_exception(TimeoutError("t")) is FailureClass.TRANSIENT
     assert classify_exception(ConnectionResetError("r")) is FailureClass.TRANSIENT
     assert classify_exception(TransientDriveError("x")) is FailureClass.TRANSIENT
-    assert classify_exception(DriveTimeout("d")) is FailureClass.TRANSIENT
-    assert classify_exception(WorkerDied("w")) is FailureClass.TRANSIENT
     assert classify_exception(OSError("disk")) is FailureClass.TRANSIENT
     assert classify_exception(ValueError("bad config")) is FailureClass.PERMANENT
     assert classify_exception(KeyError("k")) is FailureClass.PERMANENT
     # By type name (how worker-side failures travel).
     assert classify_failure("BrokenPipeError") is FailureClass.TRANSIENT
     assert classify_failure("DriveTimeout") is FailureClass.TRANSIENT
+    assert classify_failure("WorkerDied") is FailureClass.TRANSIENT
     assert classify_failure("ZeroDivisionError") is FailureClass.PERMANENT
 
 

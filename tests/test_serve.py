@@ -33,6 +33,7 @@ from repro.serve import (
     spec_to_config,
 )
 from repro.serve import service as service_module
+from repro.serve.__main__ import main as serve_main
 from repro.serve.journal import JOURNAL_NAME
 
 #: A campaign small enough for unit tests (one short interstate drive).
@@ -548,3 +549,45 @@ def test_cli_submit_run_status(tmp_path):
 
     listing = cli("status", "--root", root)
     assert [row["job"] for row in json.loads(listing.stdout)] == [job_id]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--retries", "-1"],
+        ["--max-queue", "0"],
+        ["--max-concurrent", "0"],
+        ["--poison-threshold", "0"],
+        ["--cache-max-bytes", "-1"],
+        ["--job-timeout", "-1"],
+        ["--job-timeout", "0"],
+        ["--job-timeout", "nan"],
+        ["--job-timeout", "inf"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_run_argument_is_a_usage_error(bad, tmp_path, capsys):
+    root = tmp_path / "serve"
+    with pytest.raises(SystemExit) as exc:
+        serve_main(["run", "--root", str(root), "--once", "--inline", *bad])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert bad[0] in errors[0]
+    assert "Traceback" not in captured.err
+    # Refused before the service started: it made no root.
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["job_timeout_s", "poll_interval_s"])
+def test_service_config_refuses_non_finite(tmp_path, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        _config(tmp_path, **{name: value})
+
+
+def test_service_config_refuses_negative_cache_bound(tmp_path):
+    with pytest.raises(ValueError, match="cache_max_bytes must be >= 0"):
+        _config(tmp_path, cache_max_bytes=-1)

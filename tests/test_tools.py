@@ -1,9 +1,8 @@
-"""Measurement tools: iPerf harness, UDP-Ping, tracker."""
+"""Measurement tools: iPerf harness and tracker."""
 
-import numpy as np
 import pytest
 
-from repro.conditions import LinkConditions, outage
+from repro.conditions import LinkConditions
 from repro.geo.classify import AreaClassifier
 from repro.geo.mobility import VehicleTrace
 from repro.geo.places import PlaceDatabase
@@ -15,7 +14,6 @@ from repro.tools.iperf import (
     run_udp_test,
 )
 from repro.tools.tracker import Tracker
-from repro.tools.udp_ping import run_udp_ping
 
 
 def flat(rate=50.0, seconds=30, rtt=40.0, loss=0.0, burst=1.0):
@@ -62,30 +60,6 @@ def test_binned_series():
     assert series[1] == pytest.approx(20 * 1500 * 8 / 1e6)
     with pytest.raises(ValueError):
         binned_series_mbps(log, 2.0, 1500, bin_s=0.0)
-
-
-def test_udp_ping_rtt_matches_channel():
-    result = run_udp_ping(flat(rtt=60.0, seconds=100))
-    assert np.median(result.rtt_samples_ms) == pytest.approx(60.0, abs=2.0)
-    assert result.probes_sent == 100
-    assert result.loss_rate < 0.05
-
-
-def test_udp_ping_counts_outages_as_loss():
-    samples = flat(seconds=50) + [outage(float(t)) for t in range(50, 100)]
-    result = run_udp_ping(samples)
-    assert result.loss_rate == pytest.approx(0.5, abs=0.05)
-
-
-def test_udp_ping_loss_applied_both_ways():
-    result = run_udp_ping(flat(seconds=4000, loss=0.1), seed=1)
-    # 1 - (1-0.1)^2 = 0.19.
-    assert result.loss_rate == pytest.approx(0.19, abs=0.03)
-
-
-def test_udp_ping_validation():
-    with pytest.raises(ValueError):
-        run_udp_ping(flat(), probes_per_second=0.0)
 
 
 @pytest.fixture(scope="module")
