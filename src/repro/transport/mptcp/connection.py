@@ -49,66 +49,84 @@ class Subflow(TcpSender):
         )
         self.connection = connection
         self.subflow_id = subflow_id
-        #: subflow seq -> data seq for everything sent and not yet acked.
+        #: subflow seq -> data seq for everything sent and not yet acked,
+        #: so exactly the seqs in ``[snd_una, snd_nxt)``.
         self._data_map: dict[int, int] = {}
 
     # -- hooks into the TcpSender machinery --------------------------------
 
-    def has_space(self) -> bool:
-        """Congestion/receive window space for one more segment."""
-        if not self._started:
-            return False
-        window, occupancy = self._budget()
-        return occupancy < window
-
-    def send_one(self) -> None:
-        """Transmit the next data segment (called by the connection pump)."""
-        self._transmit(self.snd_nxt, retransmit=False)
-        self.snd_nxt += 1
-        self._arm_rto()
-
-    def _send_new_data(self, budget: int, occupancy: int) -> None:
-        # New-data transmission is centralized in the connection's pump so
-        # the scheduler sees every opportunity.  Subflow-level hole
-        # retransmissions stay local (handled by _send_retransmissions).
-        self.connection.pump()
-
-    def _transmit(self, seq: int, retransmit: bool) -> None:
-        if retransmit:
-            data_seq = self._data_map.get(seq)
-            if data_seq is None:
-                # The data-level ACK already covered it (e.g. the segment
-                # was reinjected and delivered via another subflow); send a
-                # subflow-level filler to keep subflow sequencing coherent.
-                data_seq = -1
-        else:
-            data_seq = self.connection.assign_data_seq()
-            self._data_map[seq] = data_seq
+    def send_one(self, data_seq: int) -> None:
+        """Transmit ``data_seq`` as this subflow's next new segment (the
+        connection's pump assigns it)."""
+        seq = self.snd_nxt
+        self._data_map[seq] = data_seq
         self.stats.segments_sent += 1
-        meta = self.connection.stats
-        meta.segments_sent += 1
-        if retransmit:
-            self.stats.retransmissions += 1
-            meta.retransmissions += 1
+        self.connection.stats.segments_sent += 1
         self.path.send_data(
             Packet._data(
-                self.flow_id,
-                self.segment_bytes,
-                seq,
-                data_seq,
-                self.sim.now,
-                retransmit,
+                self.flow_id, self.segment_bytes, seq, data_seq, self.sim.now, False
             )
         )
+        self.snd_nxt = seq + 1
+        if self._rto_timer.deadline_s is None:  # data is in flight
+            self._rto_timer.arm(self._rto)
+
+    def _try_send(self) -> None:
+        # Hole retransmissions stay local; new-data transmission is
+        # centralized in the connection's pump so the scheduler sees
+        # every opportunity.
+        if not self._started:
+            return
+        if self._recover >= 0 and self.snd_una < self._recover:
+            self._send_retransmissions(*self._budget())
+        self.connection.pump()
+        timer = self._rto_timer
+        if timer.deadline_s is None and self.snd_nxt > self.snd_una:
+            timer.arm(self._rto)
+
+    def _retransmit(self, seq: int) -> None:
+        data_seq = self._data_map.get(seq)
+        if data_seq is None:
+            # The data-level ACK already covered it (e.g. the segment
+            # was reinjected and delivered via another subflow); send a
+            # subflow-level filler to keep subflow sequencing coherent.
+            data_seq = -1
+        self.stats.segments_sent += 1
+        self.stats.retransmissions += 1
+        meta = self.connection.stats
+        meta.segments_sent += 1
+        meta.retransmissions += 1
+        self.path.send_data(
+            Packet._data(
+                self.flow_id, self.segment_bytes, seq, data_seq, self.sim.now, True
+            )
+        )
+        self._mark_retransmitted(seq)
 
     def on_ack(self, packet: Packet) -> None:
+        # Every subflow ACK carries the data-level ACK and the shared
+        # window; the connection takes them before this subflow's own
+        # processing pumps it.
+        connection = self.connection
+        data_ack = packet.data_ack
+        if data_ack > connection._data_ack:
+            connection._data_ack = data_ack
+            if connection._reinjected:  # the queue only holds members of it
+                connection._reinjected = {
+                    ds for ds in connection._reinjected if ds >= data_ack
+                }
+                connection._reinjection_queue = [
+                    ds for ds in connection._reinjection_queue if ds >= data_ack
+                ]
+        rwnd = packet.rwnd
+        connection._meta_rwnd = rwnd if rwnd >= 1 else 1
         # An advancing ACK pumps the connection from _try_send; nothing the
         # pump reads changes after it, so it is not pumped again here.
         old_una = self.snd_una
-        self.connection.on_meta_ack(packet)
         super().on_ack(packet)
+        data_map = self._data_map
         for seq in range(old_una, self.snd_una):
-            self._data_map.pop(seq, None)
+            del data_map[seq]
 
     def _on_rto(self) -> None:
         had_inflight = self.inflight > 0
@@ -149,8 +167,7 @@ class MptcpConnection:
         segment_bytes: int = 1500,
         congestion: str = "cubic",
     ):
-        if buffer_segments < 1:
-            raise ValueError("meta buffer must hold at least one segment")
+        buffer_segments = check_segment_bytes(buffer_segments, "buffer_segments")
         segment_bytes = check_segment_bytes(segment_bytes)
         self.sim = sim
         self.scheduler: Scheduler = (
@@ -193,20 +210,7 @@ class MptcpConnection:
 
     # -- data-level sequencing ----------------------------------------------
 
-    def assign_data_seq(self) -> int:
-        """Next data segment for a subflow: reinjections first, then new."""
-        if self._reinjection_queue:
-            return self._reinjection_queue.pop(0)
-        seq = self._next_data_seq
-        self._next_data_seq += 1
-        return seq
-
-    def can_assign_data(self) -> bool:
-        if self._reinjection_queue:
-            return True
-        return self.send_window_left() > 0
-
-    def send_window_left(self) -> float:
+    def send_window_left(self) -> int:
         """Segments still allowed by the data-level receive window."""
         return self._data_ack + self._meta_rwnd - self._next_data_seq
 
@@ -219,47 +223,69 @@ class MptcpConnection:
                 self.stats.reinjections += 1
         self.pump()
 
-    def on_meta_ack(self, packet: Packet) -> None:
-        """Track the data-level ACK and shared window from any subflow ACK."""
-        data_ack = packet.data_ack
-        if data_ack > self._data_ack:
-            self._data_ack = data_ack
-            if self._reinjected:  # the queue only holds members of it
-                self._reinjected = {
-                    ds for ds in self._reinjected if ds >= data_ack
-                }
-                self._reinjection_queue = [
-                    ds for ds in self._reinjection_queue if ds >= data_ack
-                ]
-        rwnd = packet.rwnd
-        self._meta_rwnd = rwnd if rwnd >= 1 else 1
-
     # -- scheduling ----------------------------------------------------------
 
     def pump(self) -> None:
-        """Send as much new data as windows and the scheduler allow."""
+        """Send as much new data as windows and the scheduler allow.
+
+        Data may go out while a reinjection is queued or the data-level
+        window (``send_window_left``) is open.  Reinjections go first,
+        then new data seqs in order.
+        """
         if self._pumping:
             return  # transmit paths re-enter via _try_send; flatten it
         self._pumping = True
         try:
-            if not self.can_assign_data():
+            queue = self._reinjection_queue
+            if not queue and self._data_ack + self._meta_rwnd <= self._next_data_seq:
                 return
-            # Sending one segment changes the window space of the subflow
-            # that sent it and of no other, so only that one is re-asked;
-            # ``available`` keeps the subflows' order as it shrinks.
-            available = [sf for sf in self.subflows if sf.has_space()]
+            # Each subflow's window space, asked once: sending one segment
+            # takes one unit of the sender's space and changes no other
+            # subflow's.  ``available`` keeps the subflows' order as it
+            # shrinks.
+            available = []
+            space = {}
+            for sf in self.subflows:
+                if sf._started:
+                    window, occupancy = sf._budget()
+                    if occupancy < window:
+                        available.append(sf)
+                        space[sf] = window - occupancy
             pick = self.scheduler.pick
             while available:
                 chosen = pick(available, self)
                 if chosen is None:
                     break  # scheduler elects to wait (BLEST blocking guard)
-                chosen.send_one()
-                if not chosen.has_space():
+                if queue:
+                    data_seq = queue.pop(0)
+                else:
+                    data_seq = self._next_data_seq
+                    self._next_data_seq = data_seq + 1
+                chosen.send_one(data_seq)
+                left = space[chosen] - 1
+                if left:
+                    space[chosen] = left
+                else:
                     available.remove(chosen)
-                if not self.can_assign_data():
+                if (
+                    not queue
+                    and self._data_ack + self._meta_rwnd <= self._next_data_seq
+                ):
                     break
         finally:
             self._pumping = False
+
+
+class _SubflowAcks:
+    """Receiver-side state of one subflow: its ACK path and its sequence
+    space (next in-order seq and the out-of-order arrivals above it)."""
+
+    __slots__ = ("path", "rcv_next", "out_of_order")
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.rcv_next = 0
+        self.out_of_order: set[int] = set()
 
 
 class MptcpReceiver:
@@ -272,66 +298,66 @@ class MptcpReceiver:
         segment_bytes: int = 1500,
     ):
         self.sim = sim
-        self.buffer_segments = buffer_segments
+        self.buffer_segments = check_segment_bytes(buffer_segments, "buffer_segments")
         self.segment_bytes = segment_bytes
         self.meta_rcv_next = 0
         self._meta_ooo: set[int] = set()
         self.bytes_received = 0
         self.delivery_log: list[tuple[float, int]] = []
-        self._paths: dict[int, Path] = {}
-        self._subflow_rcv_next: dict[int, int] = {}
-        self._subflow_ooo: dict[int, set[int]] = {}
+        #: Indexed by subflow id.
+        self._subflows: list[_SubflowAcks] = []
 
     def attach_subflow(self, subflow_id: int, path: Path) -> None:
-        self._paths[subflow_id] = path
-        self._subflow_rcv_next[subflow_id] = 0
-        self._subflow_ooo[subflow_id] = set()
-
-    @property
-    def advertised_window(self) -> int:
-        """Free space in the shared meta buffer (segments)."""
-        return max(0, self.buffer_segments - len(self._meta_ooo))
+        if subflow_id != len(self._subflows):
+            raise ValueError(
+                f"subflow ids attach in order: expected {len(self._subflows)}, "
+                f"got {subflow_id}"
+            )
+        self._subflows.append(_SubflowAcks(path))
 
     def on_data(self, subflow_id: int, packet: Packet) -> None:
         """Ingest a data segment from one subflow; ACK at both levels."""
-        self._ingest_meta(packet.data_seq)
-        self._ack_subflow(subflow_id, packet)
-
-    def _ingest_meta(self, data_seq: int) -> None:
-        if data_seq < 0 or data_seq < self.meta_rcv_next:
-            return  # filler retransmit or duplicate delivery
-        if data_seq == self.meta_rcv_next:
+        # Data level: deliver in order into the shared meta buffer.  A
+        # filler retransmit (data seq -1) or a duplicate is below
+        # meta_rcv_next and only re-ACKed.
+        data_seq = packet.data_seq
+        meta_ooo = self._meta_ooo
+        meta_next = self.meta_rcv_next
+        if data_seq == meta_next:
             delivered = 1
-            self.meta_rcv_next += 1
-            while self.meta_rcv_next in self._meta_ooo:
-                self._meta_ooo.discard(self.meta_rcv_next)
-                self.meta_rcv_next += 1
+            meta_next += 1
+            while meta_next in meta_ooo:
+                meta_ooo.discard(meta_next)
+                meta_next += 1
                 delivered += 1
+            self.meta_rcv_next = meta_next
             self.bytes_received += delivered * self.segment_bytes
             self.delivery_log.append((self.sim.now, delivered))
-        elif len(self._meta_ooo) < self.buffer_segments:
-            self._meta_ooo.add(data_seq)
+        elif data_seq > meta_next and len(meta_ooo) < self.buffer_segments:
+            meta_ooo.add(data_seq)
         # else: buffer overrun (sender violated the window) — drop.
 
-    def _ack_subflow(self, subflow_id: int, packet: Packet) -> None:
-        rcv_next = self._subflow_rcv_next[subflow_id]
-        ooo = self._subflow_ooo[subflow_id]
+        # Subflow level: cumulative ACK of the subflow's own seqs.
+        state = self._subflows[subflow_id]
+        rcv_next = state.rcv_next
+        ooo = state.out_of_order
         seq = packet.seq
         if seq == rcv_next:
             rcv_next += 1
             while rcv_next in ooo:
                 ooo.discard(rcv_next)
                 rcv_next += 1
+            state.rcv_next = rcv_next
         elif seq > rcv_next:
             ooo.add(seq)
-        self._subflow_rcv_next[subflow_id] = rcv_next
 
-        self._paths[subflow_id].send_ack(
+        window = self.buffer_segments - len(meta_ooo)
+        state.path.send_ack(
             Packet._ack(
                 subflow_id,
                 rcv_next,
-                self.meta_rcv_next,
-                self.advertised_window,
+                meta_next,
+                window if window > 0 else 0,  # free meta buffer space
                 packet.sent_time_s,
                 self.sim.now,
                 -1,

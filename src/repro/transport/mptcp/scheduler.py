@@ -54,8 +54,9 @@ class SchedulerBase:
         if chosen is None:
             self._m_waits.inc()
         else:
-            counter = self._m_picks.get(chosen.subflow_id)
-            if counter is None:
+            try:
+                counter = self._m_picks[chosen.subflow_id]
+            except KeyError:
                 counter = self._obs.counter(
                     "mptcp.scheduler.decisions",
                     scheduler=type(self).__name__.lower(),

@@ -66,23 +66,16 @@ class TcpReceiver:
         segment_bytes: int,
         buffer_segments: int,
     ):
-        if buffer_segments < 1:
-            raise ValueError("buffer must hold at least one segment")
         self.sim = sim
         self.path = path
         self.flow_id = flow_id
         self.segment_bytes = segment_bytes
-        self.buffer_segments = buffer_segments
+        self.buffer_segments = check_segment_bytes(buffer_segments, "buffer_segments")
         self.rcv_next = 0
         self._out_of_order: set[int] = set()
         self.bytes_received = 0
         #: (time, segments) tuples of in-order deliveries for throughput series.
         self.delivery_log: list[tuple[float, int]] = []
-
-    @property
-    def advertised_window(self) -> int:
-        """Free buffer space in segments."""
-        return max(0, self.buffer_segments - len(self._out_of_order))
 
     def on_data(self, packet: Packet) -> None:
         """Handle an arriving data segment and emit an ACK."""
@@ -110,12 +103,13 @@ class TcpReceiver:
             self.bytes_received += delivered * self.segment_bytes
             self.delivery_log.append((self.sim.now, delivered))
 
+        window = self.buffer_segments - len(self._out_of_order)
         self.path.send_ack(
             Packet._ack(
                 self.flow_id,
                 self.rcv_next,
                 -1,
-                self.advertised_window,
+                window if window > 0 else 0,  # free buffer space
                 packet.sent_time_s,
                 self.sim.now,
                 sack_start,
@@ -161,7 +155,9 @@ class TcpSender:
 
         self.snd_una = 0
         self.snd_nxt = 0
-        self._rwnd = receiver_buffer_segments
+        self._rwnd = check_segment_bytes(
+            receiver_buffer_segments, "receiver_buffer_segments"
+        )
         self._dupacks = 0
         self._recover = -1  # highest seq outstanding when recovery began
         # SACK scoreboard.
@@ -178,7 +174,8 @@ class TcpSender:
         #: After an RTO everything below this is presumed lost (RFC 5681
         #: post-timeout go-back-N) unless SACKed in the meantime.
         self._high_lost = 0
-        self._srtt: float | None = None
+        #: Current SRTT, or the initial RTO guess before any sample.
+        self.smoothed_rtt_s = 1.0
         self._min_rtt = float("inf")
         self._rttvar = 0.0
         self._rto = 1.0
@@ -196,27 +193,20 @@ class TcpSender:
         self._try_send()
 
     @property
-    def in_recovery(self) -> bool:
-        return self._recover >= 0 and self.snd_una < self._recover
-
-    @property
     def inflight(self) -> int:
         return self.snd_nxt - self.snd_una
 
-    @property
-    def smoothed_rtt_s(self) -> float:
-        """Current SRTT, or the initial RTO guess before any sample."""
-        return self._srtt if self._srtt is not None else 1.0
-
     # -- sending ---------------------------------------------------------
 
-    # The per-ACK paths below spell min/max as comparisons and read
-    # ``in_recovery`` and ``inflight`` from the fields; each comparison
+    # The per-ACK paths below spell min/max/abs as comparisons and read
+    # the recovery state and the flight from the fields; each comparison
     # keeps the builtin's choice of its first argument on a tie.
 
     def _budget(self) -> tuple[int, int]:
         """``(window, occupancy)``: segments the window allows, and those
-        counted against it (the pipe in recovery, else all in flight)."""
+        counted against it (the pipe in recovery, else all in flight).
+        Sending a segment adds one to the occupancy and leaves the window
+        as it is."""
         cwnd = self.cc.cwnd
         rwnd = self._rwnd
         window = int(rwnd if rwnd < cwnd else cwnd)  # int(min(cwnd, rwnd))
@@ -240,10 +230,14 @@ class TcpSender:
 
     def _loss_bound(self) -> int:
         """One past the highest segment currently presumed lost."""
-        return max(self._fack, self._high_lost)
+        fack = self._fack
+        high_lost = self._high_lost
+        return fack if fack >= high_lost else high_lost
 
     def _lost_count(self) -> int:
-        bound = self._loss_bound()
+        fack = self._fack
+        high_lost = self._high_lost
+        bound = fack if fack >= high_lost else high_lost  # _loss_bound()
         una = self.snd_una
         if bound <= una:
             return 0
@@ -275,54 +269,64 @@ class TcpSender:
         return None
 
     def _try_send(self) -> None:
-        """Send retransmissions (holes first) and then new data."""
+        """Send retransmissions (holes first), then new data, then make
+        sure the RTO timer runs while data is in flight.
+
+        MPTCP subflows override this: their new data comes from the
+        connection's scheduler, not from the window alone.
+        """
         if not self._started:
             return
-        budget, occupancy = self._budget()
-        occupancy = self._send_retransmissions(budget, occupancy)
-        self._send_new_data(budget, occupancy)
-        self._arm_rto()
+        window, occupancy = self._budget()
+        una = self.snd_una
+        if self._recover >= 0 and una < self._recover:
+            occupancy = self._send_retransmissions(window, occupancy)
+        # New data fills what is left; nothing below changes the window,
+        # so its limit is fixed.
+        limit = una + window
+        total = self.total_segments
+        if total is not None and total < limit:
+            limit = total
+        nxt = self.snd_nxt
+        stats = self.stats
+        while nxt < limit and occupancy < window:
+            stats.segments_sent += 1
+            self.path.send_data(
+                Packet._data(
+                    self.flow_id, self.segment_bytes, nxt, -1, self.sim.now, False
+                )
+            )
+            nxt += 1
+            self.snd_nxt = nxt
+            occupancy += 1
+        timer = self._rto_timer
+        if timer.deadline_s is None and self.snd_nxt > self.snd_una:
+            timer.arm(self._rto)
 
     def _send_retransmissions(self, budget: int, occupancy: int) -> int:
-        """Retransmit presumed-lost holes up to the window budget.
+        """In recovery: retransmit presumed-lost holes up to the window
+        budget, and return the occupancy after them.
 
         The pipe estimate is computed once by the caller and maintained
         incrementally (+1 per transmission) — recomputing it per packet is
         quadratic in the window during big recoveries.
         """
-        if not (self._recover >= 0 and self.snd_una < self._recover):
-            return occupancy
         while occupancy < budget:
             hole = self._next_hole()
             if hole is None:
                 break
-            self._transmit(hole, retransmit=True)
-            self._mark_retransmitted(hole)
+            self._retransmit(hole)
             occupancy += 1
         return occupancy
 
-    def _send_new_data(self, budget: int, occupancy: int) -> None:
-        """Fill the remaining window with new segments (overridden by
-        MPTCP subflows, where the connection's scheduler assigns data)."""
-        # Nothing below changes the window, so its limit is fixed.
-        limit = self.snd_una + budget
-        total = self.total_segments
-        if total is not None and total < limit:
-            limit = total
-        while self.snd_nxt < limit and occupancy < budget:
-            self._transmit(self.snd_nxt, retransmit=False)
-            self.snd_nxt += 1
-            occupancy += 1
-
-    def _transmit(self, seq: int, retransmit: bool) -> None:
+    def _retransmit(self, seq: int) -> None:
+        """Send ``seq`` again and record it on the scoreboard."""
         self.stats.segments_sent += 1
-        if retransmit:
-            self.stats.retransmissions += 1
+        self.stats.retransmissions += 1
         self.path.send_data(
-            Packet._data(
-                self.flow_id, self.segment_bytes, seq, -1, self.sim.now, retransmit
-            )
+            Packet._data(self.flow_id, self.segment_bytes, seq, -1, self.sim.now, True)
         )
+        self._mark_retransmitted(seq)
 
     # -- ACK processing --------------------------------------------------
 
@@ -337,7 +341,9 @@ class TcpSender:
         if packet.sack_start >= 0:
             sacked = self._sacked
             rtx_done = self._rtx_done
-            old_bound = self._loss_bound()
+            fack = self._fack
+            high_lost = self._high_lost
+            old_bound = fack if fack >= high_lost else high_lost  # _loss_bound()
             sack_start = packet.sack_start
             sack_end = packet.sack_end
             for seq in range(sack_start if sack_start >= una else una, sack_end):
@@ -345,9 +351,9 @@ class TcpSender:
                     sacked.add(seq)
                     if seq < old_bound and seq in rtx_done:
                         self._rtx_lost -= 1
-            if sack_end > self._fack:
-                self._fack = sack_end
-            new_bound = self._loss_bound()
+            if sack_end > fack:
+                self._fack = fack = sack_end
+            new_bound = fack if fack >= high_lost else high_lost
             if new_bound > old_bound and self._rtx_max >= old_bound:
                 self._rtx_lost += sum(
                     1
@@ -363,26 +369,33 @@ class TcpSender:
             self.snd_una = ack
             self.stats.bytes_acked += newly_acked * self.segment_bytes
             self._dupacks = 0
-            self._prune_scoreboard(una)
+            if self._sacked or self._rtx_done:
+                self._prune_scoreboard(una)
+            else:
+                self._fack = ack  # all the prune does to an empty scoreboard
             if ack >= self._recover:  # recovery is over (or never began)
                 self._recover = -1
             # Window growth continues on every ACK advance: after an RTO the
             # sender is in slow start (not fast recovery), and freezing the
             # window until the whole pre-loss flight is re-acked would turn
             # every outage into a multi-second crawl.
-            srtt = self._srtt
-            self.cc.on_ack(newly_acked, srtt if srtt is not None else 1.0, now)
-            self._reset_rto()
+            self.cc.on_ack(newly_acked, self.smoothed_rtt_s, now)
+            # Restart the RTO timer at now + _rto, or stop it when idle.
+            if self.snd_nxt > ack:
+                self._rto_timer.arm(self._rto)
+            else:
+                self._rto_timer.cancel()
             self._try_send()
         elif ack == una and self.snd_nxt > una:
             self._dupacks += 1
-            if not self.in_recovery and (
+            recover = self._recover
+            if recover >= 0 and una < recover:  # in recovery
+                self._try_send()
+            elif (
                 self._dupacks >= _DUPACK_THRESHOLD
                 or len(self._sacked) >= _DUPACK_THRESHOLD
             ):
                 self._enter_recovery()
-            elif self.in_recovery:
-                self._try_send()
 
     def _prune_scoreboard(self, old_una: int) -> None:
         """Drop the scoreboard entries the cumulative ACK just covered.
@@ -422,8 +435,7 @@ class TcpSender:
         self.stats.fast_retransmits += 1
         if not self._sacked:
             # Pure-dupack entry (ACK SACK info lost): assume snd_una is lost.
-            self._transmit(self.snd_una, retransmit=True)
-            self._mark_retransmitted(self.snd_una)
+            self._retransmit(self.snd_una)
         self._try_send()
 
     # -- RTT / RTO -------------------------------------------------------
@@ -431,17 +443,19 @@ class TcpSender:
     def _rtt_sample(self, rtt_s: float) -> None:
         if rtt_s <= 0:
             return
-        self.stats.rtt_samples.append(rtt_s)
-        if rtt_s < self._min_rtt:
-            self._min_rtt = rtt_s
-        srtt = self._srtt
-        if srtt is None:
+        samples = self.stats.rtt_samples
+        if samples:
+            srtt = self.smoothed_rtt_s
+            diff = srtt - rtt_s
+            self._rttvar = 0.75 * self._rttvar + 0.25 * (diff if diff >= 0 else -diff)
+            srtt = 0.875 * srtt + 0.125 * rtt_s
+        else:  # the first sample seeds the estimate
             srtt = rtt_s
             self._rttvar = rtt_s / 2.0
-        else:
-            self._rttvar = 0.75 * self._rttvar + 0.25 * abs(srtt - rtt_s)
-            srtt = 0.875 * srtt + 0.125 * rtt_s
-        self._srtt = srtt
+        samples.append(rtt_s)
+        if rtt_s < self._min_rtt:
+            self._min_rtt = rtt_s
+        self.smoothed_rtt_s = srtt
         rto = srtt + 4.0 * self._rttvar
         if rto < _RTO_MIN_S:
             rto = _RTO_MIN_S
@@ -453,17 +467,6 @@ class TcpSender:
         cc = self.cc
         if cc.cwnd < cc.ssthresh and srtt > _HYSTART_RTT_FACTOR * self._min_rtt:
             cc.ssthresh = cc.cwnd
-
-    def _arm_rto(self) -> None:
-        if self._rto_timer.deadline_s is None and self.snd_nxt > self.snd_una:
-            self._rto_timer.arm(self._rto)
-
-    def _reset_rto(self) -> None:
-        """Restart the timer at ``now + _rto`` (stop it when idle)."""
-        if self.snd_nxt > self.snd_una:
-            self._rto_timer.arm(self._rto)
-        else:
-            self._rto_timer.cancel()
 
     def _on_rto(self) -> None:
         if self.inflight == 0:
@@ -485,9 +488,9 @@ class TcpSender:
         self._hole_cursor = self.snd_una
         self._high_lost = self.snd_nxt
         self._rto = min(self._rto * 2.0, _RTO_MAX_S)
-        self._transmit(self.snd_una, retransmit=True)
-        self._mark_retransmitted(self.snd_una)
-        self._arm_rto()
+        self._retransmit(self.snd_una)
+        if self._rto_timer.deadline_s is None:  # data is in flight
+            self._rto_timer.arm(self._rto)
 
 
 # Kept: the DES golden digests open their TCP flows through it.

@@ -12,8 +12,8 @@ from repro.emu.mpshell import MpShell
 from repro.net.link import FixedConditions
 from repro.net.path import Path
 from repro.net.simulator import Simulator
-from repro.transport.mptcp import MptcpConnection
-from repro.transport.tcp import TcpSender
+from repro.transport.mptcp import MptcpConnection, MptcpReceiver
+from repro.transport.tcp import TcpReceiver, TcpSender
 from repro.transport.udp import UdpSender
 from repro.tools.iperf import (
     run_mptcp_test,
@@ -99,6 +99,7 @@ def _two_traces():
 
 BAD_DURATIONS = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 BAD_SEGMENTS = (1500.5, 1500.0, math.nan, 0, -1500, True, "1500", None)
+BAD_BUFFERS = (math.nan, math.inf, 2.5, 64.0, True, 0, -8, "64", None)
 
 def _rejected_cases():
     for d in BAD_DURATIONS:
@@ -139,6 +140,33 @@ def _rejected_cases():
             f"mptcp-connection-segment-{b!r}",
             lambda b=b: MptcpConnection(Simulator(), segment_bytes=b),
         )
+    for b in BAD_BUFFERS:
+        yield (
+            f"mptcp-buffer-{b!r}",
+            lambda b=b: run_mptcp_test(_two_traces(), duration_s=2.0, buffer_segments=b),
+        )
+        yield (
+            f"tcp-buffer-{b!r}",
+            lambda b=b: run_tcp_test(
+                flat(), duration_s=2.0, receiver_buffer_segments=b
+            ),
+        )
+        yield (
+            f"mptcp-connection-buffer-{b!r}",
+            lambda b=b: MptcpConnection(Simulator(), buffer_segments=b),
+        )
+        yield (
+            f"mptcp-receiver-buffer-{b!r}",
+            lambda b=b: MptcpReceiver(Simulator(), b),
+        )
+        yield (
+            f"tcp-receiver-buffer-{b!r}",
+            lambda b=b: TcpReceiver(Simulator(), None, 0, 1500, b),
+        )
+        yield (
+            f"tcp-sender-buffer-{b!r}",
+            lambda b=b: TcpSender(Simulator(), None, receiver_buffer_segments=b),
+        )
     yield "udp-target-nan", lambda: UdpSender(Simulator(), None, math.nan)
 
 
@@ -149,9 +177,9 @@ REJECTED = list(_rejected_cases())
     "build", [case for _, case in REJECTED], ids=[name for name, _ in REJECTED]
 )
 def test_des_entry_points_reject_bad_inputs(build):
-    """Every bad duration or segment size ends in a ``ValueError`` at
-    once: no hang, no fractional byte count, no error from deep inside
-    the simulation."""
+    """Every bad duration, segment size or buffer size ends in a
+    ``ValueError`` at once: no hang, no fractional byte count, no silent
+    empty run, no error from deep inside the simulation."""
     with _deadline(10.0), pytest.raises(ValueError):
         build()
 

@@ -5,9 +5,12 @@ import pytest
 
 from repro.net import FixedConditions, Path, Simulator
 from repro.net.link import bdp_bytes
+from repro.net.packet import ACK_SIZE_BYTES, Packet
 from repro.transport.mptcp import (
     Blest,
     MinRtt,
+    MptcpConnection,
+    MptcpReceiver,
     RoundRobin,
     make_scheduler,
     open_mptcp_connection,
@@ -148,3 +151,52 @@ def test_stats_aggregate():
     assert conn.stats.segments_sent > 0
     assert conn.stats.retransmissions >= 0
     assert 0.0 <= conn.stats.retransmission_rate < 0.5
+
+
+class _SinkPath:
+    """Swallows data; the test delivers the ACKs itself."""
+
+    def connect(self, data_receiver, ack_receiver) -> None:
+        pass
+
+    def send_data(self, packet: Packet) -> None:
+        pass
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "Subflow._on_rto reinjects whenever the subflow has data in flight, "
+        "also when TcpSender._on_rto only re-arms its lazily restarted timer "
+        "and declares no timeout; the fix changes the pinned Fig 10 outputs"
+    ),
+)
+def test_lazy_rto_rearm_does_not_reinject():
+    sim = Simulator()
+    connection = MptcpConnection(sim, scheduler="minrtt", buffer_segments=4096)
+    receiver = MptcpReceiver(sim, 4096)
+    for _ in range(2):
+        connection.add_subflow(_SinkPath(), receiver)
+    connection.start()
+    subflow = connection.subflows[0]
+    # Progress at 0.1 s: the first segment is acked.
+    sim.now = 0.1
+    subflow.on_ack(
+        Packet(
+            flow_id=0,
+            size_bytes=ACK_SIZE_BYTES,
+            ack=1,
+            data_ack=1,
+            is_ack=True,
+            rwnd=4096,
+            timestamp_echo_s=0.0,
+        )
+    )
+    assert subflow.inflight > 0
+    # The timer comes due well inside the RTO after that progress: the
+    # sender pushes it out and declares no timeout ...
+    sim.now = 0.2
+    subflow._on_rto()
+    assert subflow.stats.rto_events == 0
+    # ... so nothing is stuck, and nothing should be reinjected.
+    assert connection.stats.reinjections == 0

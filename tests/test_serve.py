@@ -6,11 +6,14 @@ typed rejection, retry budgets, poison quarantine bookkeeping, the
 filesystem protocol, and the CLI.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +36,7 @@ from repro.serve import (
     spec_to_config,
 )
 from repro.serve import service as service_module
+import repro.serve.__main__ as serve_cli
 from repro.serve.__main__ import main as serve_main
 from repro.serve.journal import JOURNAL_NAME
 
@@ -579,6 +583,52 @@ def test_bad_run_argument_is_a_usage_error(bad, tmp_path, capsys):
     assert "Traceback" not in captured.err
     # Refused before the service started: it made no root.
     assert not root.exists()
+
+
+class _WouldServe(Exception):
+    """Raised in place of starting the service: every check passed."""
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    option=st.sampled_from(
+        (
+            "--max-queue",
+            "--max-concurrent",
+            "--poison-threshold",
+            "--retries",
+            "--job-timeout",
+            "--cache-max-bytes",
+        )
+    ),
+    value=st.one_of(
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+)
+def test_numeric_run_arguments_serve_or_exit_2(option, value, tmp_path_factory):
+    """Every number given to a ``run`` option either reaches the service
+    or is a usage error (exit 2): never a traceback from the config."""
+    root = tmp_path_factory.getbasetemp() / "serve-cli-fuzz"
+    argv = [
+        "run",
+        "--root",
+        str(root),
+        "--once",
+        option,
+        repr(value) if isinstance(value, float) else str(value),
+    ]
+    stub = mock.patch.object(serve_cli, "CampaignService", side_effect=_WouldServe)
+    with stub, contextlib.redirect_stderr(io.StringIO()):
+        try:
+            serve_main(argv)
+        except _WouldServe:
+            return
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            assert not root.exists(), argv
+            return
+    pytest.fail(f"{argv} neither served nor exited 2")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
