@@ -11,8 +11,13 @@ scalars (``math.sin(math.radians(x)) == np.sin(np.radians(x))`` and
 legacy order and generator, so the emitted
 :class:`~repro.conditions.LinkConditions` are byte-identical.
 
-The legacy classes stay untouched as the readable reference
-implementation; the campaign only instantiates these subclasses when
+:class:`StarlinkChannelFast` also owns the drive's
+:class:`~repro.core.fastpath.GeometryTimeline`: the seconds it knows
+read candidates, serving elevation and bent-pipe RTT from its flat
+table instead of computing the geometry per second.
+
+The legacy classes stay the readable reference implementation; the
+campaign only instantiates these subclasses when
 ``CampaignConfig.fastpath`` is on.
 """
 
@@ -252,11 +257,28 @@ class CellularChannelFast(CellularChannel):
 
 
 class StarlinkChannelFast(StarlinkChannel):
-    """Starlink channel with scalarized capacity/loss inner loops."""
+    """Starlink channel that replays a drive's precomputed geometry.
+
+    Seconds an attached :class:`~repro.core.fastpath.GeometryTimeline`
+    knows take their candidate rows, serving elevation and bent-pipe
+    RTT from its flat table, with no per-second geometry objects;
+    every other second runs the reference :meth:`StarlinkChannel.sample`.
+    Either way the random draws, the handover process and the metrics
+    are the reference channel's, in its order.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.obstruction = _adopt(ObstructionProcessFast, self.obstruction)
+        self._timeline = None
+
+    def attach_timeline(self, timeline) -> None:
+        """Replay the seconds ``timeline`` knows from its precomputed table.
+
+        Unknown seconds silently fall back to the per-sample reference
+        path; the results are bit-identical either way.
+        """
+        self._timeline = timeline
 
     def sample(
         self,
@@ -265,9 +287,11 @@ class StarlinkChannelFast(StarlinkChannel):
         speed_kmh: float,
         area: AreaType,
     ) -> LinkConditions:
-        # Same control flow as the legacy method; the serving-satellite
-        # lookup is an explicit loop (the winner is nearly always the
-        # first candidate) instead of a generator expression.
+        timeline = self._timeline
+        t_idx = timeline.index_of(time_s) if timeline is not None else None
+        if t_idx is None:
+            return StarlinkChannel.sample(self, time_s, position, speed_kmh, area)
+        # Same control flow as the reference method, on table rows.
         self._m_samples.inc()
         sky = self.obstruction.step(area)
         if sky.deep_blockage:
@@ -283,24 +307,10 @@ class StarlinkChannelFast(StarlinkChannel):
             )
             self._sector_refresh_s = time_s
 
-        timeline = self._timeline
-        t_idx = timeline.index_of(time_s) if timeline is not None else None
-        if t_idx is not None:
-            candidates = timeline.visible(
-                t_idx,
-                self.dish,
-                obstruction_fraction=fraction,
-                blocked_sectors=self._sectors,
-            )
-        else:
-            candidates = self.visibility.visible_satellites(
-                position,
-                time_s,
-                self.dish,
-                obstruction_fraction=fraction,
-                blocked_sectors=self._sectors,
-            )
-        state = self.handover.step(time_s, [c.index for c in candidates])
+        rows = timeline.visible(t_idx, self.dish, fraction, self._sectors)
+        sat_ids = timeline.sat_ids
+        candidates = [sat_ids[r] for r in rows]
+        state = self.handover.step(time_s, candidates)
         serving_id = state.serving_satellite
         if serving_id != self._last_serving:
             if serving_id != -1 and self._last_serving != -1:
@@ -309,20 +319,20 @@ class StarlinkChannelFast(StarlinkChannel):
         if serving_id == -1:
             self._m_outage.inc()
             return outage(time_s)
-
-        serving = None
-        for c in candidates:
-            if c.index == serving_id:
-                serving = c
-                break
-        if serving is None:
+        if serving_id not in candidates:
             self._m_outage.inc()
             return outage(time_s, loss_burst=self.LOSS_BURST)
+        row = rows[candidates.index(serving_id)]
 
         capacity_dl, capacity_ul = self._capacities(
-            serving.elevation_deg, speed_kmh, fraction, state.capacity_factor
+            timeline.elevations[row], speed_kmh, fraction, state.capacity_factor
         )
-        rtt_ms = self._rtt_ms(time_s, position, serving.index, t_idx=t_idx)
+        # StarlinkChannel._rtt_ms with the space segment from the table.
+        rtt_ms = (
+            timeline.bent_pipe_rtt_ms(row, self.SCHEDULING_MS)
+            + 2.0 * self.POP_TO_SERVER_MS
+            + float(self._gen.exponential(8.0))
+        )
         loss = self._loss_rate(fraction, speed_kmh, state.extra_loss)
         return LinkConditions._of(
             time_s, capacity_dl, capacity_ul, rtt_ms, loss, self.LOSS_BURST

@@ -29,13 +29,24 @@ Bit-exactness strategy (each step verified by
   :meth:`repro.leo.constellation.Constellation.positions_ecef_subset_many`,
   bit-identical to slicing the full per-second result (elementwise
   ufuncs and row-wise matmul/norm are shape-independent);
-* candidates are stored sorted by descending elevation, so a lookup
-  walks the sorted prefix and stops at the first candidate below the
-  dish mask.  ``np.argsort`` over *distinct* keys defines the same
-  total order on any subset, which is how the sorted-prefix walk
-  reproduces the legacy per-call ``argsort``; seconds with duplicated
-  elevations (never observed in practice) fall back to a literal
-  replay of the legacy filter;
+* candidates live in one flat table — satellite index, elevation,
+  azimuth, slant range and position per row, rows grouped by second
+  through an offsets list and sorted by descending elevation within it
+  — so a lookup walks the sorted prefix and stops at the first
+  candidate below the dish mask.  ``np.argsort`` over *distinct* keys
+  defines the same total order on any subset, which is how the
+  sorted-prefix walk reproduces the legacy per-call ``argsort``;
+  seconds with duplicated elevations (never observed in practice) fall
+  back to a literal replay of the legacy filter.  A lookup returns flat
+  row ids, not objects: the channel reads the serving row's satellite
+  and elevation from the table and prices its RTT by row;
+* the blocked azimuth wedges change only once per 30 s sector epoch,
+  so the wedge test runs once per (sector list, block of seconds): one
+  numpy pass of the legacy predicates (comparisons only, no arithmetic
+  to drift) over the block's flat azimuths and elevations marks the
+  wedge-blocked candidates below 60 deg, and the per-second walk reads
+  only the open rows.  Masks are kept for the few live sector lists
+  only;
 * gateway ground distances are computed with a vectorized haversine
   whose only bitwise divergence from the exact scalar
   :func:`repro.geo.coords.haversine_km` is ulp-level (``math.asin`` vs
@@ -50,7 +61,7 @@ Bit-exactness strategy (each step verified by
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 import weakref
 
@@ -61,7 +72,7 @@ from repro.geo.coords import GeoPoint, geodetic_to_ecef_km, haversine_km
 from repro.leo.constellation import EARTH_ROTATION_RAD_S, Constellation
 from repro.leo.dish import DishModel
 from repro.leo.gateway import GatewayNetwork
-from repro.leo.visibility import VisibleSatellite
+from repro.leo.visibility import _azimuth_in_sector
 from repro.units import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
 
 #: Lowest elevation mask any dish/obstruction combination can produce
@@ -83,6 +94,15 @@ _CULL_SLACK_DEG = 1.0
 #: chunk holds a (CHUNK, num_sats) keep mask, float32 prefilter scores,
 #: and float64 positions for the satellites that survive it).
 _CHUNK = 512
+
+#: Seconds per wedge-mask block (see :meth:`GeometryTimeline._open_rows`):
+#: a 30 s sector epoch plus slack, so an epoch's first lookup masks every
+#: row the epoch reads and little more.
+_WEDGE_BLOCK = 32
+
+#: Sector lists whose wedge masks a timeline keeps: the current list of
+#: each of the two dishes sharing it, plus one epoch of overlap each.
+_LIVE_SECTOR_LISTS = 4
 
 #: Maximum gateway ground distance the bent-pipe path considers (km).
 _GW_REACH_KM = 1_500.0
@@ -182,7 +202,8 @@ class GeometryTimeline:
     Built from the sampled seconds of a drive (``times``) and the vehicle
     position at each (``observers``).  Exposes exactly the two lookups
     the Starlink channel needs: the legacy-identical visible-satellite
-    candidate list, and the legacy-identical bent-pipe space RTT.
+    candidate rows, and the legacy-identical bent-pipe space RTT of a
+    row.
     """
 
     def __init__(
@@ -224,27 +245,53 @@ class GeometryTimeline:
         bases[:, 2, 2] = slat
 
         # -- candidate satellites per second (sorted by elevation) -------
-        # Plain Python lists per second: the per-sample lookups walk a
-        # short sorted prefix, which is faster scalar than re-dispatching
-        # numpy kernels on 40-element arrays every call.  Chunks append
-        # their rows in order.
-        self._cand_idx: list[list[int]] = []
-        self._cand_elev: list[list[float]] = []
-        self._cand_azim: list[list[float]] = []
-        self._cand_range: list[list[float]] = []
-        self._cand_pos: list[np.ndarray] = []
-        self._has_ties = np.zeros(n_t, dtype=bool)
+        # One flat table, rows grouped by second: second ``t`` owns the
+        # flat rows ``offsets[t]:offsets[t + 1]``, sorted by descending
+        # elevation.  The per-sample walk reads the Python lists (scalar
+        # indexing beats re-dispatching numpy kernels on 40-element
+        # arrays); the wedge masks and the RTT scan read the arrays.
+        sat_ids: list[int] = []
+        elevations: list[float] = []
+        offsets: list[int] = [0]
+        elev_parts = [np.zeros(0)]
+        azim_parts = [np.zeros(0)]
+        range_parts = [np.zeros(0)]
+        pos_parts = [np.zeros((0, 3))]
+        tied: set[int] = set()
         # ECEF positions of each second's rank-0 and rank-1 candidates
         # (zeros where a second has fewer), for the bulk RTT scan.
         self._top_pos = np.zeros((2, n_t, 3))
-        self._vs_cache: dict[tuple[int, int], VisibleSatellite] = {}
         times_arr = np.asarray(times, dtype=float)
         frames = _frames_f32(constellation)
         for lo in range(0, n_t, _CHUNK):
             hi = min(lo + _CHUNK, n_t)
-            self._build_chunk(
+            idx, elev, azim, rng, pos, row_off, chunk_ties = self._build_chunk(
                 constellation, frames, times_arr, bases, lo, hi
             )
+            base = offsets[-1]
+            offsets.extend((row_off[1:] + base).tolist())
+            sat_ids.extend(idx.tolist())
+            elevations.extend(elev.tolist())
+            elev_parts.append(elev)
+            azim_parts.append(azim)
+            range_parts.append(rng)
+            pos_parts.append(pos)
+            tied.update(chunk_ties)
+        #: Satellite index of every flat row.
+        self.sat_ids = sat_ids
+        #: Elevation (degrees) of every flat row.
+        self.elevations = elevations
+        #: Row offsets: second ``t`` owns rows ``offsets[t]:offsets[t + 1]``.
+        self.offsets = offsets
+        self._elev_arr = np.concatenate(elev_parts)
+        #: Azimuth (degrees) and slant range (km) of every flat row.
+        self.azimuths = np.concatenate(azim_parts)
+        self.ranges = np.concatenate(range_parts)
+        self._pos = np.concatenate(pos_parts)
+        #: Seconds with duplicated elevations (see :meth:`_visible_tied`).
+        self._tied = tied
+        #: Open-row lists per live sector list, see :meth:`_open_rows`.
+        self._wedges: dict[int, tuple] = {}
 
         # -- gateway geometry per second ---------------------------------
         gw_list = gateways.gateways
@@ -299,7 +346,7 @@ class GeometryTimeline:
         else:
             self._reach_mask = np.zeros((n_t, 0), dtype=bool)
             self._nearest_idx = np.zeros(n_t, dtype=np.int64)
-        self._rtt_cache: dict[tuple[int, int], float] = {}
+        self._rtt_cache: dict[int, float] = {}
 
     def _scan_gateways(
         self, sat: np.ndarray, reach_mask: np.ndarray
@@ -342,8 +389,14 @@ class GeometryTimeline:
         bases: np.ndarray,
         lo: int,
         hi: int,
-    ) -> None:
-        """Prefilter + exact geometry for timeline rows [lo, hi)."""
+    ) -> tuple:
+        """Prefilter + exact geometry for timeline rows [lo, hi).
+
+        Returns the chunk's candidates in (second, descending elevation)
+        order — satellite indices, elevations, azimuths, slant ranges and
+        ECEF positions — with the chunk-relative row offsets and the
+        seconds holding duplicated elevations.
+        """
         times = times_arr[lo:hi]
         up = bases[lo:hi, 2, :]
         # Observer unit vectors rotated into the inertial frame (the
@@ -413,16 +466,13 @@ class GeometryTimeline:
         perm = np.lexsort((-elev_sel, t_sel))
         t_sorted = t_sel[perm]
         elev_sorted = elev_sel[perm]
-        idx_sorted = union[cols[above][perm]]
-        azim_sorted = azim_flat[above][perm]
-        range_sorted = rng_flat[above][perm]
         pos_sorted = sat_flat[above][perm]
+        ties: list[int] = []
         if elev_sorted.size > 1:
             tie = (t_sorted[1:] == t_sorted[:-1]) & (
                 elev_sorted[1:] == elev_sorted[:-1]
             )
-            for k in np.nonzero(tie)[0]:
-                self._has_ties[lo + int(t_sorted[k])] = True
+            ties = (lo + t_sorted[1:][tie]).tolist()
 
         per_row = np.bincount(t_sel, minlength=nt)
         a_off = np.zeros(nt + 1, dtype=np.intp)
@@ -430,17 +480,15 @@ class GeometryTimeline:
         for rank in (0, 1):
             rows = np.nonzero(per_row > rank)[0]
             self._top_pos[rank, lo + rows] = pos_sorted[a_off[rows] + rank]
-        idx_list = idx_sorted.tolist()
-        elev_list = elev_sorted.tolist()
-        azim_list = azim_sorted.tolist()
-        range_list = range_sorted.tolist()
-        bounds = a_off.tolist()
-        for o0, o1 in itertools.pairwise(bounds):
-            self._cand_idx.append(idx_list[o0:o1])
-            self._cand_elev.append(elev_list[o0:o1])
-            self._cand_azim.append(azim_list[o0:o1])
-            self._cand_range.append(range_list[o0:o1])
-            self._cand_pos.append(pos_sorted[o0:o1])
+        return (
+            union[cols[above][perm]],
+            elev_sorted,
+            azim_flat[above][perm],
+            rng_flat[above][perm],
+            pos_sorted,
+            a_off,
+            ties,
+        )
 
     # -- lookups ---------------------------------------------------------
 
@@ -455,15 +503,18 @@ class GeometryTimeline:
         obstruction_fraction: float = 0.0,
         blocked_sectors: list[tuple[float, float]] | None = None,
         max_candidates: int = 8,
-    ) -> list[VisibleSatellite]:
+    ) -> list[int]:
         """Replay of :meth:`repro.leo.visibility.VisibilityModel.visible_satellites`.
 
-        Walks the elevation-sorted candidate prefix, applying the same
-        mask and wedge predicates the legacy full-array path applies;
-        with distinct elevations the sorted-prefix walk emits exactly
-        the rows (and ordering) of the legacy per-call argsort.
+        Returns the flat rows of the usable candidates, best first: row
+        ``r`` is satellite ``sat_ids[r]`` at ``elevations[r]``,
+        ``azimuths[r]`` and ``ranges[r]``.  Walks the elevation-sorted
+        rows of the second that no blocked wedge removes (see
+        :meth:`_open_rows`) and stops at the first one below the mask;
+        with distinct elevations that emits exactly the satellites (and
+        ordering) of the legacy per-call argsort.
         """
-        if self._has_ties[t_idx]:
+        if t_idx in self._tied:
             return self._visible_tied(
                 t_idx, dish, obstruction_fraction, blocked_sectors, max_candidates
             )
@@ -475,42 +526,86 @@ class GeometryTimeline:
         min_elev = dish.min_elevation_deg
         if mask < min_elev:
             mask = min_elev
-        elev = self._cand_elev[t_idx]
-        azim = self._cand_azim[t_idx]
-        out: list[VisibleSatellite] = []
-        cache = self._vs_cache
-        for i, e in enumerate(elev):
-            if e < mask:
-                break  # sorted descending: nothing below can pass
-            if blocked_sectors and e < 60.0:
-                a = azim[i]
-                blocked = False
-                for start, end in blocked_sectors:
-                    # Scalar replay of visibility._azimuth_in_sector
-                    # (pure comparisons, no arithmetic to drift).
-                    if start <= end:
-                        if start <= a <= end:
-                            blocked = True
-                            break
-                    elif a >= start or a <= end:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-            key = (t_idx, i)
-            vs = cache.get(key)
-            if vs is None:
-                vs = VisibleSatellite(
-                    index=self._cand_idx[t_idx][i],
-                    elevation_deg=e,
-                    azimuth_deg=azim[i],
-                    slant_range_km=self._cand_range[t_idx][i],
-                )
-                cache[key] = vs
-            out.append(vs)
-            if len(out) >= max_candidates:
-                break
-        return out
+        elev = self.elevations
+        if blocked_sectors:
+            rows, k, end = self._open_rows(t_idx, blocked_sectors)
+            first = k
+            if end - k > max_candidates:
+                end = k + max_candidates
+            while k < end and elev[rows[k]] >= mask:
+                k += 1
+            return rows[first:k]
+        first = k = self.offsets[t_idx]
+        end = self.offsets[t_idx + 1]
+        if end - k > max_candidates:
+            end = k + max_candidates
+        while k < end and elev[k] >= mask:
+            k += 1
+        return list(range(first, k))
+
+    def _open_rows(
+        self, t_idx: int, blocked_sectors: list[tuple[float, float]]
+    ) -> tuple[list[int], int, int]:
+        """Flat rows of second ``t_idx`` that no blocked wedge removes.
+
+        Returns ``(rows, lo, hi)``: the second's open rows are
+        ``rows[lo:hi]``, in table order.  A sector list lives for a whole
+        30 s sector epoch, so the first lookup under a list masks the
+        :data:`_WEDGE_BLOCK` seconds from ``t_idx`` on in one numpy pass
+        (see :meth:`_wedge_block`), and the rest of the epoch reads that
+        block.  A lookup outside the block masks a new one from its own
+        second.  Only the blocks of the :data:`_LIVE_SECTOR_LISTS` most
+        recently introduced lists are kept: a channel replaces its list
+        every epoch and never returns to an old one, so memory stays
+        flat over a drive.
+        """
+        cache = self._wedges
+        key = id(blocked_sectors)
+        entry = cache.get(key)
+        # Equality, not identity, decides a hit: a list mutated in
+        # place, or a new list at a recycled address, gets its own block.
+        if (
+            entry is None
+            or entry[0] != blocked_sectors
+            or not entry[1] <= t_idx < entry[2]
+        ):
+            cache.pop(key, None)  # re-inserted last: the newest list
+            entry = cache[key] = self._wedge_block(t_idx, blocked_sectors)
+            if len(cache) > _LIVE_SECTOR_LISTS:
+                del cache[next(iter(cache))]
+        row_off = entry[4]
+        j = t_idx - entry[1]
+        return entry[3], row_off[j], row_off[j + 1]
+
+    def _wedge_block(
+        self, t0: int, blocked_sectors: list[tuple[float, float]]
+    ) -> tuple[list, int, int, list[int], list[int]]:
+        """Mask seconds ``t0`` up to ``t0 + _WEDGE_BLOCK`` under one sector list.
+
+        One pass of the legacy predicates over the block's flat rows:
+        a row is closed when its azimuth lies in some wedge and its
+        elevation is below 60 deg (``OR_i (wedge_i & low)`` is exactly
+        the legacy ``AND_i ~(wedge_i & low)`` negated).  Returns
+        ``(sector copy, t0, t1, open rows, per-second offsets into
+        them)``.
+        """
+        t1 = min(t0 + _WEDGE_BLOCK, len(self.offsets) - 1)
+        bounds = np.asarray(self.offsets[t0 : t1 + 1])
+        lo, hi = int(bounds[0]), int(bounds[-1])
+        azim = self.azimuths[lo:hi]
+        in_wedge = np.zeros(hi - lo, dtype=bool)
+        for start, end in blocked_sectors:
+            in_wedge |= _azimuth_in_sector(azim, start, end)
+        open_ = ~(in_wedge & (self._elev_arr[lo:hi] < 60.0))
+        counts = np.zeros(hi - lo + 1, dtype=np.intp)
+        np.cumsum(open_, out=counts[1:])
+        return (
+            list(blocked_sectors),
+            t0,
+            t1,
+            (np.flatnonzero(open_) + lo).tolist(),
+            counts[bounds - lo].tolist(),
+        )
 
     def _visible_tied(
         self,
@@ -519,7 +614,7 @@ class GeometryTimeline:
         obstruction_fraction: float,
         blocked_sectors: list[tuple[float, float]] | None,
         max_candidates: int,
-    ) -> list[VisibleSatellite]:
+    ) -> list[int]:
         """Literal legacy replay for seconds with duplicated elevations.
 
         ``np.argsort``'s introsort is unstable, so when two candidates
@@ -528,10 +623,9 @@ class GeometryTimeline:
         the legacy filter on arrays keeps those (never-observed) seconds
         bit-exact too.
         """
-        from repro.leo.visibility import _azimuth_in_sector
-
-        elev = np.asarray(self._cand_elev[t_idx])
-        azim = np.asarray(self._cand_azim[t_idx])
+        lo, hi = self.offsets[t_idx], self.offsets[t_idx + 1]
+        elev = self._elev_arr[lo:hi]
+        azim = self.azimuths[lo:hi]
         mask = dish.effective_mask_deg(
             obstruction_elevation_mask_deg(obstruction_fraction)
         )
@@ -541,41 +635,27 @@ class GeometryTimeline:
                 in_wedge = _azimuth_in_sector(azim, start, end)
                 usable &= ~(in_wedge & (elev < 60.0))
         idx = np.nonzero(usable)[0]
-        if idx.size == 0:
-            return []
         order = idx[np.argsort(-elev[idx])][:max_candidates]
-        return [
-            VisibleSatellite(
-                index=self._cand_idx[t_idx][i],
-                elevation_deg=float(elev[i]),
-                azimuth_deg=float(azim[i]),
-                slant_range_km=float(self._cand_range[t_idx][i]),
-            )
-            for i in order
-        ]
+        return (order + lo).tolist()
 
-    def bent_pipe_rtt_ms(
-        self, t_idx: int, sat_index: int, scheduling_ms: float = 0.0
-    ) -> float:
+    def bent_pipe_rtt_ms(self, row: int, scheduling_ms: float = 0.0) -> float:
         """Replay of :meth:`repro.leo.gateway.GatewayNetwork.bent_pipe_rtt_ms`.
 
-        Reuses the per-drive gateway ground distances and reachable-set
-        lists; the satellite position comes from the candidate table (the
-        serving satellite is always a current candidate when called).
-        The space segment is RNG-free, so the (second, satellite) result
-        is cached — the two dishes usually track the same satellite.
+        Prices the satellite of flat row ``row`` (a row :meth:`visible`
+        returned) seen from that row's second.  Reuses the per-drive
+        gateway ground distances and reachable-set lists.  The space
+        segment is RNG-free, so each row's result is cached — the two
+        dishes usually track the same satellite.
         """
-        key = (t_idx, sat_index)
-        cached = self._rtt_cache.get(key)
+        cached = self._rtt_cache.get(row)
         if cached is not None:
             return cached + scheduling_ms
-        try:
-            row = self._cand_idx[t_idx].index(sat_index)
-        except ValueError:
-            raise KeyError(
-                f"satellite {sat_index} is not a candidate at timeline row {t_idx}"
-            ) from None
-        sat = self._cand_pos[t_idx][row]
+        if not 0 <= row < len(self.sat_ids):
+            raise KeyError(f"no candidate row {row} in this timeline")
+        offsets = self.offsets
+        t_idx = bisect.bisect_right(offsets, row) - 1
+        rank = row - offsets[t_idx]
+        sat = self._pos[row]
         diff = sat - self._user_ecef[t_idx]
         # sqrt(dot(x, x)) is bitwise what np.linalg.norm computes for a
         # 1-D vector; the axis-batched norm reduces in a different order
@@ -585,8 +665,8 @@ class GeometryTimeline:
         # at build time for the top two ranks); the winner and anything
         # within the boundary band of it (physically sub-millimetre
         # ties) are recomputed with the exact legacy scalar arithmetic.
-        if row < 2:
-            gateways = self._top_gateways[row][t_idx]
+        if rank < 2:
+            gateways = self._top_gateways[rank][t_idx]
         else:
             reach = np.nonzero(self._reach_mask[t_idx])[0]
             if reach.size:
@@ -609,5 +689,5 @@ class GeometryTimeline:
                 + self._backhaul_list[j]
             )
             best_ms = min(best_ms, 2.0 * one_way_ms)
-        self._rtt_cache[key] = best_ms
+        self._rtt_cache[row] = best_ms
         return best_ms + scheduling_ms

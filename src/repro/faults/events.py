@@ -13,6 +13,7 @@ hashable/serializable and campaign checkpoints can fingerprint it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import ClassVar
@@ -69,11 +70,15 @@ class FaultEvent:
     drive_id: int | None = None
 
     def __post_init__(self) -> None:
-        if self.start_s < 0.0:
-            raise ValueError(f"start_s must be non-negative, got {self.start_s}")
-        if self.end_s <= self.start_s:
+        # Written so that NaN fails every test: a NaN window would never
+        # be active, an infinite one never ends.
+        if not 0.0 <= self.start_s < math.inf:
             raise ValueError(
-                f"end_s must be after start_s, got [{self.start_s}, {self.end_s}]"
+                f"start_s must be finite and non-negative, got {self.start_s}"
+            )
+        if not self.start_s < self.end_s < math.inf:
+            raise ValueError(
+                f"end_s must be finite and after start_s, got [{self.start_s}, {self.end_s}]"
             )
         if self.drive_id is not None and self.drive_id < 0:
             raise ValueError(f"drive_id must be non-negative, got {self.drive_id}")
@@ -147,8 +152,10 @@ class GatewayFailure(FaultEvent):
             raise ValueError(
                 f"capacity_factor must be in [0, 1], got {self.capacity_factor}"
             )
-        if self.extra_rtt_ms < 0.0:
-            raise ValueError(f"extra_rtt_ms must be non-negative, got {self.extra_rtt_ms}")
+        if not 0.0 <= self.extra_rtt_ms < math.inf:
+            raise ValueError(
+                f"extra_rtt_ms must be finite and non-negative, got {self.extra_rtt_ms}"
+            )
 
     def _targets(self) -> tuple[str, ...]:
         return STARLINK_NETWORKS
@@ -219,10 +226,16 @@ class WeatherFront(FaultEvent):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.radius_km <= 0.0:
+        # NaN fails each test: a NaN radius, speed or bearing leaves the
+        # front's disc nowhere, so the event would never apply.
+        if not self.radius_km > 0.0:
             raise ValueError(f"radius_km must be positive, got {self.radius_km}")
-        if self.speed_kmh < 0.0:
-            raise ValueError(f"speed_kmh must be non-negative, got {self.speed_kmh}")
+        if not 0.0 <= self.speed_kmh < math.inf:
+            raise ValueError(
+                f"speed_kmh must be finite and non-negative, got {self.speed_kmh}"
+            )
+        if not -math.inf < self.bearing_deg < math.inf:
+            raise ValueError(f"bearing_deg must be finite, got {self.bearing_deg}")
 
     def center_at(self, time_s: float) -> GeoPoint | None:
         """Where the front's center has drifted to by ``time_s``."""

@@ -13,6 +13,8 @@ times an hour, sector/gateway events much rarer, weather synoptic-scale.
 
 from __future__ import annotations
 
+import math
+
 from repro.faults.events import (
     CELLULAR_NETWORKS,
     CellSectorOutage,
@@ -64,12 +66,12 @@ def generate_schedule(
     """
     if num_drives <= 0:
         raise ValueError(f"num_drives must be positive, got {num_drives}")
-    if drive_duration_s <= 0.0:
+    if not 0.0 < drive_duration_s < math.inf:
         raise ValueError(
-            f"drive_duration_s must be positive, got {drive_duration_s}"
+            f"drive_duration_s must be finite and positive, got {drive_duration_s}"
         )
-    if intensity < 0.0:
-        raise ValueError(f"intensity must be non-negative, got {intensity}")
+    if not 0.0 <= intensity < math.inf:
+        raise ValueError(f"intensity must be finite and non-negative, got {intensity}")
 
     gen = RngStreams(seed).get("faults.generate")
     hours = drive_duration_s / 3600.0

@@ -80,9 +80,6 @@ class StarlinkChannel:
         self._sector_refresh_s = -1e9
         self._sectors: list[tuple[float, float]] = []
         self._positions_cache: tuple[float, np.ndarray] | None = None
-        #: Optional precomputed per-drive geometry (see
-        #: :meth:`attach_timeline`); None keeps the per-sample path.
-        self._timeline = None
         obs = recorder if recorder is not None else get_recorder()
         network = dish.plan.value
         self._m_samples = obs.counter("channel.samples", network=network)
@@ -115,24 +112,13 @@ class StarlinkChannel:
             )
             self._sector_refresh_s = time_s
 
-        t_idx = (
-            self._timeline.index_of(time_s) if self._timeline is not None else None
+        candidates = self.visibility.visible_satellites(
+            position,
+            time_s,
+            self.dish,
+            obstruction_fraction=sky.fraction,
+            blocked_sectors=self._sectors,
         )
-        if t_idx is not None:
-            candidates = self._timeline.visible(
-                t_idx,
-                self.dish,
-                obstruction_fraction=sky.fraction,
-                blocked_sectors=self._sectors,
-            )
-        else:
-            candidates = self.visibility.visible_satellites(
-                position,
-                time_s,
-                self.dish,
-                obstruction_fraction=sky.fraction,
-                blocked_sectors=self._sectors,
-            )
         state = self.handover.step(time_s, [c.index for c in candidates])
         serving_id = state.serving_satellite
         if serving_id != self._last_serving:
@@ -159,7 +145,7 @@ class StarlinkChannel:
         capacity_dl, capacity_ul = self._capacities(
             serving.elevation_deg, speed_kmh, sky.fraction, state.capacity_factor
         )
-        rtt_ms = self._rtt_ms(time_s, position, serving.index, t_idx=t_idx)
+        rtt_ms = self._rtt_ms(time_s, position, serving.index)
         loss = self._loss_rate(sky.fraction, speed_kmh, state.extra_loss)
         return LinkConditions(
             time_s=time_s,
@@ -208,23 +194,12 @@ class StarlinkChannel:
         ul = max(0.0, self.dish.peak_uplink_mbps * factor)
         return dl, ul
 
-    def _rtt_ms(
-        self,
-        time_s: float,
-        position: GeoPoint,
-        sat_index: int,
-        t_idx: int | None = None,
-    ) -> float:
+    def _rtt_ms(self, time_s: float, position: GeoPoint, sat_index: int) -> float:
         """Bent-pipe RTT plus PoP-to-server path and frame-grid jitter."""
-        if t_idx is not None:
-            space_rtt = self._timeline.bent_pipe_rtt_ms(
-                t_idx, sat_index, scheduling_ms=self.SCHEDULING_MS
-            )
-        else:
-            positions = self._positions(time_s)
-            space_rtt = self.gateways.bent_pipe_rtt_ms(
-                position, positions[sat_index], scheduling_ms=self.SCHEDULING_MS
-            )
+        positions = self._positions(time_s)
+        space_rtt = self.gateways.bent_pipe_rtt_ms(
+            position, positions[sat_index], scheduling_ms=self.SCHEDULING_MS
+        )
         jitter = float(self._gen.exponential(8.0))
         return space_rtt + 2.0 * self.POP_TO_SERVER_MS + jitter
 
@@ -239,16 +214,6 @@ class StarlinkChannel:
             base + motion_loss + handover_loss + burst + self.weather.extra_loss
         )
         return float(np.clip(total, 0.0, 1.0))
-
-    def attach_timeline(self, timeline) -> None:
-        """Use a precomputed :class:`repro.core.fastpath.GeometryTimeline`.
-
-        Seconds the timeline knows answer visibility and bent-pipe RTT
-        from the precomputed arrays (bit-identical to the per-sample
-        path); unknown seconds silently fall back to it.  Every random
-        draw stays in the channel, in the legacy order.
-        """
-        self._timeline = timeline
 
     def _positions(self, time_s: float) -> np.ndarray:
         """Constellation positions, cached for the current second."""

@@ -27,6 +27,12 @@ class HandoverState:
     serving_satellite: int  # index of the serving satellite, -1 if none
 
 
+#: The state of every second without a serving satellite.
+_NO_SERVICE = HandoverState(
+    in_handover=False, capacity_factor=0.0, extra_loss=1.0, serving_satellite=-1
+)
+
+
 class HandoverProcess:
     """Tracks the serving satellite across reconfiguration slots."""
 
@@ -40,6 +46,7 @@ class HandoverProcess:
         self._serving = -1
         self._slot = -1
         self._outage_until_s = -1.0
+        self._steady = _NO_SERVICE
 
     def step(
         self, time_s: float, candidate_indices: list[int]
@@ -76,12 +83,7 @@ class HandoverProcess:
             )
 
         if self._serving == -1:
-            return HandoverState(
-                in_handover=False,
-                capacity_factor=0.0,
-                extra_loss=1.0,
-                serving_satellite=-1,
-            )
+            return _NO_SERVICE
 
         if time_s < self._outage_until_s:
             # Within the switch gap: the fraction of this second lost.
@@ -93,12 +95,17 @@ class HandoverProcess:
                 serving_satellite=self._serving,
             )
 
-        return HandoverState(
-            in_handover=False,
-            capacity_factor=1.0,
-            extra_loss=0.0,
-            serving_satellite=self._serving,
-        )
+        # Steady service: the state only changes with the serving
+        # satellite, so one immutable state serves every second of it.
+        steady = self._steady
+        if steady.serving_satellite != self._serving:
+            steady = self._steady = HandoverState(
+                in_handover=False,
+                capacity_factor=1.0,
+                extra_loss=0.0,
+                serving_satellite=self._serving,
+            )
+        return steady
 
     def reset(self) -> None:
         """Forget the serving satellite (new test / power cycle)."""

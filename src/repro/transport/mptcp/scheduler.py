@@ -25,7 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Scheduler(Protocol):
-    """Given subflows with congestion-window space, choose one (or wait)."""
+    """Given subflows with congestion-window space, choose one (or wait).
+
+    ``available`` lists those subflows in ``connection.subflows`` order.
+    """
 
     def pick(
         self,
@@ -132,8 +135,30 @@ class Blest(SchedulerBase):
     def _pick(self, available, connection):
         if not available:
             return None
-        fastest_overall = _fastest(connection.subflows)
-        candidate = _fastest(available)
+        # ``_fastest(connection.subflows)`` and ``_fastest(available)`` in
+        # one scan.  ``available`` is an ordered subsequence of the
+        # subflows (the pump keeps it so), so a cursor into it meets each
+        # available subflow in turn; strict ``<`` keeps the first on a
+        # tie in both.
+        subflows = connection.subflows
+        fastest_overall = subflows[0]
+        fast_rtt = fastest_overall.smoothed_rtt_s
+        candidate = following = available[0]
+        cand_rtt = candidate.smoothed_rtt_s
+        cursor = 0
+        last = len(available) - 1
+        for sf in subflows:
+            rtt = sf.smoothed_rtt_s
+            if rtt < fast_rtt:
+                fastest_overall, fast_rtt = sf, rtt
+            if sf is following:
+                if rtt < cand_rtt:
+                    candidate, cand_rtt = sf, rtt
+                if cursor == last:
+                    following = None
+                else:
+                    cursor += 1
+                    following = available[cursor]
         if candidate is fastest_overall:
             return candidate
         # Only slower subflow(s) have space: estimate blocking.

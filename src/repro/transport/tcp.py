@@ -17,7 +17,7 @@ preserving window dynamics exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.packet import Packet, check_segment_bytes
 from repro.net.path import Path
@@ -45,7 +45,6 @@ class TcpStats:
     bytes_acked: int = 0
     rto_events: int = 0
     fast_retransmits: int = 0
-    rtt_samples: list[float] = field(default_factory=list)
 
     @property
     def retransmission_rate(self) -> float:
@@ -178,6 +177,7 @@ class TcpSender:
         self.smoothed_rtt_s = 1.0
         self._min_rtt = float("inf")
         self._rttvar = 0.0
+        self._rtt_seeded = False
         self._rto = 1.0
         # Looked up on each expiry, so subclasses may override _on_rto.
         self._rto_timer = Timer(sim, lambda: self._on_rto())
@@ -443,8 +443,7 @@ class TcpSender:
     def _rtt_sample(self, rtt_s: float) -> None:
         if rtt_s <= 0:
             return
-        samples = self.stats.rtt_samples
-        if samples:
+        if self._rtt_seeded:
             srtt = self.smoothed_rtt_s
             diff = srtt - rtt_s
             self._rttvar = 0.75 * self._rttvar + 0.25 * (diff if diff >= 0 else -diff)
@@ -452,7 +451,7 @@ class TcpSender:
         else:  # the first sample seeds the estimate
             srtt = rtt_s
             self._rttvar = rtt_s / 2.0
-        samples.append(rtt_s)
+            self._rtt_seeded = True
         if rtt_s < self._min_rtt:
             self._min_rtt = rtt_s
         self.smoothed_rtt_s = srtt

@@ -59,7 +59,7 @@ from repro.leo.geometry import look_angles_many
 from repro.leo.visibility import VisibilityModel
 from repro.obs import ObsRecorder
 from repro.rng import RngStreams
-from tests.helpers import store_bytes
+from tests.helpers import store_bytes, timeline_satellites
 
 #: Worker count for the parallel golden test (CI pins this to 2).
 EQUIV_WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "4"))
@@ -293,6 +293,12 @@ def test_cellular_channel_fast_matches_reference(carrier_name):
 # -- timeline vs. per-second geometry ------------------------------------
 
 
+def _second_sat_ids(timeline: GeometryTimeline, t_idx: int) -> list[int]:
+    """Satellite indices of every candidate row of one second, in order."""
+    lo, hi = timeline.offsets[t_idx], timeline.offsets[t_idx + 1]
+    return timeline.sat_ids[lo:hi]
+
+
 def test_timeline_visible_matches_visibility_model():
     """Precomputed candidate tables replay the reference visibility scan
     exactly — same satellites, same order, same floats — under random
@@ -308,9 +314,9 @@ def test_timeline_visible_matches_visibility_model():
         sectors = VisibilityModel.random_blocked_sectors(fraction, gen)
         t_idx = timeline.index_of(times[t])
         assert t_idx is not None
-        assert timeline.visible(
+        assert timeline_satellites(timeline, timeline.visible(
             t_idx, dish, obstruction_fraction=fraction, blocked_sectors=sectors
-        ) == visibility.visible_satellites(
+        )) == visibility.visible_satellites(
             points[t], times[t], dish,
             obstruction_fraction=fraction, blocked_sectors=sectors,
         )
@@ -326,11 +332,11 @@ def test_timeline_rtt_matches_gateway_network():
     for t in (0, 31, 77, 119):
         t_idx = timeline.index_of(times[t])
         positions = constellation.positions_ecef_km(times[t])
-        for candidate in timeline.visible(t_idx, dish)[:3]:
+        for row in timeline.visible(t_idx, dish)[:3]:
             assert timeline.bent_pipe_rtt_ms(
-                t_idx, candidate.index, scheduling_ms=2.5
+                row, scheduling_ms=2.5
             ) == gateways.bent_pipe_rtt_ms(
-                points[t], positions[candidate.index], scheduling_ms=2.5
+                points[t], positions[timeline.sat_ids[row]], scheduling_ms=2.5
             )
             checked += 1
     assert checked > 0
@@ -569,7 +575,7 @@ def test_plane_cull_keeps_every_visible_satellite(lat, lon, t0, step_s):
             point, constellation.positions_ecef_km(t)
         )
         expected = set(np.nonzero(elev >= FLOOR_DEG)[0].tolist())
-        got = set(timeline._cand_idx[timeline.index_of(t)])
+        got = set(_second_sat_ids(timeline, timeline.index_of(t)))
         assert got == expected
 
 
@@ -605,11 +611,13 @@ def test_lazy_rtt_matches_gateway_network_for_top_ranks():
     for t in range(90):
         t_idx = timeline.index_of(times[t])
         positions = constellation.positions_ecef_km(times[t])
-        for sat in timeline._cand_idx[t_idx][:2]:
+        first = timeline.offsets[t_idx]
+        for row in range(first, min(first + 2, timeline.offsets[t_idx + 1])):
+            sat = timeline.sat_ids[row]
             expected = gateways.bent_pipe_rtt_ms(points[t], positions[sat])
-            assert timeline.bent_pipe_rtt_ms(t_idx, sat) == expected
+            assert timeline.bent_pipe_rtt_ms(row) == expected
             # A repeat lookup is served from the cache, unchanged.
-            assert timeline.bent_pipe_rtt_ms(t_idx, sat) == expected
+            assert timeline.bent_pipe_rtt_ms(row) == expected
             checked += 1
     assert checked > 90
 

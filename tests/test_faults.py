@@ -1,6 +1,7 @@
 """Fault events, schedules, generation, and the channel injector."""
 
 import json
+import math
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.faults.events import (
 )
 from repro.geo.classify import AreaType
 from repro.geo.coords import GeoPoint
+from tests.helpers import deadline
 
 POSITION = GeoPoint(40.0, -95.0)
 
@@ -138,6 +140,73 @@ def test_generate_schedule_validation():
         generate_schedule(seed=0, num_drives=1, drive_duration_s=0.0)
     with pytest.raises(ValueError):
         generate_schedule(seed=0, num_drives=1, drive_duration_s=100.0, intensity=-1.0)
+
+
+def _rejected_fault_cases():
+    """(id, message fragment, constructor) rows that must raise at once."""
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        yield (
+            f"outage-start-{bad}",
+            "start_s",
+            lambda bad=bad: SatelliteOutage(start_s=bad, end_s=10.0),
+        )
+    for bad in (math.nan, math.inf, 5.0, 2.0):
+        yield (
+            f"outage-end-{bad}",
+            "end_s",
+            lambda bad=bad: SatelliteOutage(start_s=5.0, end_s=bad),
+        )
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        yield (
+            f"gateway-extra-rtt-{bad}",
+            "extra_rtt_ms",
+            lambda bad=bad: GatewayFailure(start_s=0.0, end_s=10.0, extra_rtt_ms=bad),
+        )
+        yield (
+            f"generate-intensity-{bad}",
+            "intensity",
+            lambda bad=bad: generate_schedule(
+                seed=0, num_drives=1, drive_duration_s=100.0, intensity=bad
+            ),
+        )
+    front = dict(start_s=0.0, end_s=10.0, center=POSITION)
+    for field, bads in (
+        ("radius_km", (math.nan, -math.inf, 0.0, -5.0)),
+        ("speed_kmh", (math.nan, math.inf, -math.inf, -1.0)),
+        ("bearing_deg", (math.nan, math.inf, -math.inf)),
+    ):
+        for bad in bads:
+            yield (
+                f"weather-{field}-{bad}",
+                field,
+                lambda field=field, bad=bad: WeatherFront(**front, **{field: bad}),
+            )
+    for bad in (math.nan, math.inf, -math.inf, 0.0):
+        yield (
+            f"generate-duration-{bad}",
+            "drive_duration_s",
+            lambda bad=bad: generate_schedule(
+                seed=0, num_drives=1, drive_duration_s=bad
+            ),
+        )
+
+
+REJECTED_FAULTS = list(_rejected_fault_cases())
+
+
+@pytest.mark.parametrize(
+    "match, build",
+    [(match, build) for _, match, build in REJECTED_FAULTS],
+    ids=[name for name, _, _ in REJECTED_FAULTS],
+)
+def test_fault_inputs_rejected_by_name(match, build):
+    """Every NaN, infinite or out-of-range window, RTT, weather-front
+    geometry or intensity is a ``ValueError`` naming the field, raised at
+    construction: a NaN window or front radius used to build an event
+    that is never active, and a NaN intensity used to fail inside
+    numpy's Poisson draw."""
+    with deadline(10.0), pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_event_from_dict_rejects_unknown_kind():

@@ -1,8 +1,6 @@
 """Validation paths of the iPerf harness + MpShell single-path runner."""
 
-import contextlib
 import math
-import signal
 
 import numpy as np
 import pytest
@@ -21,6 +19,7 @@ from repro.tools.iperf import (
     run_tcp_test,
     run_udp_test,
 )
+from tests.helpers import deadline
 
 
 def flat(rate=30.0, seconds=10):
@@ -60,27 +59,6 @@ def test_mptcp_two_flat_paths_aggregate():
     result = run_mptcp_test(traces, duration_s=10.0, buffer_segments=8192)
     assert result.throughput_mbps > 32.0  # more than either alone
     assert len(result.series_mbps) == 10
-
-
-class _Hang(Exception):
-    """Raised by :func:`_deadline` when a case runs past its time."""
-
-
-@contextlib.contextmanager
-def _deadline(seconds: float):
-    """Fail a case that runs past ``seconds`` instead of stalling the run:
-    a NaN or infinite duration used to make the simulator loop forever."""
-
-    def expire(signum, frame):
-        raise _Hang(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _fixed_path(sim):
@@ -180,7 +158,7 @@ def test_des_entry_points_reject_bad_inputs(build):
     """Every bad duration, segment size or buffer size ends in a
     ``ValueError`` at once: no hang, no fractional byte count, no silent
     empty run, no error from deep inside the simulation."""
-    with _deadline(10.0), pytest.raises(ValueError):
+    with deadline(10.0), pytest.raises(ValueError):
         build()
 
 
