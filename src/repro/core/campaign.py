@@ -38,7 +38,7 @@ from repro.core.dataset import (
     SecondSample,
     TestRecord,
     record_from_dict,
-    record_to_dict,
+    render_record,
 )
 from repro.core.fluid import FluidTcp
 from repro.faults import FaultInjector, FaultKind, FaultSchedule
@@ -67,7 +67,6 @@ from repro.resilience import (
 from repro.rng import RngStreams
 from repro.store import DriveCache, ShardStore
 from repro.store.commit import atomic_write_json
-from repro.store.shard import canonical_json
 from repro.tools.tracker import Tracker
 
 #: Devices the vehicle carries (5 networks measured at once).
@@ -465,13 +464,21 @@ class Campaign:
         self._cache: DriveCache | None = None
         #: Config fingerprint, cached for the artifact writers.
         self._fingerprint = self.config.fingerprint()
-        #: Canonical JSON of each record of a drive payload, keyed by the
-        #: payload's records list: ``id(records) -> (records, lines)``.
-        #: The entry holds the list, so no other object can take its id.
-        #: Only strings this process rendered (a shard writer's stream,
-        #: :meth:`_record_lines`) or verified (a cache read) go in; a
+        #: The two :func:`render_record` texts of each record of a drive
+        #: payload, keyed by the payload's records list: ``id(records) ->
+        #: (records, lines, bodies)``.  The entry holds the list, so no
+        #: other object can take its id.  Only strings this process
+        #: rendered from those very records (:meth:`_run_tests`,
+        #: :meth:`_record_lines`, :meth:`_render_shard_record`) go in; a
         #: worker's strings never reach the parent.
-        self._record_json: dict[int, tuple[list[TestRecord], list[str]]] = {}
+        self._record_texts: dict[
+            int, tuple[list[TestRecord], list[str], list[str]]
+        ] = {}
+        #: What :meth:`_render_shard_record` made of each record body a
+        #: shard read handed it, keyed by the body dict: ``id(body) ->
+        #: (body, record, line, text)``.  Emptied once the read's
+        #: payloads are built.
+        self._decoded: dict[int, tuple[dict, TestRecord, str, str]] = {}
 
     # -- public API -----------------------------------------------------
 
@@ -513,7 +520,7 @@ class Campaign:
         self._drive_rows = []
         self._resilience = ResilienceReport()
         self._fingerprint = fingerprint
-        self._record_json = {}
+        self._record_texts = {}
         self._shard_store = (
             ShardStore(checkpoint_path, fingerprint)
             if checkpoint_path is not None
@@ -586,7 +593,7 @@ class Campaign:
         """Recover the shard store, folding repairs into the report."""
         obs = self.obs
         store = self._shard_store
-        raw, recovery = store.load()
+        raw, recovery = store.load(render=self._render_shard_record)
         if recovery.manifest_quarantined is not None:
             self._resilience.integrity_failures += 1
             self._resilience.checkpoint_quarantined = recovery.manifest_quarantined
@@ -600,7 +607,9 @@ class Campaign:
             # their metric snapshots lived in the lost manifest and a
             # resumed run must still produce the clean-run manifest.
             if not obs.enabled:
-                raw = store.adopt_orphans(range(self.config.num_drives))
+                raw = store.adopt_orphans(
+                    range(self.config.num_drives), render=self._render_shard_record
+                )
         if recovery.shards_quarantined:
             count = len(recovery.shards_quarantined)
             self._resilience.integrity_failures += count
@@ -617,10 +626,12 @@ class Campaign:
         ):
             self._resilience.drives_salvaged += len(raw)
             obs.counter("resilience.drives_salvaged").inc(len(raw))
-        return {
-            drive_id: _payload_from_raw(payload)
+        payloads = {
+            drive_id: self._payload_from_raw(payload)
             for drive_id, payload in raw.items()
         }
+        self._decoded.clear()
+        return payloads
 
     def _restore_from_cache(
         self, routes: list[Route], drive_payloads: dict[int, dict], fingerprint: str
@@ -643,7 +654,9 @@ class Campaign:
             for drive_id, route in enumerate(routes):
                 if drive_id in drive_payloads:
                     continue
-                data, quarantined = cache.get(fingerprint, drive_id)
+                data, quarantined = cache.get(
+                    fingerprint, drive_id, render=self._render_shard_record
+                )
                 if quarantined is not None:
                     self._resilience.integrity_failures += 1
                     obs.counter(
@@ -651,13 +664,11 @@ class Campaign:
                     ).inc()
                     obs.counter("store.cache_quarantined").inc()
                 if data is None or (obs.enabled and not data.meta.get("metrics")):
+                    self._decoded.clear()
                     obs.counter("store.cache_misses").inc()
                     continue
-                payload = _payload_from_raw(data.payload())
-                self._record_json[id(payload["records"])] = (
-                    payload["records"],
-                    data.record_json,
-                )
+                payload = self._payload_from_raw(data.payload())
+                self._decoded.clear()
                 drive_payloads[drive_id] = payload
                 hits += 1
                 obs.counter("store.cache_hits").inc()
@@ -682,17 +693,51 @@ class Campaign:
     def _record_lines(self, records: list[TestRecord]) -> list[str]:
         """Canonical JSON of each record of one drive payload.
 
-        Reuses the strings kept for this list and renders (and keeps)
-        them otherwise, so a drive's records are rendered at most once
-        per process for its shard, its cache entry and the dataset
-        digest.
+        Reuses the texts kept for this list and renders (and keeps) both
+        of them otherwise, so a drive's records are rendered at most
+        once per process for its shard, its cache entry and the
+        dataset's digest and body.
         """
-        kept = self._record_json.get(id(records))
+        kept = self._record_texts.get(id(records))
         if kept is not None:
             return kept[1]
-        lines = [canonical_json(record_to_dict(r)) for r in records]
-        self._record_json[id(records)] = (records, lines)
+        texts = [render_record(r) for r in records]
+        lines = [line for line, _ in texts]
+        self._record_texts[id(records)] = (records, lines, [body for _, body in texts])
         return lines
+
+    def _render_shard_record(self, body: dict) -> str:
+        """Record renderer for shard reads (see ``read_shard``).
+
+        Decodes the body, renders the record once and keeps the record
+        and both texts for :meth:`_payload_from_raw`, so the render that
+        proves a line canonical is the one ``save_json`` splices.  A
+        body that does not decode raises, and the read judges that line
+        with the generic check.
+        """
+        record = record_from_dict(body)
+        line, text = render_record(record)
+        self._decoded[id(body)] = (body, record, line, text)
+        return line
+
+    def _payload_from_raw(self, raw: dict) -> dict:
+        """JSON-level drive payload -> in-memory payload.
+
+        When a shard read decoded and rendered every record
+        (:meth:`_render_shard_record`), its records and texts are taken
+        as they are; otherwise every record is decoded here.
+        """
+        meta = {k: v for k, v in raw.items() if k != "records"}
+        decoded = [self._decoded.get(id(body)) for body in raw["records"]]
+        if None in decoded:
+            return {**meta, "records": [record_from_dict(r) for r in raw["records"]]}
+        records = [record for _, record, _, _ in decoded]
+        self._record_texts[id(records)] = (
+            records,
+            [line for _, _, line, _ in decoded],
+            [text for _, _, _, text in decoded],
+        )
+        return {**meta, "records": records}
 
     def _run_drives_serial(
         self, routes: list[Route], drive_payloads: dict[int, dict], shutdown
@@ -849,9 +894,10 @@ class Campaign:
         checkpoint_path: str | os.PathLike | None,
     ) -> DriveDataset:
         records: list[TestRecord] = []
-        # The kept canonical lines of every record, or None as soon as
-        # one drive has none (the dataset digest then renders them).
+        # The kept texts of every record, or None as soon as one drive
+        # has none (save_json then renders the records itself).
         record_json: list[str] | None = []
+        record_body: list[str] | None = []
         trace_minutes = 0.0
         distance_km = 0.0
         area_counts = {area: 0 for area in AreaType}
@@ -861,11 +907,12 @@ class Campaign:
         for drive_id in sorted(drive_payloads):
             payload = drive_payloads[drive_id]
             records.extend(payload["records"])
-            kept = self._record_json.get(id(payload["records"]))
-            if record_json is not None and kept is not None:
+            kept = self._record_texts.get(id(payload["records"]))
+            if kept is None:
+                record_json = record_body = None
+            elif record_json is not None and record_body is not None:
                 record_json.extend(kept[1])
-            else:
-                record_json = None
+                record_body.extend(kept[2])
             trace_minutes += payload["trace_minutes"]
             distance_km += payload["distance_km"]
             for area_value, count in payload["area_counts"].items():
@@ -902,6 +949,7 @@ class Campaign:
             distance_km=distance_km,
             area_proportions=proportions,
             record_json=record_json,
+            record_body=record_body,
         )
 
     def _simulate_drive(self, drive_id: int, route: Route) -> dict:
@@ -918,10 +966,10 @@ class Campaign:
         a crash mid-drive loses at most the record being written.  The
         stream is a durability optimization only: the committing parent
         re-derives the expected shard bytes from the payload and trusts
-        the streamed file only when identical.  The writer's record
-        strings are kept for this process (a worker's stay in the
-        worker), so the commit, the cache entry and the dataset digest
-        splice them instead of rendering each record again.
+        the streamed file only when identical.  The record texts
+        rendered for the stream are kept for this process (a worker's
+        stay in the worker), so the commit, the cache entry and the
+        dataset splice them instead of rendering each record again.
         """
         cfg = self.config
         drive_rng = self.rng.fork(drive_id)
@@ -973,7 +1021,7 @@ class Campaign:
             else None
         )
         try:
-            drive_records, _ = self._run_tests(
+            drive_records, bodies = self._run_tests(
                 drive_id, tracker, channels, drive_id * TEST_ID_STRIDE, sink=writer
             )
         except BaseException:
@@ -990,7 +1038,11 @@ class Campaign:
         }
         if writer is not None:
             writer.finish({k: v for k, v in payload.items() if k != "records"})
-            self._record_json[id(drive_records)] = (drive_records, writer.record_json)
+            self._record_texts[id(drive_records)] = (
+                drive_records,
+                writer.record_json,
+                bodies,
+            )
         return payload
 
     def _routes(self) -> list[Route]:
@@ -1118,10 +1170,13 @@ class Campaign:
         channels: dict[str, object],
         test_id: int,
         sink=None,
-    ) -> tuple[list[TestRecord], int]:
+    ) -> tuple[list[TestRecord], list[str] | None]:
         """Run every scheduled test window; ``sink`` (a
         :class:`repro.store.ShardWriter`) receives each completed record
         as it exists, streaming results to durable storage mid-drive.
+        Returns the records and, with a sink, each record's
+        ``dataset.json`` body: every record is rendered once
+        (:func:`render_record`), its canonical line to the sink.
 
         Each window runs network by network, each network second by
         second.  That order gives the same bits as sampling all five
@@ -1131,6 +1186,7 @@ class Campaign:
         """
         cfg = self.config
         records: list[TestRecord] = []
+        bodies: list[str] | None = None if sink is None else []
         if cfg.fastpath:
             # Scalar-lane stepper, bit-identical to FluidTcp (same RNG
             # stream consumption; see repro.core.fastpath.fluid).
@@ -1237,21 +1293,12 @@ class Campaign:
                 )
                 test_id += 1
             records.extend(window_records)
-            if sink is not None:
+            if bodies is not None:
                 for record in window_records:
-                    sink.append(record_to_dict(record))
-        return records, test_id
-
-
-# -- payloads ------------------------------------------------------------
-
-
-def _payload_from_raw(raw: dict) -> dict:
-    """JSON-level drive payload -> in-memory payload (records rebuilt)."""
-    return {
-        **{k: v for k, v in raw.items() if k != "records"},
-        "records": [record_from_dict(r) for r in raw["records"]],
-    }
+                    line, body = render_record(record)
+                    sink.append(line)
+                    bodies.append(body)
+        return records, bodies
 
 
 def run_campaign(

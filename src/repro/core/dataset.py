@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from repro.geo.classify import AreaType
+from repro.store.shard import canonical_json
 
 #: Canonical network identifiers, matching the paper's abbreviations.
 NETWORKS = ("RM", "MOB", "ATT", "TM", "VZ")
@@ -96,11 +97,12 @@ class TestRecord:
 def record_to_dict(rec: TestRecord) -> dict:
     """JSON-safe dict for one test record (samples included).
 
-    Shared by :meth:`DriveDataset.save_json` and the campaign's
-    checkpoint writer, so both persist records identically.  Keys come
-    in field order with ``samples`` last; values are the field objects
-    themselves (a ``numpy.float64`` stays one) except ``area``, which is
-    written as its ``.value``.
+    The reference encoding of every persisted record: the two texts of
+    :func:`render_record` are ``canonical_json`` and ``json.dumps`` of
+    it, and it renders the records those value texts cannot print.
+    Keys come in field order with ``samples`` last; values are the
+    field objects themselves (a ``numpy.float64`` stays one) except
+    ``area``, which is written as its ``.value``.
     """
     return {
         "test_id": rec.test_id,
@@ -192,6 +194,110 @@ def record_from_dict(raw: dict) -> TestRecord:
     )
 
 
+# -- one render, two texts ---------------------------------------------------
+#
+# A record's canonical line (sorted keys, "," and ":") and its dataset.json
+# body (field order, ", " and ": ") print the same value texts; only the
+# key order and the separators differ.  Each template below is one of the
+# two forms with a ``%s`` slot per value.
+
+_SAMPLE_LINE = (
+    '{"area":%s,"lat_deg":%s,"lon_deg":%s,"loss_rate":%s,'
+    '"rtt_ms":%s,"speed_kmh":%s,"throughput_mbps":%s,"time_s":%s}'
+)
+_SAMPLE_BODY = (
+    '{"time_s": %s, "throughput_mbps": %s, "rtt_ms": %s, "loss_rate": %s, '
+    '"speed_kmh": %s, "area": %s, "lat_deg": %s, "lon_deg": %s}'
+)
+_RECORD_LINE = (
+    '{"direction":%s,"drive_id":%s,"network":%s,"parallel":%s,"protocol":%s,'
+    '"retransmission_rate":%s,"samples":[%s],"test_id":%s}'
+)
+_RECORD_BODY = (
+    '{"test_id": %s, "drive_id": %s, "network": %s, "protocol": %s, '
+    '"direction": %s, "parallel": %s, "retransmission_rate": %s, "samples": [%s]}'
+)
+#: JSON text of each area's value.  Looked up by ``_value_``, the plain
+#: attribute behind ``.value``: hashing the member runs ``Enum.__hash__``.
+_AREA_JSON = {area.value: json.dumps(area.value) for area in AreaType}
+_float_repr = float.__repr__
+
+
+def _render_tokens(rec: TestRecord) -> tuple[str, str] | None:
+    """:func:`render_record` from value texts, or ``None`` if not exact.
+
+    Both encoders print a finite ``float`` as ``float.__repr__``, an
+    ``int`` as ``int.__repr__`` and a ``str`` as ``json.dumps`` does, and
+    nothing else is taken here: a ``numpy.float64``, an ``int`` or
+    ``bool`` in a float slot, a ``bool`` or ``float`` in an int slot, a
+    NaN or an infinity (``repr`` gives ``nan``, JSON ``NaN``) or an area
+    that is not an :class:`AreaType` returns ``None``.
+    """
+    test_id, drive_id, parallel = rec.test_id, rec.drive_id, rec.parallel
+    network, protocol, direction = rec.network, rec.protocol, rec.direction
+    retx = rec.retransmission_rate
+    if not (
+        type(test_id) is type(drive_id) is type(parallel) is int
+        and type(network) is type(protocol) is type(direction) is str
+        and type(retx) is float
+        and retx - retx == 0.0
+    ):
+        return None
+    lines: list[str] = []
+    bodies: list[str] = []
+    line_append = lines.append
+    body_append = bodies.append
+    r = _float_repr
+    for s in rec.samples:
+        t, tp, rtt = s.time_s, s.throughput_mbps, s.rtt_ms
+        loss, speed, lat, lon = s.loss_rate, s.speed_kmh, s.lat_deg, s.lon_deg
+        area = s.area
+        if not (
+            type(t) is type(tp) is type(rtt) is type(loss) is float
+            and type(speed) is type(lat) is type(lon) is float
+            and type(area) is AreaType
+        ):
+            return None
+        # x - x is 0.0 for a finite float and NaN for NaN or an infinity.
+        if (t - t) + (tp - tp) + (rtt - rtt) + (loss - loss) + (
+            speed - speed
+        ) + (lat - lat) + (lon - lon) != 0.0:
+            return None
+        a = _AREA_JSON[area._value_]
+        t, tp, rtt, loss = r(t), r(tp), r(rtt), r(loss)
+        speed, lat, lon = r(speed), r(lat), r(lon)
+        line_append(_SAMPLE_LINE % (a, lat, lon, loss, rtt, speed, tp, t))
+        body_append(_SAMPLE_BODY % (t, tp, rtt, loss, speed, a, lat, lon))
+    test_id, drive_id, parallel = repr(test_id), repr(drive_id), repr(parallel)
+    network, protocol = json.dumps(network), json.dumps(protocol)
+    direction, retx = json.dumps(direction), r(retx)
+    samples_line, samples_body = ",".join(lines), ", ".join(bodies)
+    return (
+        _RECORD_LINE
+        % (direction, drive_id, network, parallel, protocol, retx, samples_line, test_id),
+        _RECORD_BODY
+        % (test_id, drive_id, network, protocol, direction, parallel, retx, samples_body),
+    )
+
+
+def render_record(rec: TestRecord) -> tuple[str, str]:
+    """``(line, body)``: the two JSON texts of one record, in one pass.
+
+    ``line`` equals ``canonical_json(record_to_dict(rec))``, the
+    record's shard line body; ``body`` equals
+    ``json.dumps(record_to_dict(rec))``, its entry in ``dataset.json``.
+    Each value is printed once and both fixed templates are filled from
+    those texts.  A record holding any value the texts cannot reproduce
+    exactly (see :func:`_render_tokens`) is rendered by those two
+    formulas instead.
+    """
+    texts = _render_tokens(rec)
+    if texts is None:
+        encoded = record_to_dict(rec)
+        texts = canonical_json(encoded), json.dumps(encoded)
+    return texts
+
+
 def _widen(line: str, samples: int) -> str | None:
     """``json.dumps(record, sort_keys=True)`` from its canonical line.
 
@@ -213,13 +319,13 @@ def _widen(line: str, samples: int) -> str | None:
 class DriveDataset:
     """Everything one campaign produced.
 
-    ``record_json``, when given, is the canonical JSON
-    (:func:`repro.store.shard.canonical_json`) of :func:`record_to_dict`
-    of each record, in order — strings the caller rendered or verified
-    itself.  :meth:`save_json` derives the embedded digest from them
-    instead of rendering every record a second time, for as long as
-    :attr:`records` holds those same record objects in that order.
-    Records are values: replace one rather than mutating it in place.
+    ``record_json`` and ``record_body``, when given, hold the two texts
+    of :func:`render_record` for each record, in order — the canonical
+    line and the ``dataset.json`` body — strings the caller rendered or
+    verified itself.  :meth:`save_json` splices them instead of
+    rendering the records again, for as long as :attr:`records` holds
+    those same record objects in that order.  Records are values:
+    replace one rather than mutating it in place.
     """
 
     def __init__(
@@ -229,19 +335,27 @@ class DriveDataset:
         distance_km: float = 0.0,
         area_proportions: dict[AreaType, float] | None = None,
         record_json: list[str] | None = None,
+        record_body: list[str] | None = None,
     ):
         self.records = list(records)
         self.trace_minutes = trace_minutes
         self.distance_km = distance_km
         self.area_proportions = area_proportions or {}
-        self._record_json: tuple[tuple[TestRecord, ...], list[str]] | None = None
-        if record_json is not None:
-            if len(record_json) != len(self.records):
+        for name, texts in (("record_json", record_json), ("record_body", record_body)):
+            if texts is not None and len(texts) != len(self.records):
                 raise ValueError(
-                    f"record_json has {len(record_json)} lines for "
-                    f"{len(self.records)} records"
+                    f"{name} has {len(texts)} lines for {len(self.records)} records"
                 )
-            self._record_json = (tuple(self.records), list(record_json))
+        #: ``(records, lines, bodies)`` as given, or None.
+        self._record_texts: (
+            tuple[tuple[TestRecord, ...], list[str] | None, list[str] | None] | None
+        ) = None
+        if record_json is not None or record_body is not None:
+            self._record_texts = (
+                tuple(self.records),
+                None if record_json is None else list(record_json),
+                None if record_body is None else list(record_body),
+            )
 
     # -- selection ---------------------------------------------------------
 
@@ -317,14 +431,19 @@ class DriveDataset:
         byte-identical.  The write goes through the atomic commit
         protocol (:mod:`repro.store.commit`): tmp file, fsync, rename,
         directory fsync — a crash never leaves a torn dataset under the
-        real name.  With kept ``record_json`` lines the digest splices
-        them in (widened, see :func:`_widen`), so each record is
-        rendered once here, for the file body.
+        real name.
+
+        The bytes are ``json.dumps(payload)`` of the payload
+        ``{"trace_minutes", "distance_km", "area_proportions",
+        "records", "digest"}``, assembled from per-record texts: each
+        record's body is spliced in as :func:`render_record` gives it
+        (kept from the run, or rendered here once), and the digest hashes
+        its canonical line widened (see :func:`_widen`).
         """
         from repro.resilience.integrity import DIGEST_KEY, payload_digest
-        from repro.store.commit import atomic_write_json
+        from repro.store.commit import atomic_write_bytes
 
-        payload = {
+        head = {
             "trace_minutes": self.trace_minutes,
             "distance_km": self.distance_km,
             # Sorted: two datasets with equal proportions must
@@ -337,28 +456,58 @@ class DriveDataset:
                     key=lambda item: item[0].value,
                 )
             },
-            "records": [record_to_dict(rec) for rec in self.records],
         }
-        records_text = self._sorted_records_json()
-        payload[DIGEST_KEY] = payload_digest(
-            payload, None if records_text is None else {"records": records_text}
+        lines, bodies = self._kept_texts()
+        if lines is None or bodies is None:
+            texts = [render_record(rec) for rec in self.records]
+            lines = [line for line, _ in texts]
+            bodies = [body for _, body in texts]
+        records_text = self._sorted_records_json(lines)
+        if records_text is None:
+            digest = payload_digest(
+                {**head, "records": [record_to_dict(rec) for rec in self.records]}
+            )
+        else:
+            # The records value is never read: its text is given.
+            digest = payload_digest(
+                {**head, "records": None}, {"records": records_text}
+            )
+        text = "".join(
+            (
+                json.dumps(head)[:-1],
+                ', "records": [',
+                ", ".join(bodies),
+                f"], {json.dumps(DIGEST_KEY)}: {json.dumps(digest)}}}",
+            )
         )
-        atomic_write_json(path, payload, boundary="dataset")
+        atomic_write_bytes(path, text.encode("utf-8"), boundary="dataset")
 
-    def _sorted_records_json(self) -> str | None:
-        """``json.dumps(records, sort_keys=True)`` from the kept lines.
+    def _kept_texts(self) -> tuple[list[str] | None, list[str] | None]:
+        """The given ``(lines, bodies)``, each None when not given.
 
-        ``None`` unless :attr:`records` still holds exactly the records
-        the lines were rendered from, in order, and every line widens
-        exactly (see :func:`_widen`).
+        Both are None unless :attr:`records` still holds exactly the
+        records the texts were rendered from, in order.
         """
-        if self._record_json is None:
-            return None
-        rendered, lines = self._record_json
+        if self._record_texts is None:
+            return None, None
+        rendered, lines, bodies = self._record_texts
         if len(rendered) != len(self.records) or not all(
             map(operator.is_, rendered, self.records)
         ):
-            return None
+            return None, None
+        return lines, bodies
+
+    def _sorted_records_json(self, lines: list[str] | None = None) -> str | None:
+        """``json.dumps(records, sort_keys=True)`` from canonical lines.
+
+        ``lines`` default to the kept ones (see :meth:`_kept_texts`).
+        ``None`` when there are none, or unless every line widens
+        exactly (see :func:`_widen`).
+        """
+        if lines is None:
+            lines = self._kept_texts()[0]
+            if lines is None:
+                return None
         widened: list[str] = []
         for rec, line in zip(self.records, lines):
             wide = _widen(line, len(rec.samples))

@@ -59,6 +59,10 @@ __all__ = [
 ]
 
 
+#: The sample of every deep-blockage second (frozen, so one serves all).
+_DEEP_BLOCKAGE = ObstructionSample(fraction=0.95, deep_blockage=True)
+
+
 def _adopt(fast_cls, legacy):
     """Rebind a freshly-constructed legacy component to its fast subclass.
 
@@ -82,6 +86,15 @@ class ObstructionProcessFast(ObstructionProcess):
     _area_cache: tuple[AreaType | None, float, float] = (None, 0.0, 0.0)
 
     def step(self, area: AreaType) -> ObstructionSample:
+        fraction = self.step_fraction(area)
+        if fraction is None:
+            return _DEEP_BLOCKAGE
+        return ObstructionSample(fraction=fraction, deep_blockage=False)
+
+    def step_fraction(self, area: AreaType) -> float | None:
+        """:meth:`step` without the sample: the blocked fraction of the
+        sky this second, or ``None`` inside a deep-blockage episode (whose
+        sample is always the same, fraction 0.95)."""
         cached = self._area_cache
         if cached[0] is not area:
             cached = (area, _MEAN_OBSTRUCTION[area], _EPISODE_RATE[area])
@@ -93,13 +106,13 @@ class ObstructionProcessFast(ObstructionProcess):
 
         if self._episode_left_s > 0:
             self._episode_left_s -= 1
-            return ObstructionSample(fraction=0.95, deep_blockage=True)
+            return None
 
         if self._rng.random() < cached[2]:
             self._episode_left_s = int(self._rng.integers(3, 13))
-            return ObstructionSample(fraction=0.95, deep_blockage=True)
+            return None
 
-        return ObstructionSample(fraction=self._fraction, deep_blockage=False)
+        return self._fraction
 
 
 class CellularChannelFast(CellularChannel):
@@ -293,14 +306,13 @@ class StarlinkChannelFast(StarlinkChannel):
             return StarlinkChannel.sample(self, time_s, position, speed_kmh, area)
         # Same control flow as the reference method, on table rows.
         self._m_samples.inc()
-        sky = self.obstruction.step(area)
-        if sky.deep_blockage:
+        fraction = self.obstruction.step_fraction(area)
+        if fraction is None:  # deep blockage
             self.handover.step(time_s, [])
             self._last_serving = -1
             self._m_outage.inc()
             return outage(time_s)
 
-        fraction = sky.fraction
         if time_s - self._sector_refresh_s > 30.0:
             self._sectors = VisibilityModel.random_blocked_sectors(
                 fraction, self._gen
@@ -319,9 +331,7 @@ class StarlinkChannelFast(StarlinkChannel):
         if serving_id == -1:
             self._m_outage.inc()
             return outage(time_s)
-        if serving_id not in candidates:
-            self._m_outage.inc()
-            return outage(time_s, loss_burst=self.LOSS_BURST)
+        # The handover process only ever serves one of ``candidates``.
         row = rows[candidates.index(serving_id)]
 
         capacity_dl, capacity_ul = self._capacities(

@@ -131,17 +131,9 @@ class StarlinkChannel:
             self._m_outage.inc()
             return outage(time_s)
 
-        serving = next(
-            (c for c in candidates if c.index == state.serving_satellite),
-            None,
-        )
-        if serving is None:
-            # The handover process can keep reporting a satellite that has
-            # already slipped below the mask or behind an obstruction;
-            # that is a tracking gap, not a programming error.
-            self._m_outage.inc()
-            return outage(time_s, loss_burst=self.LOSS_BURST)
-
+        # The handover process only ever serves a satellite from the
+        # candidate list it was just given.
+        serving = next(c for c in candidates if c.index == serving_id)
         capacity_dl, capacity_ul = self._capacities(
             serving.elevation_deg, speed_kmh, sky.fraction, state.capacity_factor
         )

@@ -85,7 +85,7 @@ from repro.serve.jobs import (
     spec_to_config,
 )
 from repro.serve.journal import JOURNAL_NAME, JobJournal
-from repro.store.cache import DriveCache
+from repro.store.cache import DriveCache, check_max_bytes
 from repro.store.commit import atomic_write_json, fsync_dir
 
 INBOX_DIR = "inbox"
@@ -153,11 +153,7 @@ class ServiceConfig:
             raise ValueError(
                 f"poll_interval_s must be positive, got {self.poll_interval_s}"
             )
-        if self.cache_max_bytes is not None and self.cache_max_bytes < 0:
-            # gc() would read a negative bound as "evict everything".
-            raise ValueError(
-                f"cache_max_bytes must be >= 0 or None, got {self.cache_max_bytes}"
-            )
+        self.cache_max_bytes = check_max_bytes(self.cache_max_bytes, "cache_max_bytes")
         if self.isolation == "fork" and not hasattr(os, "fork"):
             self.isolation = "inline"
 

@@ -40,9 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command != "gc":
         raise AssertionError(f"unhandled command {args.command!r}")
+    if args.max_bytes is not None and args.max_bytes < 0:
+        parser.error(f"--max-bytes must be >= 0, got {args.max_bytes}")
     cache = DriveCache(args.cache_dir)
     result = cache.gc(max_bytes=args.max_bytes, dry_run=args.dry_run)
     verb = "would evict" if args.dry_run else "evicted"

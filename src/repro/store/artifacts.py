@@ -50,6 +50,7 @@ from typing import Any
 from repro.resilience.integrity import embed_digest, quarantine, verify_digest
 from repro.store.commit import atomic_write_bytes, atomic_write_json
 from repro.store.shard import (
+    RecordRenderer,
     ShardCorruptError,
     ShardWriter,
     build_shard_bytes,
@@ -117,11 +118,14 @@ class ShardStore:
 
     # -- recovery / resume ------------------------------------------------
 
-    def load(self) -> tuple[dict[int, dict[str, Any]], StoreRecovery]:
+    def load(
+        self, render: RecordRenderer | None = None
+    ) -> tuple[dict[int, dict[str, Any]], StoreRecovery]:
         """Recover committed drives; returns ``(raw_payloads, recovery)``.
 
         Raw payloads are JSON-level (records as dicts): the campaign
         rebuilds :class:`~repro.core.dataset.TestRecord` objects itself.
+        ``render`` is passed to :func:`~repro.store.shard.read_shard`.
         """
         recovery = StoreRecovery()
         payloads: dict[int, dict[str, Any]] = {}
@@ -133,7 +137,7 @@ class ShardStore:
         if raw is not None:
             for key, entry in raw.get("drives", {}).items():
                 drive_id = int(key)
-                payload = self._load_shard(drive_id, entry, recovery)
+                payload = self._load_shard(drive_id, entry, recovery, render)
                 if payload is not None:
                     payloads[drive_id] = payload
                     self._entries[drive_id] = entry
@@ -178,13 +182,19 @@ class ShardStore:
         return None
 
     def _load_shard(
-        self, drive_id: int, entry: dict[str, Any], recovery: StoreRecovery
+        self,
+        drive_id: int,
+        entry: dict[str, Any],
+        recovery: StoreRecovery,
+        render: RecordRenderer | None,
     ) -> dict[str, Any] | None:
         path = os.path.join(self.root, entry.get("shard", shard_name(drive_id)))
         if not os.path.exists(path):
             return None  # lost shard: the drive simply recomputes
         try:
-            data = read_shard(path, fingerprint=self.fingerprint, drive_id=drive_id)
+            data = read_shard(
+                path, fingerprint=self.fingerprint, drive_id=drive_id, render=render
+            )
             if data.head != entry.get("head") or len(data.records) != entry.get(
                 "records"
             ):
@@ -201,14 +211,17 @@ class ShardStore:
             payload["metrics"] = metrics
         return payload
 
-    def adopt_orphans(self, drive_ids: Iterable[int]) -> dict[int, dict[str, Any]]:
+    def adopt_orphans(
+        self, drive_ids: Iterable[int], render: RecordRenderer | None = None
+    ) -> dict[int, dict[str, Any]]:
         """Re-admit shards that strictly verify without a manifest.
 
         After a quarantined manifest, each intact shard still proves
         itself (chain, end line, header fingerprint and drive id).  The
         shards that pass become committed entries again and their raw
         payloads are returned; damaged ones are left for :meth:`commit`
-        to overwrite once their drives recompute.
+        to overwrite once their drives recompute.  ``render`` is passed
+        to :func:`~repro.store.shard.read_shard`.
         """
         payloads: dict[int, dict[str, Any]] = {}
         for drive_id in drive_ids:
@@ -216,7 +229,9 @@ class ShardStore:
             if not os.path.exists(path):
                 continue
             try:
-                data = read_shard(path, fingerprint=self.fingerprint, drive_id=drive_id)
+                data = read_shard(
+                    path, fingerprint=self.fingerprint, drive_id=drive_id, render=render
+                )
             except ShardCorruptError:
                 continue
             payloads[drive_id] = data.payload()

@@ -27,6 +27,7 @@ collection from the command line.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Any
@@ -34,7 +35,33 @@ from typing import Any
 from repro.resilience.integrity import quarantine
 from repro.store.artifacts import shard_name
 from repro.store.commit import atomic_write_bytes, fsync_dir
-from repro.store.shard import ShardCorruptError, ShardData, build_shard_bytes, read_shard
+from repro.store.shard import (
+    RecordRenderer,
+    ShardCorruptError,
+    ShardData,
+    build_shard_bytes,
+    read_shard,
+)
+
+
+def check_max_bytes(value: object, name: str = "max_bytes") -> int | None:
+    """``value`` as a cache bound: ``None`` or an integer >= 0.
+
+    Anything else is a ``ValueError`` naming ``name``: NaN, an infinity
+    or ``1.5`` (a bound counts bytes), ``True`` (a ``bool`` is an ``int``
+    to Python but never a size), or a negative count.  Each guard fails
+    for NaN; a NaN bound used to make :meth:`DriveCache.gc` evict every
+    entry, since ``bytes <= nan`` is never true.
+    """
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(
+            f"{name} must be an integer byte count or None, got {value!r}"
+        )
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0 or None, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -71,20 +98,19 @@ class DriveCache:
 
     ``max_bytes`` bounds the cache: every :meth:`put` collects down to
     the bound, oldest entries first.  ``None`` (the default) keeps the
-    historical unbounded behaviour.
+    historical unbounded behaviour.  A bound that is not an integer
+    >= 0 is a ``ValueError`` (see :func:`check_max_bytes`).
     """
 
     def __init__(self, root: str | os.PathLike, max_bytes: int | None = None):
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
+        self.max_bytes = check_max_bytes(max_bytes)
         self.root = os.fspath(root)
-        self.max_bytes = max_bytes
 
     def entry_path(self, fingerprint: str, drive_id: int) -> str:
         return os.path.join(self.root, fingerprint, shard_name(drive_id))
 
     def get(
-        self, fingerprint: str, drive_id: int
+        self, fingerprint: str, drive_id: int, render: RecordRenderer | None = None
     ) -> tuple[ShardData | None, str | None]:
         """``(shard, quarantined_path)`` for one cache lookup.
 
@@ -96,11 +122,14 @@ class DriveCache:
         aside and reported as ``(None, <quarantine path>)`` so the
         caller recomputes.  An entry that vanishes during the lookup
         (a concurrent ``python -m repro.store gc`` evicted it) is a
-        plain miss.
+        plain miss.  ``render`` is passed to
+        :func:`~repro.store.shard.read_shard`.
         """
         path = self.entry_path(fingerprint, drive_id)
         try:
-            data = read_shard(path, fingerprint=fingerprint, drive_id=drive_id)
+            data = read_shard(
+                path, fingerprint=fingerprint, drive_id=drive_id, render=render
+            )
         except FileNotFoundError:
             return None, None
         except (ShardCorruptError, ValueError):
@@ -172,8 +201,9 @@ class DriveCache:
         deterministic — (mtime, then relative path) — so identical cache
         states collect identically.
         """
-        if max_bytes is None:
-            max_bytes = self.max_bytes
+        max_bytes = (
+            self.max_bytes if max_bytes is None else check_max_bytes(max_bytes)
+        )
         result = CacheGcResult()
         if not dry_run:
             result.tmp_removed = self._sweep_tmp_debris()

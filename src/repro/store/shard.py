@@ -31,10 +31,11 @@ would produce, which is how the store verifies or reconstructs shards
 from payloads without trusting worker processes.
 
 Rendering a record body is the expensive part of every line, so each
-body is rendered once per process: the writer keeps the strings it
-streamed, :func:`read_shard` keeps the strings it rendered to verify
-each line, and :func:`build_shard_bytes` splices such strings in as
-they are.
+body is rendered once per process: the writer streams (and keeps) a
+string the caller rendered or renders one itself, :func:`read_shard`
+keeps the strings it rendered to verify each line (with the caller's
+own record renderer first, when given one), and
+:func:`build_shard_bytes` splices such strings in as they are.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.resilience.taxonomy import ArtifactCorruptError
 from repro.store.commit import checkpoint_boundary, fsync_dir
@@ -177,9 +178,14 @@ class ShardWriter:
         self._seq += 1
         checkpoint_boundary("shard.wal.append")
 
-    def append(self, body: dict[str, Any]) -> None:
-        """Stream one completed test record, keeping its body string."""
-        b = canonical_json(body)
+    def append(self, body: dict[str, Any] | str) -> None:
+        """Stream one completed test record, keeping its body string.
+
+        ``body`` is the record body, or its :func:`canonical_json`
+        string when the caller rendered it itself (spliced in as is,
+        as :func:`build_shard_bytes` does).
+        """
+        b = body if isinstance(body, str) else canonical_json(body)
         self._emit("record", b)
         self.record_json.append(b)
         self.records += 1
@@ -239,8 +245,17 @@ def build_shard_bytes(
     return ("\n".join(lines) + "\n").encode("utf-8"), chain
 
 
+#: A caller's renderer of record bodies: the :func:`canonical_json`
+#: string of a parsed ``record`` line's body (see :func:`read_shard`).
+RecordRenderer = Callable[[Any], str]
+
+
 def _parse_line(
-    raw: str, prev_chain: str, seq: int, name: str
+    raw: str,
+    prev_chain: str,
+    seq: int,
+    name: str,
+    render: RecordRenderer | None = None,
 ) -> tuple[str, Any, str, str]:
     """Strictly validate one line; returns ``(kind, body, chain, b)``.
 
@@ -249,7 +264,9 @@ def _parse_line(
     ``prev_chain``: one comparison covers canonical bytes, the integer
     seq and the chain at once.  The checks after it run only to name
     what is wrong.  ``b`` is the body's :func:`canonical_json` string
-    the comparison rendered.
+    the comparison rendered.  A ``record`` line's body is rendered with
+    ``render`` first when one is given; if that raises or its line
+    differs, the line is judged as if no renderer were given.
     """
     try:
         parsed = json.loads(raw)
@@ -261,6 +278,15 @@ def _parse_line(
         raise ShardCorruptError(
             f"shard {name!r}: line {seq + 1} is not a shard envelope"
         )
+    if render is not None and parsed["kind"] == "record":
+        try:
+            b = render(parsed["body"])
+        except Exception:
+            pass  # the generic check below judges the line
+        else:
+            line, chain = _splice_line(prev_chain, "record", seq, b)
+            if line == raw:
+                return "record", parsed["body"], chain, b
     b = canonical_json(parsed["body"])
     line, chain = _splice_line(prev_chain, parsed["kind"], seq, b)
     if line == raw:
@@ -309,6 +335,7 @@ def read_shard(
     path: str | os.PathLike[str],
     fingerprint: str | None = None,
     drive_id: int | None = None,
+    render: RecordRenderer | None = None,
 ) -> ShardData:
     """Strictly read and verify one committed shard.
 
@@ -319,6 +346,13 @@ def read_shard(
     that is operator error, not damage.  The result keeps the canonical
     body string verification rendered for every record
     (:attr:`ShardData.record_json`).
+
+    ``render``, when given, renders each record body before the generic
+    :func:`canonical_json` does: a caller that decodes the body anyway
+    can render it from its own objects and keep what it made.  It only
+    ever saves work: wherever it raises or its string differs from the
+    line, the generic check runs, so every verdict and message is the
+    same as without it.
     """
     name = os.fspath(path)
     with open(path, "rb") as handle:
@@ -350,7 +384,7 @@ def read_shard(
             raise ShardCorruptError(
                 f"shard {name!r}: content after the end line"
             )
-        kind, body, chain, b = _parse_line(raw, chain, seq, name)
+        kind, body, chain, b = _parse_line(raw, chain, seq, name, render)
         if kind == "record":
             if not isinstance(body, dict):
                 raise ShardCorruptError(

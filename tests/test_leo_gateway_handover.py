@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geo.coords import GeoPoint, geodetic_to_ecef_km
 from repro.geo.places import PlaceDatabase
@@ -124,3 +125,37 @@ def test_reset_forgets_serving():
 def test_invalid_outage_duration():
     with pytest.raises(ValueError):
         HandoverProcess(np.random.default_rng(0), switch_outage_s=20.0)
+
+
+_seconds = st.lists(
+    st.tuples(
+        st.floats(0.0, 20.0, allow_nan=False),  # time step to the next call
+        st.lists(st.integers(0, 12), max_size=6, unique=True),  # candidates
+        st.booleans(),  # reset before this call
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(
+    steps=_seconds,
+    seed=st.integers(0, 2**32 - 1),
+    switch_outage_s=st.sampled_from([0.0, 0.6, RECONFIGURATION_INTERVAL_S]),
+)
+@settings(max_examples=300, deadline=None)
+def test_serving_satellite_is_none_or_a_given_candidate(steps, seed, switch_outage_s):
+    """The Starlink channels look the serving satellite up in the
+    candidate list they just passed; the handover rules guarantee it is
+    there (or the state is no service, -1), so the lookup needs no
+    "not found" branch."""
+    process = HandoverProcess(np.random.default_rng(seed), switch_outage_s)
+    time_s = 0.0
+    for dt, candidates, reset in steps:
+        if reset:
+            process.reset()
+        time_s += dt
+        state = process.step(time_s, candidates)
+        serving = state.serving_satellite
+        assert serving == -1 or serving in candidates
+        assert (serving == -1) == (not candidates)

@@ -14,6 +14,7 @@ section holds those against rendering the records from scratch.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,10 @@ from repro.core.dataset import (
     DriveDataset,
     SecondSample,
     TestRecord,
+    _render_tokens,
+    record_from_dict,
     record_to_dict,
+    render_record,
 )
 from repro.geo.classify import AreaType
 from repro.resilience.integrity import DIGEST_KEY, payload_digest
@@ -466,3 +470,345 @@ def test_records_edited_after_run_get_the_formula_digest(tmp_path, edit):
     assert data == _formula_dataset_bytes(dataset, tmp_path / "formula.json")
     payload = json.loads(data)
     assert payload[DIGEST_KEY] == payload_digest(payload)
+
+
+# -- one render, two texts -------------------------------------------------
+#
+# ``render_record`` prints each value once and fills the canonical line
+# and the dataset.json body from those texts.  It must equal the two
+# formulas it replaces for every value, and ``read_shard`` must give the
+# same verdict and message with the renderer as without it.
+
+
+def _formulas(rec: TestRecord) -> tuple[str, str]:
+    encoded = record_to_dict(rec)
+    return canonical_json(encoded), json.dumps(encoded)
+
+
+_EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,  # smallest subnormal
+    2.2250738585072014e-308,
+    1e-05,  # repr switches to exponent form below 1e-4
+    0.0001,
+    1e16,  # ... and at 1e16 and above
+    9999999999999998.0,
+    1.7976931348623157e308,
+    -123.456,
+    0.1 + 0.2,
+    math.nan,
+    math.inf,
+    -math.inf,
+]
+_slot_floats = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+)
+# Every value a float slot may hold: plain floats, numpy.float64, ints
+# and bools (the last three fall back to the formulas).
+_float_slot = st.one_of(
+    _slot_floats,
+    _slot_floats.map(np.float64),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+)
+_int_slot = st.one_of(
+    st.integers(-(10**20), 10**20), st.booleans(), _slot_floats
+)
+_str_slot = st.one_of(
+    st.sampled_from(NETWORKS + ("tcp", "udp", "ping", "dl", "ul")),
+    st.text(
+        alphabet=st.sampled_from(
+            [",", ":", '"', "\\", " ", "a", "é", "星", "\n", "\x00", "\U0001f6f0"]
+        ),
+        max_size=5,
+    ),
+)
+_area_slot = st.one_of(st.sampled_from(list(AreaType)), _str_slot.map(_Area))
+
+_SAMPLE_FIELDS = [f.name for f in dataclasses.fields(SecondSample)]
+
+
+@st.composite
+def _any_sample(draw, value):
+    values = {
+        name: draw(_area_slot if name == "area" else value)
+        for name in _SAMPLE_FIELDS
+    }
+    return SecondSample._of(*(values[name] for name in _SAMPLE_FIELDS))
+
+
+@st.composite
+def _any_record(draw, number=_float_slot, whole=_int_slot, text=_str_slot):
+    rec = TestRecord(0, 0, "RM", "tcp", "dl", 1)
+    # Past the constructor's validation, as a forged cache entry could be.
+    for name in ("test_id", "drive_id", "parallel"):
+        setattr(rec, name, draw(whole))
+    for name in ("network", "protocol", "direction"):
+        setattr(rec, name, draw(text))
+    rec.retransmission_rate = draw(number)
+    rec.samples = draw(st.lists(_any_sample(number), max_size=4))
+    return rec
+
+
+def _plain(rec: TestRecord) -> bool:
+    """True when every value is one the value texts print exactly."""
+    floats = [rec.retransmission_rate] + [
+        getattr(s, name) for s in rec.samples for name in _SAMPLE_FIELDS if name != "area"
+    ]
+    return (
+        all(type(v) is float and math.isfinite(v) for v in floats)
+        and all(type(v) is int for v in (rec.test_id, rec.drive_id, rec.parallel))
+        and all(type(v) is str for v in (rec.network, rec.protocol, rec.direction))
+        and all(type(s.area) is AreaType for s in rec.samples)
+    )
+
+
+@given(_any_record())
+@settings(max_examples=400, deadline=None)
+def test_render_record_equals_both_formulas(rec):
+    assert render_record(rec) == _formulas(rec)
+    # The value texts render exactly the records they can print.
+    assert (_render_tokens(rec) is not None) == _plain(rec)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_any_record(number=_finite, whole=st.integers(-(10**20), 10**20)))
+@settings(max_examples=200, deadline=None)
+def test_render_record_prints_plain_records_from_value_texts(rec):
+    assert _plain(rec) == all(type(s.area) is AreaType for s in rec.samples)
+    if _plain(rec):
+        assert _render_tokens(rec) == _formulas(rec)
+
+
+def _edge_record(slot: str, value) -> TestRecord:
+    sample = SecondSample(
+        time_s=3.0,
+        throughput_mbps=123.456,
+        rtt_ms=41.5,
+        loss_rate=0.01,
+        speed_kmh=88.0,
+        area=AreaType.SUBURBAN,
+        lat_deg=44.97,
+        lon_deg=-93.26,
+    )
+    rec = TestRecord(7, 2, "VZ", "tcp", "ul", 8, [sample, sample], 0.125)
+    if slot in _SAMPLE_FIELDS:
+        rec.samples = [sample, dataclasses.replace(sample, **{slot: value})]
+    else:
+        setattr(rec, slot, value)
+    return rec
+
+
+_RECORD_SLOTS = [
+    name for name in (f.name for f in dataclasses.fields(TestRecord)) if name != "samples"
+]
+
+
+@pytest.mark.parametrize("slot", _RECORD_SLOTS + _SAMPLE_FIELDS)
+@pytest.mark.parametrize(
+    "value",
+    [
+        math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-05, 1e16,
+        np.float64(0.5), 3, True, False, 'a,"b":\\é',
+    ],
+    ids=repr,
+)
+def test_render_record_edge_value_in_every_slot(slot, value):
+    if slot == "area":
+        value = _Area(str(value))
+    rec = _edge_record(slot, value)
+    line, body = render_record(rec)
+    assert (line, body) == _formulas(rec)
+    # Both texts are JSON of the same record; the body keeps field order.
+    assert canonical_json(json.loads(body)) == line
+    assert list(json.loads(body)) == list(record_to_dict(rec))
+
+
+def _render_body(body) -> str:
+    """The campaign's shard-read renderer: decode, then render once."""
+    return render_record(record_from_dict(body))[0]
+
+
+def _record_shard() -> tuple[bytes, list[dict]]:
+    records = [
+        _edge_record("rtt_ms", 55.25),
+        _edge_record("network", "MOB"),
+        TestRecord(9, 2, "ATT", "ping", "dl", 1, [], 0.0),
+    ]
+    bodies = [record_to_dict(rec) for rec in records]
+    data, _ = build_shard_bytes("fp", 2, bodies, {"m": 1})
+    return data, bodies
+
+
+def _read_both(path) -> list[tuple]:
+    """``read_shard`` without and with the renderer, each outcome as
+    ``("ok", records, record_json, meta, head)`` or ``("error", type,
+    message)``."""
+    outcomes = []
+    for render in (None, _render_body):
+        try:
+            data = read_shard(path, render=render)
+        except (ShardCorruptError, ValueError) as exc:
+            outcomes.append(("error", type(exc), str(exc)))
+        else:
+            outcomes.append(("ok", data.records, data.record_json, data.meta, data.head))
+    return outcomes
+
+
+def _body_edit(edit):
+    """A forge that edits the line's body text and re-chains it."""
+
+    def forge(prev, envelope):
+        body = edit(canonical_json(envelope["body"]))
+        envelope_text = (
+            f'{{"body":{body},"kind":{canonical_json(envelope["kind"])},'
+            f'"seq":{canonical_json(envelope["seq"])}}}'
+        )
+        chain = chain_digest(prev, envelope_text)
+        line = (
+            f'{{"body":{body},"chain":{canonical_json(chain)},'
+            f'"kind":{canonical_json(envelope["kind"])},'
+            f'"seq":{canonical_json(envelope["seq"])}}}'
+        )
+        return line, chain
+
+    return forge
+
+
+_RECORD_FORGES = [
+    pytest.param(_spaced, "canonical form", id="whitespace"),
+    pytest.param(_reordered, "canonical form", id="reordered-keys"),
+    pytest.param(_extra_key, "not a shard envelope", id="extra-key"),
+    pytest.param(_missing_key, "not a shard envelope", id="missing-key"),
+    pytest.param(_seq_as(1.0), "has seq 1.0", id="float-seq"),
+    pytest.param(_seq_as(True), "has seq True", id="bool-seq"),
+    pytest.param(_seq_as("1"), "has seq '1'", id="string-seq"),
+    pytest.param(
+        _body_edit(lambda b: b.replace('"rtt_ms":55.25', '"rtt_ms":55.250')),
+        "canonical form",
+        id="long-float",
+    ),
+    pytest.param(
+        _body_edit(lambda b: b.replace('"rtt_ms":55.25', '"rtt_ms":NaN')),
+        None,
+        id="nan-value",
+    ),
+    pytest.param(
+        _body_edit(lambda b: b.replace('"parallel":8', '"parallel":true')),
+        None,
+        id="bool-parallel",
+    ),
+    pytest.param(
+        _body_edit(lambda b: b.replace('"parallel":8', '"parallel":8.0')),
+        None,
+        id="float-parallel",
+    ),
+    pytest.param(
+        _body_edit(lambda b: b.replace('"area":"suburban"', '"area":"moon"', 1)),
+        None,
+        id="unknown-area",
+    ),
+    pytest.param(
+        _body_edit(lambda b: b.replace('"direction":"ul",', "")),
+        None,
+        id="missing-field",
+    ),
+    pytest.param(
+        _body_edit(lambda b: b.replace('"lat_deg":44.97,"lon_deg":-93.26,"loss_rate":0.01,',
+                                       '"lat_deg":44.97,"loss_rate":0.01,"lon_deg":-93.26,')),
+        "canonical form",
+        id="lon-after-loss",
+    ),
+    pytest.param(
+        _body_edit(lambda b: b.replace('"time_s":3.0', '"time_s":3.0,"time_s":4.0', 1)),
+        "canonical form",
+        id="duplicate-key",
+    ),
+]
+
+
+@pytest.mark.parametrize(("forge", "message"), _RECORD_FORGES)
+def test_renderer_read_gives_the_same_verdict_on_forged_lines(tmp_path, forge, message):
+    """A forged record line read through the renderer fails exactly as
+    it does without it; a forge that is still canonical (a body the
+    campaign cannot decode, or one holding NaN or a bool) passes both
+    reads alike."""
+    data, _ = _record_shard()
+    lines = data.decode().splitlines()
+    chain, out = GENESIS, []
+    for i, line in enumerate(lines):
+        parsed = json.loads(line)
+        envelope = {"kind": parsed["kind"], "seq": parsed["seq"], "body": parsed["body"]}
+        if i == 1:
+            rendered, chain = forge(chain, envelope)
+            assert rendered != line
+        else:
+            rendered, chain = _two_render_oracle(chain, **envelope)
+        out.append(rendered)
+    path = tmp_path / "forged.jsonl"
+    path.write_bytes(("\n".join(out) + "\n").encode())
+    plain, rendered = _read_both(path)
+    assert rendered == plain
+    if message is None:
+        assert plain[0] == "ok"
+    else:
+        assert plain[:2] == ("error", ShardCorruptError) and message in plain[2]
+
+
+def test_renderer_read_keeps_what_the_plain_read_keeps(tmp_path):
+    data, bodies = _record_shard()
+    path = tmp_path / "drive-00002.jsonl"
+    path.write_bytes(data)
+    plain, rendered = _read_both(path)
+    assert rendered == plain
+    assert plain[:2] == ("ok", bodies)
+    calls = []
+
+    def counting(body):
+        calls.append(body)
+        return _render_body(body)
+
+    read_shard(path, render=counting)
+    assert calls == bodies  # every record line, and only those
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_renderer_read_gives_the_same_verdict_on_any_byte_change(tmp_path_factory, data):
+    shard, _ = _record_shard()
+    index = data.draw(st.integers(0, len(shard) - 2), label="index")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != shard[index]), label="byte")
+    path = tmp_path_factory.mktemp("flip") / "drive-00002.jsonl"
+    path.write_bytes(shard[:index] + bytes([byte]) + shard[index + 1 :])
+    plain, rendered = _read_both(path)
+    assert rendered == plain
+
+
+def test_twin_keeps_the_texts_its_cache_read_rendered(tmp_path):
+    """A cache-served campaign takes its records and both texts from the
+    cache read's renderer and writes the cold run's dataset bytes."""
+    config = CampaignConfig(
+        seed=3,
+        num_interstate_drives=1,
+        num_city_drives=0,
+        num_ring_drives=1,
+        max_drive_seconds=120.0,
+        test_duration_s=20.0,
+        window_period_s=25.0,
+        cache_dir=str(tmp_path / "cache"),
+    )
+    Campaign(config).run().save_json(tmp_path / "cold.json")
+    twin = Campaign(config)
+    dataset = twin.run()
+    assert twin.report.drives_resumed == 0
+    lines, bodies = dataset._kept_texts()
+    assert (lines, bodies) == tuple(
+        map(list, zip(*(_formulas(rec) for rec in dataset.records)))
+    )
+    dataset.save_json(tmp_path / "twin.json")
+    assert (tmp_path / "twin.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+    assert twin._decoded == {}

@@ -1,12 +1,16 @@
 """DriveCache bounding: deterministic oldest-first eviction + gc CLI."""
 
+import math
 import os
 
+import numpy as np
 import pytest
 
+from repro.serve.service import ServiceConfig
 from repro.store import CacheEntry, DriveCache, ShardCorruptError
 from repro.store import cache as cache_module
 from repro.store.__main__ import main as store_main
+from tests.helpers import deadline
 
 
 def _total_bytes(cache):
@@ -179,3 +183,83 @@ def test_corrupt_entry_evicted_before_quarantine_is_a_plain_miss(
     monkeypatch.setattr(cache_module, "read_shard", corrupt_then_evicted)
     assert cache.get("fp", 0) == (None, None)
     assert os.listdir(tmp_path / "fp") == []
+
+
+# -- typed rejection of cache bounds ---------------------------------------
+
+_BAD_BOUNDS = (
+    math.nan,
+    math.inf,
+    -math.inf,
+    1.5,
+    1024.0,
+    True,
+    False,
+    -1,
+    np.float64(math.nan),
+    "1024",
+)
+
+
+def _rejected_bound_cases():
+    """(id, field named in the message, build) for every bad cache bound
+    at each entry point that takes one."""
+    for bad in _BAD_BOUNDS:
+        yield (
+            f"cache-{bad!r}",
+            "max_bytes",
+            lambda root, bad=bad: DriveCache(root, max_bytes=bad),
+        )
+        yield (
+            f"gc-{bad!r}",
+            "max_bytes",
+            lambda root, bad=bad: DriveCache(root).gc(max_bytes=bad),
+        )
+        yield (
+            f"service-{bad!r}",
+            "cache_max_bytes",
+            lambda root, bad=bad: ServiceConfig(
+                root=str(root / "serve"), isolation="inline", cache_max_bytes=bad
+            ),
+        )
+
+
+REJECTED_BOUNDS = list(_rejected_bound_cases())
+
+
+@pytest.mark.parametrize(
+    "match, build",
+    [(match, build) for _, match, build in REJECTED_BOUNDS],
+    ids=[name for name, _, _ in REJECTED_BOUNDS],
+)
+def test_cache_bounds_rejected_by_name(tmp_path, match, build):
+    """A cache bound that is not an integer >= 0 is a ``ValueError``
+    naming the field.  NaN used to pass every guard, and ``gc`` then
+    evicted every entry (``bytes <= nan`` is never true)."""
+    with deadline(10.0), pytest.raises(ValueError, match=match):
+        build(tmp_path)
+
+
+def test_nan_gc_bound_evicts_nothing(tmp_path):
+    cache = DriveCache(tmp_path)
+    _fill(cache, "fp", range(3))
+    with pytest.raises(ValueError, match="max_bytes"):
+        cache.gc(max_bytes=math.nan)
+    assert len(cache.entries()) == 3
+
+
+@pytest.mark.parametrize("bound", [0, 4096, np.int64(4096), None])
+def test_whole_cache_bounds_accepted(tmp_path, bound):
+    assert DriveCache(tmp_path, max_bytes=bound).max_bytes == bound
+    config = ServiceConfig(
+        root=str(tmp_path / "serve"), isolation="inline", cache_max_bytes=bound
+    )
+    assert config.cache_max_bytes == bound
+    assert type(config.cache_max_bytes) is (int if bound is not None else type(None))
+
+
+def test_gc_cli_refuses_negative_bound(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        store_main(["gc", "--cache-dir", str(tmp_path), "--max-bytes", "-1"])
+    assert exc.value.code == 2
+    assert "--max-bytes must be >= 0" in capsys.readouterr().err
