@@ -64,6 +64,7 @@ from __future__ import annotations
 import bisect
 import math
 import weakref
+from array import array
 
 import numpy as np
 
@@ -92,8 +93,12 @@ _CULL_SLACK_DEG = 1.0
 
 #: Time chunk for the batched geometry build, bounding peak memory (a
 #: chunk holds a (CHUNK, num_sats) keep mask, float32 prefilter scores,
-#: and float64 positions for the satellites that survive it).
-_CHUNK = 512
+#: and float64 positions for the satellites that survive it).  At 512
+#: this block was a medium campaign's largest transient (about 5.6 MB);
+#: at 128 it is about 1.4 MB, and the build is no slower: a shorter
+#: chunk culls more orbital planes (see docs/PERFORMANCE.md, "Memory:
+#: the drive loop's peak heap").
+_CHUNK = 128
 
 #: Seconds per wedge-mask block (see :meth:`GeometryTimeline._open_rows`):
 #: a 30 s sector epoch plus slack, so an epoch's first lookup masks every
@@ -247,16 +252,15 @@ class GeometryTimeline:
         # -- candidate satellites per second (sorted by elevation) -------
         # One flat table, rows grouped by second: second ``t`` owns the
         # flat rows ``offsets[t]:offsets[t + 1]``, sorted by descending
-        # elevation.  The per-sample walk reads the Python lists (scalar
-        # indexing beats re-dispatching numpy kernels on 40-element
-        # arrays); the wedge masks and the RTT scan read the arrays.
-        sat_ids: list[int] = []
-        elevations: list[float] = []
+        # elevation.  Each column is one typed buffer, grown chunk by
+        # chunk, so the build never holds a column twice.  The
+        # per-sample walk indexes ``sat_ids`` and ``elevations`` directly
+        # (scalar indexing beats re-dispatching numpy kernels on
+        # 40-element arrays, and returns plain ints and floats); the
+        # wedge masks and the RTT scan read numpy views of the buffers.
         offsets: list[int] = [0]
-        elev_parts = [np.zeros(0)]
-        azim_parts = [np.zeros(0)]
-        range_parts = [np.zeros(0)]
-        pos_parts = [np.zeros((0, 3))]
+        sat_ids, elevations = array("i"), array("d")
+        azimuths, ranges, positions = array("d"), array("d"), array("d")
         tied: set[int] = set()
         # ECEF positions of each second's rank-0 and rank-1 candidates
         # (zeros where a second has fewer), for the bulk RTT scan.
@@ -270,12 +274,14 @@ class GeometryTimeline:
             )
             base = offsets[-1]
             offsets.extend((row_off[1:] + base).tolist())
-            sat_ids.extend(idx.tolist())
-            elevations.extend(elev.tolist())
-            elev_parts.append(elev)
-            azim_parts.append(azim)
-            range_parts.append(rng)
-            pos_parts.append(pos)
+            for column, part in (
+                (sat_ids, idx.astype(np.intc)),
+                (elevations, elev),
+                (azimuths, azim),
+                (ranges, rng),
+                (positions, pos),
+            ):
+                column.frombytes(part.ravel().view(np.uint8))
             tied.update(chunk_ties)
         #: Satellite index of every flat row.
         self.sat_ids = sat_ids
@@ -283,11 +289,13 @@ class GeometryTimeline:
         self.elevations = elevations
         #: Row offsets: second ``t`` owns rows ``offsets[t]:offsets[t + 1]``.
         self.offsets = offsets
-        self._elev_arr = np.concatenate(elev_parts)
+        # Views, not copies: ``_elev_arr`` always agrees with
+        # ``elevations``.
+        self._elev_arr = np.frombuffer(elevations)
         #: Azimuth (degrees) and slant range (km) of every flat row.
-        self.azimuths = np.concatenate(azim_parts)
-        self.ranges = np.concatenate(range_parts)
-        self._pos = np.concatenate(pos_parts)
+        self.azimuths = np.frombuffer(azimuths)
+        self.ranges = np.frombuffer(ranges)
+        self._pos = np.frombuffer(positions).reshape(-1, 3)
         #: Seconds with duplicated elevations (see :meth:`_visible_tied`).
         self._tied = tied
         #: Open-row lists per live sector list, see :meth:`_open_rows`.

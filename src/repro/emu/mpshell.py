@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
 
 import numpy as np
 
 from repro.conditions import LinkConditions
-from repro.emu.traces import conditions_to_opportunities_ms
+from repro.emu.traces import conditions_to_opportunities_ms, first_unsorted
 from repro.net.link import ConditionsSchedule
 from repro.net.packet import Packet, check_segment_bytes
 from repro.net.path import Path
@@ -66,14 +67,17 @@ class TraceLink:
             raise ValueError(
                 f"opportunity times must be non-negative, got {opportunities_ms[0]}"
             )
-        for i, (before, after) in enumerate(
-            zip(opportunities_ms, opportunities_ms[1:])
-        ):
-            if before > after:
-                raise ValueError(
-                    f"opportunity times must be sorted: entry {i + 1}"
-                    f" ({after} ms) follows {before} ms"
-                )
+        # One float64 buffer, not a list of int objects: a trace is tens
+        # of thousands of entries, held per link for the whole run.
+        # Millisecond counts convert to float exactly, so each comparison
+        # below, and ``opportunities_ms[i] / 1000.0``, reads the same.
+        times = array("d", opportunities_ms)
+        i = first_unsorted(np.frombuffer(times))
+        if i is not None:
+            raise ValueError(
+                f"opportunity times must be sorted: entry {i}"
+                f" ({opportunities_ms[i]} ms) follows {opportunities_ms[i - 1]} ms"
+            )
         if opportunities_ms[-1] <= 0:
             raise ValueError("trace period must be positive")
         if not one_way_delay_ms >= 0:  # also rejects NaN
@@ -82,8 +86,12 @@ class TraceLink:
             )
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
+        # NaN would lose every packet and +inf none, whatever loss_rate.
+        if not math.isfinite(loss_burst):
+            raise ValueError(f"loss_burst must be finite, got {loss_burst}")
+        mtu_bytes = check_segment_bytes(mtu_bytes, "mtu_bytes")
         self.sim = sim
-        self.opportunities_ms = list(opportunities_ms)
+        self.opportunities_ms = times
         self.period_s = self.opportunities_ms[-1] / 1000.0
         self.delay_s = one_way_delay_ms / 1000.0
         self.queue = DropTailQueue(buffer_bytes)

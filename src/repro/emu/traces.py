@@ -12,8 +12,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from repro.conditions import LinkConditions
 from repro.units import DEFAULT_MTU_BYTES
+
+#: Trace entries per numpy block.  A block's temporaries (64 KB each)
+#: stay small next to the trace itself; a whole-trace pass held about
+#: six trace-sized arrays at once.
+_BLOCK = 8192
 
 
 def throughput_to_opportunities_ms(
@@ -25,10 +32,15 @@ def throughput_to_opportunities_ms(
     Each second contributes ``rate / (mtu * 8)`` evenly spaced
     opportunities.  Fractional opportunities carry over between seconds so
     long-run average rates are preserved exactly.
+
+    Opportunity ``i`` of ``count`` in second ``s`` is at
+    ``int(s * 1000 + i * 1000.0 / count)``.  The per-second carry loop
+    stays scalar; the timestamps are built in float64 numpy blocks of
+    the same IEEE operations, in the same order, truncated the same way.
     """
     if mtu_bytes <= 0:
         raise ValueError(f"mtu must be positive, got {mtu_bytes}")
-    opportunities: list[int] = []
+    counts: list[int] = []
     carry = 0.0
     for second, mbps in enumerate(throughput_mbps):
         if mbps < 0:
@@ -36,9 +48,37 @@ def throughput_to_opportunities_ms(
         per_second = mbps * 1e6 / (mtu_bytes * 8.0) + carry
         count = int(per_second)
         carry = per_second - count
-        for i in range(count):
-            opportunities.append(int(second * 1000 + i * 1000.0 / count))
+        counts.append(count)
+    count_of = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(count_of)
+    total = int(ends[-1]) if counts else 0
+    # Allocated once at its final length, then filled block by block.
+    opportunities = [0] * total
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
+        entry = np.arange(lo, hi)
+        second = np.searchsorted(ends, entry, side="right")
+        in_second = count_of[second]
+        # ``i`` is the entry's distance from its second's first entry.
+        ms = (entry - (ends[second] - in_second)).astype(np.float64)
+        ms *= 1000.0
+        # int64 counts are cast to float64 exactly, as Python's
+        # int/float mixed arithmetic does.
+        ms /= in_second
+        ms += second * 1000.0
+        opportunities[lo:hi] = ms.astype(np.int64).tolist()
     return opportunities
+
+
+def first_unsorted(times_ms: np.ndarray) -> int | None:
+    """Index of the first entry smaller than the one before it, or
+    ``None`` if the trace is sorted; compared a block at a time."""
+    for lo in range(0, len(times_ms) - 1, _BLOCK):
+        block = times_ms[lo : lo + _BLOCK + 1]
+        unsorted = np.flatnonzero(block[:-1] > block[1:])
+        if unsorted.size:
+            return lo + int(unsorted[0]) + 1
+    return None
 
 
 def conditions_to_opportunities_ms(

@@ -18,6 +18,12 @@ from repro.geo.coords import GeoPoint, destination_point
 from repro.rng import RngStreams
 
 
+#: Points per block of :meth:`PlaceDatabase.nearest_many`.  A block's
+#: (points, places) temporaries are about 0.3 MB each at 80 places; a
+#: whole 3,900 s drive at once made them 2.5 MB each.
+_NEAREST_BLOCK = 512
+
+
 @dataclass(frozen=True)
 class Place:
     """A city or town, with enough metadata to drive the coverage models."""
@@ -130,19 +136,29 @@ class PlaceDatabase:
         elementwise ufunc or a per-row argmin, both of which are
         independent of how many rows are evaluated at once.
         """
-        lat1 = np.radians(np.asarray(lat_deg, dtype=float))[:, None]
-        lon1 = np.radians(np.asarray(lon_deg, dtype=float))[:, None]
+        lat = np.radians(np.asarray(lat_deg, dtype=float))
+        lon = np.radians(np.asarray(lon_deg, dtype=float))
         lat2 = np.radians(self._locations[:, 0])[None, :]
         lon2 = np.radians(self._locations[:, 1])[None, :]
-        dlat = lat2 - lat1
-        dlon = lon2 - lon1
-        h = (
-            np.sin(dlat / 2.0) ** 2
-            + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
-        )
-        dist = 2.0 * 6371.0 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-        idx = np.argmin(dist, axis=1)
-        return idx, dist[np.arange(idx.size), idx]
+        idx = np.empty(lat.size, dtype=np.intp)
+        nearest = np.empty(lat.size)
+        # A block of rows at a time bounds the (points, places)
+        # temporaries; rows are independent, so blocking changes no bit.
+        for lo in range(0, lat.size, _NEAREST_BLOCK):
+            hi = lo + _NEAREST_BLOCK
+            lat1 = lat[lo:hi, None]
+            lon1 = lon[lo:hi, None]
+            dlat = lat2 - lat1
+            dlon = lon2 - lon1
+            h = (
+                np.sin(dlat / 2.0) ** 2
+                + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+            )
+            dist = 2.0 * 6371.0 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+            rows = np.argmin(dist, axis=1)
+            idx[lo:hi] = rows
+            nearest[lo:hi] = dist[np.arange(rows.size), rows]
+        return idx, nearest
 
     def cities(self) -> list[Place]:
         """All places large enough to have an urban core."""

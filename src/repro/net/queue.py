@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import deque
 
 from repro.net.packet import Packet
@@ -16,9 +18,17 @@ class DropTailQueue:
     """
 
     def __init__(self, capacity_bytes: int):
-        if capacity_bytes <= 0:
+        # ``not 0 < x < inf`` also rejects NaN, which compares false both
+        # ways: a NaN capacity would admit every packet.  ``bool`` is an
+        # ``int`` to Python but never a size.
+        if (
+            isinstance(capacity_bytes, bool)
+            or not isinstance(capacity_bytes, numbers.Real)
+            or not 0 < capacity_bytes < math.inf
+        ):
             raise ValueError(
-                f"queue capacity must be positive, got {capacity_bytes}"
+                f"queue capacity must be a positive finite number of bytes,"
+                f" got {capacity_bytes!r}"
             )
         self.capacity_bytes = capacity_bytes
         #: The FIFO itself, head first.

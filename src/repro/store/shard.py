@@ -363,11 +363,15 @@ def read_shard(
         raise ShardCorruptError(
             f"shard {name!r} is not valid UTF-8 ({exc})"
         ) from exc
+    del blob
     if not text.endswith("\n"):
         raise ShardCorruptError(
             f"shard {name!r}: missing final newline (torn write)"
         )
     lines = text.split("\n")[:-1]
+    # From here the lines are the one copy of the shard, and the loop
+    # drops each once parsed: a record keeps its body text instead.
+    del text
     if not lines:
         raise ShardCorruptError(f"shard {name!r} is empty")
 
@@ -379,7 +383,9 @@ def read_shard(
     data = ShardData(fingerprint=body["fingerprint"], drive_id=body["drive"])
 
     ended = False
-    for seq, raw in enumerate(lines[1:], start=1):
+    for seq in range(1, len(lines)):
+        raw = lines[seq]
+        lines[seq] = ""
         if ended:
             raise ShardCorruptError(
                 f"shard {name!r}: content after the end line"

@@ -1,5 +1,7 @@
 """Dataset container: filtering, aggregation, persistence."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.dataset import (
@@ -220,7 +222,15 @@ def test_second_sample_private_constructor_equals_keyword_constructor(area):
     assert fast == slow
     assert hash(fast) == hash(slow)
     assert repr(fast) == repr(slow)
-    assert list(vars(fast)) == list(vars(slow))
+    # Slotted: no instance dict on either, and the same values, of the
+    # same types, in field order.
+    assert not hasattr(fast, "__dict__") and not hasattr(slow, "__dict__")
+    names = [f.name for f in dataclasses.fields(SecondSample)]
+    values = [getattr(fast, name) for name in names]
+    assert values == [getattr(slow, name) for name in names]
+    assert [type(v) for v in values] == [type(getattr(slow, n)) for n in names]
     assert pickle.dumps(fast) == pickle.dumps(slow)
+    # Unpickling sets the slots past the frozen ``__setattr__``.
+    assert pickle.loads(pickle.dumps(fast)) == fast
     with pytest.raises(AttributeError):
         fast.rtt_ms = 1.0

@@ -1,10 +1,14 @@
 """Mahimahi trace conversion and sorted-input validation."""
 
+from array import array
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.conditions import LinkConditions
+from repro.emu import traces
 from repro.emu.mpshell import TraceLink
 from repro.emu.traces import (
     conditions_to_opportunities_ms,
@@ -60,6 +64,17 @@ def _trace_link(opportunities_ms):
     )
 
 
+def test_trace_link_holds_its_trace_as_one_float_buffer():
+    """Eight bytes an entry instead of an int object each; millisecond
+    counts are exact in float64, so every time read from it is too."""
+    opps = throughput_to_opportunities_ms([50.0, 0.5, 120.0], 6000)
+    link = _trace_link(opps)
+    assert isinstance(link.opportunities_ms, array)
+    assert link.opportunities_ms.typecode == "d"
+    assert [int(ms) for ms in link.opportunities_ms] == opps
+    assert link.period_s == opps[-1] / 1000.0
+
+
 def _schedule(times):
     return ConditionsSchedule(
         [LinkConditions(t, rate, 1.0, 20.0, 0.0) for t, rate in zip(times, (10.0, 50.0, 100.0))]
@@ -107,3 +122,80 @@ def test_opportunities_sorted_and_nonnegative(series):
 def test_mean_rate_round_trip(rate, seconds):
     opps = throughput_to_opportunities_ms([rate] * seconds)
     assert trace_mean_mbps(opps) == pytest.approx(rate, rel=0.15)
+
+
+def _scalar_opportunities_ms(throughput_mbps, mtu_bytes):
+    """The per-entry loop the conversion's one numpy pass replaces."""
+    opportunities = []
+    carry = 0.0
+    for second, mbps in enumerate(throughput_mbps):
+        per_second = mbps * 1e6 / (mtu_bytes * 8.0) + carry
+        count = int(per_second)
+        carry = per_second - count
+        for i in range(count):
+            opportunities.append(int(second * 1000 + i * 1000.0 / count))
+    return opportunities
+
+
+# Rates where whole counts, odd counts and long carries meet: 12 Mbps is
+# exactly 1,000 opportunities of 1,500 B a second, 0.006 half of one.
+# At 0.456, 0.912 and 1.464 Mbps (38, 76 and 122 a second) some entry
+# lands on a whole millisecond that ``i * (1000.0 / count)`` rounds
+# just below, so a reassociated spacing truncates one lower.
+_RATES = st.one_of(
+    st.floats(min_value=0.0, max_value=120.0),
+    st.sampled_from(
+        [0.0, 12.0, 0.006, 0.012, 0.036, 0.084, 0.456, 0.912, 1.464, 5e-324, 119.999999]
+    ),
+)
+
+
+#: Block sizes that put block edges inside and between seconds; the
+#: real one leaves most drawn traces in one block.
+_BLOCKS = st.sampled_from([1, 2, 3, 7, 64, traces._BLOCK])
+
+
+@given(
+    series=st.lists(_RATES, max_size=24),
+    mtu_bytes=st.sampled_from([1500, 6000, 9000, 15_000]),
+    block=_BLOCKS,
+)
+@settings(deadline=None, max_examples=200)
+def test_conversion_equals_the_scalar_loop(series, mtu_bytes, block):
+    """Same timestamps, in the same order, as plain ints."""
+    with mock.patch.object(traces, "_BLOCK", block):
+        opps = throughput_to_opportunities_ms(series, mtu_bytes)
+    assert opps == _scalar_opportunities_ms(series, mtu_bytes)
+    assert all(type(ts) is int for ts in opps)
+
+
+def _scalar_sort_error(opportunities_ms):
+    """The message of the scalar sortedness loop, or None if sorted."""
+    for i, (before, after) in enumerate(zip(opportunities_ms, opportunities_ms[1:])):
+        if before > after:
+            return (
+                f"opportunity times must be sorted: entry {i + 1}"
+                f" ({after} ms) follows {before} ms"
+            )
+    return None
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 40), st.floats(0.0, 40.0)), min_size=2, max_size=12
+    ),
+    _BLOCKS,
+)
+@settings(deadline=None, max_examples=200)
+def test_sortedness_check_equals_the_scalar_loop(opportunities_ms, block):
+    """The vectorized check rejects exactly what the loop rejected,
+    naming the same first out-of-order entry."""
+    expected = _scalar_sort_error(opportunities_ms)
+    with mock.patch.object(traces, "_BLOCK", block):
+        if expected is None:
+            assume(opportunities_ms[-1] > 0)
+            _trace_link(opportunities_ms)
+        else:
+            with pytest.raises(ValueError) as info:
+                _trace_link(opportunities_ms)
+            assert str(info.value) == expected

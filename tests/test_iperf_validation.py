@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.conditions import LinkConditions
-from repro.emu.mpshell import MpShell
+from repro.emu.mpshell import MpShell, TraceLink
 from repro.net.link import FixedConditions
 from repro.net.path import Path
+from repro.net.queue import DropTailQueue
 from repro.net.simulator import Simulator
 from repro.transport.mptcp import MptcpConnection, MptcpReceiver
 from repro.transport.tcp import TcpReceiver, TcpSender
@@ -78,6 +79,24 @@ def _two_traces():
 BAD_DURATIONS = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 BAD_SEGMENTS = (1500.5, 1500.0, math.nan, 0, -1500, True, "1500", None)
 BAD_BUFFERS = (math.nan, math.inf, 2.5, 64.0, True, 0, -8, "64", None)
+BAD_CAPACITIES = (
+    math.nan, np.float64(math.nan), math.inf, -math.inf, True, False, 0, -8, "64", None
+)
+BAD_BURSTS = (math.nan, np.float64(math.nan), math.inf, -math.inf)
+BAD_MTUS = (0, -1500, 1500.5, 1500.0, math.nan, True, "1500", None)
+
+
+def _trace_link(**kwargs):
+    args = dict(
+        sim=Simulator(),
+        opportunities_ms=[0, 10, 20],
+        one_way_delay_ms=5.0,
+        buffer_bytes=15_000,
+        rng=np.random.default_rng(0),
+        loss_rate=0.05,
+    )
+    return TraceLink(**{**args, **kwargs})
+
 
 def _rejected_cases():
     for d in BAD_DURATIONS:
@@ -146,6 +165,18 @@ def _rejected_cases():
             lambda b=b: TcpSender(Simulator(), None, receiver_buffer_segments=b),
         )
     yield "udp-target-nan", lambda: UdpSender(Simulator(), None, math.nan)
+    for c in BAD_CAPACITIES:
+        yield f"droptail-capacity-{c!r}", lambda c=c: DropTailQueue(c)
+        yield f"tracelink-buffer-{c!r}", lambda c=c: _trace_link(buffer_bytes=c)
+        if c is not None:  # None asks the interface to size its buffer
+            yield (
+                f"mpshell-interface-buffer-{c!r}",
+                lambda c=c: MpShell().add_interface("x", flat(), buffer_bytes=c),
+            )
+    for b in BAD_BURSTS:
+        yield f"tracelink-burst-{b!r}", lambda b=b: _trace_link(loss_burst=b)
+    for m in BAD_MTUS:
+        yield f"tracelink-mtu-{m!r}", lambda m=m: _trace_link(mtu_bytes=m)
 
 
 REJECTED = list(_rejected_cases())
@@ -155,9 +186,10 @@ REJECTED = list(_rejected_cases())
     "build", [case for _, case in REJECTED], ids=[name for name, _ in REJECTED]
 )
 def test_des_entry_points_reject_bad_inputs(build):
-    """Every bad duration, segment size or buffer size ends in a
-    ``ValueError`` at once: no hang, no fractional byte count, no silent
-    empty run, no error from deep inside the simulation."""
+    """Every bad duration, segment size, buffer size, queue capacity,
+    loss burst or MTU ends in a ``ValueError`` at once: no hang, no
+    fractional byte count, no silent empty run, no error from deep
+    inside the simulation."""
     with deadline(10.0), pytest.raises(ValueError):
         build()
 

@@ -400,7 +400,9 @@ def test_derived_dataset_digest_equals_payload_digest(
     )
     rendered = DriveDataset(records, trace_minutes, distance_km, proportions)
     # The fast path runs exactly when no string holds a separator.
-    took_fast_path = derived._sorted_records_json() is not None
+    took_fast_path = (
+        derived._sorted_records_json(derived._kept_texts()[0]) is not None
+    )
     assert took_fast_path == (not any(map(_has_separator, records)))
 
     root = tmp_path_factory.mktemp("digest")
@@ -457,14 +459,14 @@ def _formula_dataset_bytes(dataset: DriveDataset, path) -> bytes:
 def test_records_edited_after_run_get_the_formula_digest(tmp_path, edit):
     dataset = _tiny_campaign(tmp_path)
     # The run kept a line for every record, and the digest uses them.
-    assert dataset._sorted_records_json() is not None
+    assert dataset._sorted_records_json(dataset._kept_texts()[0]) is not None
     dataset.save_json(tmp_path / "as-run.json")
     assert (tmp_path / "as-run.json").read_bytes() == _formula_dataset_bytes(
         dataset, tmp_path / "as-run-formula.json"
     )
 
     edit(dataset.records)
-    assert dataset._sorted_records_json() is None
+    assert dataset._kept_texts()[0] is None
     dataset.save_json(tmp_path / "edited.json")
     data = (tmp_path / "edited.json").read_bytes()
     assert data == _formula_dataset_bytes(dataset, tmp_path / "formula.json")
